@@ -17,6 +17,19 @@ use mapreduce::job::PartitionerFactory;
 use mapreduce::partition::Partitioner;
 use simcore::rng::JavaRandom;
 
+/// Per-reducer counts of `n_records` reducer choices made by `pick`: the
+/// bulk path of the partitioners that never read the key. It builds no
+/// key and makes no dynamic call per record; `pick` is the same draw the
+/// per-record `partition` makes, so the generator ends where that loop
+/// would leave it.
+fn count_picks(n_records: u64, n_reducers: u32, mut pick: impl FnMut() -> u32) -> Vec<u64> {
+    let mut counts = vec![0u64; n_reducers as usize];
+    for _ in 0..n_records {
+        counts[pick() as usize] += 1;
+    }
+    counts
+}
+
 /// MR-AVG: uniform round-robin distribution.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AvgPartitioner;
@@ -59,6 +72,37 @@ impl Partitioner for RandPartitioner {
     fn partition(&mut self, _key: &[u8], _ordinal: u64, n_reducers: u32) -> u32 {
         self.rng.next_int_bound(n_reducers as i32) as u32
     }
+
+    fn assign_counts(
+        &mut self,
+        n_records: u64,
+        n_reducers: u32,
+        _key_of: &mut dyn FnMut(u64, &mut Vec<u8>),
+    ) -> Vec<u64> {
+        count_picks(n_records, n_reducers, || {
+            self.rng.next_int_bound(n_reducers as i32) as u32
+        })
+    }
+}
+
+/// MR-SKEW's reducer for one record: `u = nextDouble()` picks reducer 0
+/// below 0.5, 1 below 0.75 and 2 below 0.875 (clamped to the last
+/// reducer), otherwise `nextInt(n_reducers)` draws from all of them.
+///
+/// The thresholds are multiples of 1/8, so `u < t` depends only on the
+/// top three of `u`'s 53 bits, the top three of its high `next(26)`
+/// draw: eighths 0–3 are below 0.5, 4–5 below 0.75 and 6 below 0.875.
+/// The low `next(27)` draw is still made, as `nextDouble()` makes it, and
+/// discarded. A table lookup replaces the three unpredictable branches.
+#[inline]
+fn skew_pick(rng: &mut JavaRandom, n_reducers: u32) -> u32 {
+    const HEAD_BY_EIGHTH: [u32; 7] = [0, 0, 0, 0, 1, 1, 2];
+    let eighth = (rng.next(26) >> 23) as usize;
+    rng.next(27);
+    match HEAD_BY_EIGHTH.get(eighth) {
+        Some(&head) => head.min(n_reducers - 1),
+        None => rng.next_int_bound(n_reducers as i32) as u32,
+    }
 }
 
 /// MR-SKEW: 50 % / 25 % / 12.5 % to the first three reducers, rest random.
@@ -78,17 +122,18 @@ impl SkewPartitioner {
 
 impl Partitioner for SkewPartitioner {
     fn partition(&mut self, _key: &[u8], _ordinal: u64, n_reducers: u32) -> u32 {
-        let last = n_reducers - 1;
-        let u = self.rng.next_double();
-        if u < 0.50 {
-            0
-        } else if u < 0.75 {
-            1u32.min(last)
-        } else if u < 0.875 {
-            2u32.min(last)
-        } else {
-            self.rng.next_int_bound(n_reducers as i32) as u32
-        }
+        skew_pick(&mut self.rng, n_reducers)
+    }
+
+    fn assign_counts(
+        &mut self,
+        n_records: u64,
+        n_reducers: u32,
+        _key_of: &mut dyn FnMut(u64, &mut Vec<u8>),
+    ) -> Vec<u64> {
+        count_picks(n_records, n_reducers, || {
+            skew_pick(&mut self.rng, n_reducers)
+        })
     }
 }
 
@@ -198,23 +243,28 @@ mod tests {
     }
 
     #[test]
-    fn skew_partition_loop_equals_assign_counts() {
-        // SkewPartitioner relies on the default bulk path, so the
-        // per-record loop and assign_counts must consume the RNG
-        // identically — for every reducer count, including the clamped
-        // n < 3 cases.
-        for n_red in [1u32, 2, 3, 8] {
-            let mut a = SkewPartitioner::new(11);
-            let mut loop_counts = vec![0u64; n_red as usize];
-            for i in 0..50_000u64 {
-                loop_counts[a.partition(&[], i, n_red) as usize] += 1;
+    fn skew_integer_rule_equals_next_double_rule() {
+        // The paper's rule as first written, on the f64 of nextDouble().
+        fn by_double(rng: &mut JavaRandom, n_reducers: u32) -> u32 {
+            let last = n_reducers - 1;
+            let u = rng.next_double();
+            if u < 0.50 {
+                0
+            } else if u < 0.75 {
+                1u32.min(last)
+            } else if u < 0.875 {
+                2u32.min(last)
+            } else {
+                rng.next_int_bound(n_reducers as i32) as u32
             }
-            let mut b = SkewPartitioner::new(11);
-            assert_eq!(
-                b.assign_counts(50_000, n_red, &mut no_keys),
-                loop_counts,
-                "n_reducers = {n_red}"
-            );
+        }
+        for (seed, n_red) in [(11i64, 1u32), (12, 2), (13, 3), (14, 8), (15, 12)] {
+            let mut a = JavaRandom::new(seed);
+            let mut b = JavaRandom::new(seed);
+            for _ in 0..20_000 {
+                assert_eq!(skew_pick(&mut a, n_red), by_double(&mut b, n_red));
+            }
+            assert_eq!(a.next_int(), b.next_int(), "n_reducers = {n_red}");
         }
     }
 
@@ -324,14 +374,28 @@ impl ZipfPartitioner {
     }
 }
 
+/// First CDF entry `>= u`; the CDF ends at 1.0 so this always hits.
+#[inline]
+fn zipf_pick(cdf: &[f64], u: f64) -> u32 {
+    cdf.partition_point(|&c| c < u).min(cdf.len() - 1) as u32
+}
+
 impl Partitioner for ZipfPartitioner {
     fn partition(&mut self, _key: &[u8], _ordinal: u64, n_reducers: u32) -> u32 {
         self.ensure_cdf(n_reducers);
-        let u = self.rng.next_double();
-        // First CDF entry >= u; the CDF ends at 1.0 so this always hits.
-        self.cdf
-            .partition_point(|&c| c < u)
-            .min(n_reducers as usize - 1) as u32
+        zipf_pick(&self.cdf, self.rng.next_double())
+    }
+
+    fn assign_counts(
+        &mut self,
+        n_records: u64,
+        n_reducers: u32,
+        _key_of: &mut dyn FnMut(u64, &mut Vec<u8>),
+    ) -> Vec<u64> {
+        self.ensure_cdf(n_reducers);
+        count_picks(n_records, n_reducers, || {
+            zipf_pick(&self.cdf, self.rng.next_double())
+        })
     }
 }
 

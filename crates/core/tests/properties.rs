@@ -1,8 +1,12 @@
 //! Property-style tests for the micro-benchmark suite, run over seeded
 //! case grids (the workspace carries no external test dependencies).
 
+use mapreduce::job::PartitionerFactory;
 use mapreduce::partition::Partitioner;
-use mrbench::partitioners::{AvgPartitioner, RandPartitioner, SkewPartitioner};
+use mrbench::partitioners::{
+    AvgFactory, AvgPartitioner, RandFactory, RandPartitioner, SkewFactory, SkewPartitioner,
+    ZipfFactory,
+};
 use mrbench::{DataType, KvGenerator};
 use simcore::rng::SplitMix64;
 
@@ -28,21 +32,47 @@ fn partitioners_conserve_mass() {
     }
 }
 
-/// MR-AVG's closed form equals the per-record loop exactly.
+/// Every partitioner's `assign_counts` equals its per-record `partition`
+/// loop exactly, and leaves its generator where the loop leaves it: the
+/// closed form (MR-AVG) and the key-free bulk paths (MR-RAND, MR-SKEW,
+/// MR-ZIPF) against the reference they must reproduce. Record counts
+/// include the empty and one-record maps; reducer counts cover 1..=64,
+/// powers of two (no `nextInt` rejection) and the rest.
 #[test]
-fn avg_closed_form_equals_loop() {
+fn bulk_assign_counts_equals_per_record_loop() {
+    let factories: [&dyn PartitionerFactory; 4] = [
+        &AvgFactory,
+        &RandFactory,
+        &SkewFactory,
+        &ZipfFactory::new(1.0),
+    ];
     let mut rng = SplitMix64::new(0xA7612);
-    for _ in 0..32 {
-        let n_records = 1 + rng.next_below(9_999);
-        let n_reducers = 1 + rng.next_below(31) as u32;
-        let mut p = AvgPartitioner;
-        let closed = p.assign_counts(n_records, n_reducers, &mut no_keys);
-        let mut looped = vec![0u64; n_reducers as usize];
-        let mut q = AvgPartitioner;
-        for i in 0..n_records {
-            looped[q.partition(&[], i, n_reducers) as usize] += 1;
+    for factory in factories {
+        for n_reducers in 1..=64u32 {
+            let sizes = [0, 1, 2, 1 + rng.next_below(999), 1 + rng.next_below(9_999)];
+            for n_records in sizes {
+                let seed = rng.next_u64();
+                let mut bulk = factory.create(0, seed);
+                let mut serial = factory.create(0, seed);
+                let counts = bulk.assign_counts(n_records, n_reducers, &mut no_keys);
+                let mut looped = vec![0u64; n_reducers as usize];
+                for i in 0..n_records {
+                    looped[serial.partition(&[], i, n_reducers) as usize] += 1;
+                }
+                let case = format!(
+                    "{} n_records={n_records} n_reducers={n_reducers}",
+                    factory.name()
+                );
+                assert_eq!(counts, looped, "{case}");
+                for i in n_records..n_records + 3 {
+                    assert_eq!(
+                        bulk.partition(&[], i, n_reducers),
+                        serial.partition(&[], i, n_reducers),
+                        "next draw after {case}"
+                    );
+                }
+            }
         }
-        assert_eq!(closed, looped);
     }
 }
 

@@ -943,7 +943,21 @@ impl<'f> Engine<'f> {
             partitioner.assign_counts(self.spec.pairs_per_map, n_reducers, &mut |ordinal, buf| {
                 synthetic_key(ordinal, n_reducers, key_size, buf)
             });
-        debug_assert_eq!(counts.iter().sum::<u64>(), self.spec.pairs_per_map);
+        // Partition-count conservation: one count per reducer, and every
+        // record the map emits lands in exactly one of them. Bulk
+        // overrides skip the per-record range check, so a partitioner
+        // that drops, duplicates or misroutes records is caught here.
+        #[cfg(any(test, feature = "invariants"))]
+        {
+            let total: u64 = counts.iter().sum();
+            assert!(
+                counts.len() == n_reducers as usize && total == self.spec.pairs_per_map,
+                "invariant violated: map {index}'s partitioner returned {} counts summing \
+                 to {total}, expected {n_reducers} summing to {}",
+                counts.len(),
+                self.spec.pairs_per_map,
+            );
+        }
         counts
     }
 

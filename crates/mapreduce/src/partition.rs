@@ -6,8 +6,13 @@
 //! entry point [`Partitioner::assign_counts`] produces the per-reducer
 //! record counts for a whole map task; the default implementation calls
 //! [`Partitioner::partition`] once per record — exactly the per-record
-//! code path Hadoop runs — while closed-form partitioners (round-robin)
-//! may override it.
+//! code path Hadoop runs.
+//!
+//! A partitioner may override the bulk entry point (a closed form for
+//! round-robin, a key-free draw loop for the partitioners that never read
+//! the key), but the override must be bit-identical to the per-record
+//! loop, which stays the reference: the same counts, and the partitioner
+//! left in the state the loop would leave it in.
 
 /// Assigns each intermediate record to a reduce partition.
 pub trait Partitioner {
@@ -21,7 +26,11 @@ pub trait Partitioner {
     /// across records so bulk assignment allocates nothing per record.
     ///
     /// The default implementation runs the exact per-record code path
-    /// Hadoop runs; closed-form partitioners (round-robin) may override.
+    /// Hadoop runs. Overrides must return exactly what that loop returns
+    /// and leave `self` exactly as it would, so a following `partition`
+    /// call draws the same value; they may skip `key_of` when the choice
+    /// never reads the key. The engine checks the count vector's length
+    /// and sum under the `invariants` feature.
     fn assign_counts(
         &mut self,
         n_records: u64,

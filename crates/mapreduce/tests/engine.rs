@@ -4,7 +4,8 @@ use cluster::NodeSpec;
 use mapreduce::conf::{EngineKind, ShuffleEngineKind};
 use mapreduce::engine::run_job;
 use mapreduce::io::DataType;
-use mapreduce::job::JobSpec;
+use mapreduce::job::{JobSpec, PartitionerFactory};
+use mapreduce::partition::Partitioner;
 use mapreduce::HashPartitionerFactory;
 use simcore::units::ByteSize;
 use simnet::Interconnect;
@@ -217,5 +218,48 @@ fn text_type_shuffles_fewer_bytes() {
     let text = run_with(DataType::Text);
     assert!(
         text.counters.map_output_materialized_bytes < bytes.counters.map_output_materialized_bytes
+    );
+}
+
+/// A deliberately broken bulk path: one count short of the reducers.
+struct MisSized;
+
+impl Partitioner for MisSized {
+    fn partition(&mut self, _key: &[u8], _ordinal: u64, _n_reducers: u32) -> u32 {
+        0
+    }
+
+    fn assign_counts(
+        &mut self,
+        n_records: u64,
+        n_reducers: u32,
+        _key_of: &mut dyn FnMut(u64, &mut Vec<u8>),
+    ) -> Vec<u64> {
+        let mut counts = vec![0; n_reducers as usize - 1];
+        counts[0] = n_records;
+        counts
+    }
+}
+
+struct MisSizedFactory;
+
+impl PartitionerFactory for MisSizedFactory {
+    fn create(&self, _map_index: u32, _seed: u64) -> Box<dyn Partitioner> {
+        Box::new(MisSized)
+    }
+    fn name(&self) -> &str {
+        "mis-sized"
+    }
+}
+
+#[test]
+#[should_panic(expected = "invariant violated: map 0's partitioner returned 1 counts")]
+fn mis_sized_partition_counts_trip_the_invariant() {
+    run_job(
+        small_spec(2, 2),
+        &MisSizedFactory,
+        NodeSpec::westmere(),
+        2,
+        Interconnect::GigE1,
     );
 }

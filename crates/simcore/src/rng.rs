@@ -148,7 +148,12 @@ impl JavaRandom {
         }
     }
 
-    fn next(&mut self, bits: u32) -> i32 {
+    /// Equivalent to the protected `next(bits)`: the top `bits` bits
+    /// (`1..=32`) of the next 48-bit state. Every other draw is built on
+    /// it; callers that need only part of a composite draw (the high
+    /// half of `nextDouble()`, say) can make the same calls themselves.
+    #[inline]
+    pub fn next(&mut self, bits: u32) -> i32 {
         self.seed = self
             .seed
             .wrapping_mul(JAVA_MULTIPLIER)
@@ -164,6 +169,7 @@ impl JavaRandom {
 
     /// Equivalent to `nextInt(bound)`; panics if `bound <= 0` exactly as
     /// Java throws `IllegalArgumentException`.
+    #[inline]
     pub fn next_int_bound(&mut self, bound: i32) -> i32 {
         assert!(bound > 0, "bound must be positive");
         if (bound & -bound) == bound {
@@ -185,6 +191,7 @@ impl JavaRandom {
     }
 
     /// Equivalent to `nextDouble()`.
+    #[inline]
     pub fn next_double(&mut self) -> f64 {
         let high = (self.next(26) as i64) << 27;
         let low = self.next(27) as i64;
@@ -286,6 +293,21 @@ mod tests {
             let d = r.next_double();
             assert!((0.0..1.0).contains(&d));
         }
+    }
+
+    #[test]
+    fn next_double_is_two_next_calls() {
+        // nextDouble() = (next(26) << 27 | next(27)) / 2^53, so a caller
+        // making the two `next` calls itself stays in step with it.
+        let mut a = JavaRandom::new(31);
+        let mut b = JavaRandom::new(31);
+        for _ in 0..1000 {
+            let hi = i64::from(b.next(26));
+            let lo = i64::from(b.next(27));
+            let d = ((hi << 27) + lo) as f64 * (1.0 / (1u64 << 53) as f64);
+            assert_eq!(a.next_double().to_bits(), d.to_bits());
+        }
+        assert_eq!(a.next_int(), b.next_int());
     }
 
     #[test]
