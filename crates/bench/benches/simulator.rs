@@ -4,9 +4,9 @@
 //!
 //! These benches guard the wall-clock cost of the pieces every figure
 //! reproduction exercises thousands of times: the max-min fair-share
-//! solver, the deterministic RNGs, the partitioners' bulk assignment,
-//! the IFile codec, and a full end-to-end job. Run with
-//! `cargo bench -p mrbench-bench`.
+//! solver, the processor-sharing CPU model, the deterministic RNGs, the
+//! partitioners' bulk assignment, the IFile codec, and a full end-to-end
+//! job. Run with `cargo bench -p mrbench-bench`.
 
 // The one place wall-clock time is legitimate: this harness measures
 // real execution, not simulated time.
@@ -15,6 +15,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use cluster::CpuSim;
 use mapreduce::engine::synthetic_key;
 use mapreduce::ifile::{IFileReader, IFileWriter};
 use mapreduce::io::vint;
@@ -125,6 +126,29 @@ fn bench_fairshare_scaling() {
             },
         );
     }
+}
+
+/// Processor-sharing churn: 16 nodes with 8 cores each, every node
+/// oversubscribed 12:8. Each iteration steps to the next completion and
+/// replaces every finished job, so it times the CPU model's share of an
+/// engine step (next event, integrate, complete, submit).
+fn bench_cpu() {
+    let work = |i: u64| 0.5 + ((i * 2_654_435_761) % 1_000) as f64 / 400.0;
+    let mut cpu = CpuSim::homogeneous(16, 8, 1.0);
+    let mut tag = 0u64;
+    for node in 0..16 {
+        for _ in 0..12 {
+            cpu.submit(SimTime::ZERO, node, work(tag), tag);
+            tag += 1;
+        }
+    }
+    bench("cpu/ps_churn", 100_000, || {
+        let now = cpu.next_event_time().expect("jobs always queued");
+        for c in cpu.advance_to(now) {
+            cpu.submit(now, c.node, work(tag), tag);
+            tag += 1;
+        }
+    });
 }
 
 fn bench_all_to_all() {
@@ -248,6 +272,7 @@ fn main() {
     bench_event_queue();
     bench_fairshare();
     bench_fairshare_scaling();
+    bench_cpu();
     bench_all_to_all();
     bench_rng();
     bench_partitioners();

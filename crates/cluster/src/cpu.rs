@@ -12,8 +12,15 @@
 //!
 //! Work amounts are expressed in *core-seconds at the Westmere baseline*;
 //! a node's `speed` factor scales execution.
-
-use std::collections::BTreeMap;
+//!
+//! # Hot-path layout
+//!
+//! Jobs live in a slab of dense lanes (`remaining`, `job_node`, `tags`,
+//! `ids`) reused through a free list, the layout `simnet::Network` uses
+//! for flows. `order` holds the alive slots in ascending job-id order, so
+//! completions come out id-ordered. Every job on a node runs at the same
+//! rate, so rates live in one per-node lane (`share`): a submit or a
+//! completion refreshes only the node whose runnable count changed.
 
 use simcore::stats::RateIntegrator;
 use simcore::time::{SimDuration, SimTime};
@@ -33,25 +40,28 @@ pub struct CpuCompletion {
     pub tag: u64,
 }
 
-#[derive(Clone, Debug)]
-struct Job {
-    node: usize,
-    remaining: f64,
-    // simlint: allow(unit-suffix, core-seconds per second, a dimensionless PS share, not bytes/s)
-    rate: f64,
-    tag: u64,
-}
-
 /// Per-node processor-sharing CPU simulator.
 #[derive(Debug)]
 pub struct CpuSim {
     cores: Vec<u32>,
     speed: Vec<f64>,
-    jobs: BTreeMap<u64, Job>,
     runnable_per_node: Vec<usize>,
+    /// Core-seconds per second each runnable job on a node receives:
+    /// `speed · min(1, cores / runnable)`, 0 while the node is idle.
+    share: Vec<f64>,
+    busy: Vec<RateIntegrator>,
+    /// True while every `busy` integrator has integrated up to `clock`.
+    busy_at_clock: bool,
+    // Job lanes, parallel and slot-indexed.
+    remaining: Vec<f64>,
+    job_node: Vec<u32>,
+    tags: Vec<u64>,
+    ids: Vec<u64>,
+    free: Vec<u32>,
+    /// Alive slots in ascending job-id order.
+    order: Vec<u32>,
     next_id: u64,
     clock: SimTime,
-    busy: Vec<RateIntegrator>,
 }
 
 impl CpuSim {
@@ -64,11 +74,18 @@ impl CpuSim {
         CpuSim {
             cores,
             speed,
-            jobs: BTreeMap::new(),
             runnable_per_node: vec![0; n],
+            share: vec![0.0; n],
+            busy: (0..n).map(|_| RateIntegrator::new(SimTime::ZERO)).collect(),
+            busy_at_clock: true,
+            remaining: Vec::new(),
+            job_node: Vec::new(),
+            tags: Vec::new(),
+            ids: Vec::new(),
+            free: Vec::new(),
+            order: Vec::new(),
             next_id: 0,
             clock: SimTime::ZERO,
-            busy: (0..n).map(|_| RateIntegrator::new(SimTime::ZERO)).collect(),
         }
     }
 
@@ -94,61 +111,96 @@ impl CpuSim {
         self.integrate_to(now);
         let id = self.next_id;
         self.next_id += 1;
-        self.jobs.insert(
-            id,
-            Job {
-                node,
-                remaining: work,
-                rate: 0.0,
-                tag,
-            },
-        );
+        let slot = match self.free.pop() {
+            Some(s) => {
+                let i = s as usize;
+                self.remaining[i] = work;
+                self.job_node[i] = node as u32;
+                self.tags[i] = tag;
+                self.ids[i] = id;
+                s
+            }
+            None => {
+                self.remaining.push(work);
+                self.job_node.push(node as u32);
+                self.tags.push(tag);
+                self.ids.push(id);
+                (self.remaining.len() - 1) as u32
+            }
+        };
+        // Ids are monotonic, so a push keeps `order` sorted.
+        self.order.push(slot);
         self.runnable_per_node[node] += 1;
-        self.recompute(now);
+        self.recompute(node, now);
         CpuJobId(id)
     }
 
     /// The earliest job completion, if any work is queued.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
-        for j in self.jobs.values() {
-            let t = if j.remaining <= completion_eps(j.rate) {
-                self.clock
-            } else if j.rate <= 0.0 {
-                continue;
-            } else {
-                self.clock
-                    + SimDuration::from_secs_f64(j.remaining / j.rate)
-                    + SimDuration::from_nanos(1)
-            };
-            best = Some(best.map_or(t, |b| b.min(t)));
+        // Track the minimum time-to-completion as a raw quotient and
+        // convert once: nanosecond conversion is monotone, so
+        // min-then-round equals the per-job round-then-min.
+        let mut best_q = f64::INFINITY;
+        for &s in &self.order {
+            let s = s as usize;
+            let rate = self.share[self.job_node[s] as usize];
+            let rem = self.remaining[s];
+            if rem <= completion_eps(rate) {
+                return Some(self.clock);
+            }
+            if rate > 0.0 {
+                let q = rem / rate;
+                if q < best_q {
+                    best_q = q;
+                }
+            }
         }
-        best
+        // Saturate: a quotient past the clock's range converts to the
+        // maximum duration, and a plain `+` would wrap it back to "now".
+        (best_q < f64::INFINITY).then(|| {
+            self.clock
+                .saturating_add(SimDuration::from_secs_f64(best_q))
+                .saturating_add(SimDuration::from_nanos(1))
+        })
     }
 
     /// Advance to `now`, returning completions in deterministic id order.
     pub fn advance_to(&mut self, now: SimTime) -> Vec<CpuCompletion> {
-        self.integrate_to(now);
-        // BTreeMap iteration is job-id ordered, so `done` is sorted by
-        // construction.
-        let done: Vec<u64> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.remaining <= completion_eps(j.rate))
-            .map(|(&id, _)| id)
-            .collect();
-        let mut out = Vec::with_capacity(done.len());
-        for id in done {
-            let j = self.jobs.remove(&id).expect("job exists");
-            self.runnable_per_node[j.node] -= 1;
-            out.push(CpuCompletion {
-                id: CpuJobId(id),
-                node: j.node,
-                tag: j.tag,
-            });
+        assert!(now >= self.clock, "cpu clock cannot run backwards");
+        let dt = now.since(self.clock).as_secs_f64();
+        let mut out = Vec::new();
+        // One fused pass: integrate every job, collect the finished ones
+        // and compact `order` around them. Node shares stay fixed until
+        // the pass ends, so every job integrates at its pre-step rate.
+        let mut kept = 0;
+        for k in 0..self.order.len() {
+            let s = self.order[k] as usize;
+            let node = self.job_node[s] as usize;
+            let rate = self.share[node];
+            let mut rem = self.remaining[s];
+            if dt > 0.0 {
+                rem = (rem - rate * dt).max(0.0);
+                self.remaining[s] = rem;
+            }
+            if rem <= completion_eps(rate) {
+                self.runnable_per_node[node] -= 1;
+                self.free.push(s as u32);
+                out.push(CpuCompletion {
+                    id: CpuJobId(self.ids[s]),
+                    node,
+                    tag: self.tags[s],
+                });
+            } else {
+                self.order[kept] = s as u32;
+                kept += 1;
+            }
         }
-        if !out.is_empty() {
-            self.recompute(now);
+        self.order.truncate(kept);
+        self.advance_busy(now);
+        // Recomputing a node twice is harmless: the second call stores the
+        // same share and sets an unchanged rate at the same instant.
+        for c in &out {
+            self.recompute(c.node, now);
         }
         out
     }
@@ -161,6 +213,7 @@ impl CpuSim {
 
     /// Core-seconds consumed on `node` since the last drain.
     pub fn drain_busy_core_seconds(&mut self, node: usize, now: SimTime) -> f64 {
+        self.busy_at_clock &= now == self.clock;
         self.busy[node].drain(now)
     }
 
@@ -178,36 +231,48 @@ impl CpuSim {
         assert!(now >= self.clock, "cpu clock cannot run backwards");
         let dt = now.since(self.clock).as_secs_f64();
         if dt > 0.0 {
-            for j in self.jobs.values_mut() {
-                j.remaining = (j.remaining - j.rate * dt).max(0.0);
+            for &s in &self.order {
+                let s = s as usize;
+                let rate = self.share[self.job_node[s] as usize];
+                self.remaining[s] = (self.remaining[s] - rate * dt).max(0.0);
             }
         }
-        for b in &mut self.busy {
-            b.advance(now);
+        self.advance_busy(now);
+    }
+
+    /// Bring every node's busy-core integrator to `now` and move the
+    /// clock there. Every integrator is stepped at every instant the
+    /// clock visits, so each accumulated sum keeps its exact per-step
+    /// summation order.
+    fn advance_busy(&mut self, now: SimTime) {
+        // An integrator already at `now` would add `rate · 0.0`, a
+        // bitwise no-op; skip the walk when all of them are there.
+        if now != self.clock || !self.busy_at_clock {
+            for b in &mut self.busy {
+                b.advance(now);
+            }
+            self.busy_at_clock = true;
         }
         self.clock = now;
     }
 
-    fn recompute(&mut self, now: SimTime) {
-        let n = self.cores.len();
-        let mut share = vec![0.0f64; n];
-        for (node, slot) in share.iter_mut().enumerate() {
-            let runnable = self.runnable_per_node[node];
-            if runnable > 0 {
-                *slot = self.speed[node] * (self.cores[node] as f64 / runnable as f64).min(1.0);
-            }
-        }
-        for j in self.jobs.values_mut() {
-            j.rate = share[j.node];
-        }
-        for node in 0..n {
-            let busy_cores = (self.runnable_per_node[node] as f64).min(self.cores[node] as f64);
-            self.busy[node].set_rate(now, busy_cores);
-        }
+    /// Refresh `node`'s share and busy-core rate after its runnable count
+    /// changed. Every other node's rate is unchanged, and setting an
+    /// unchanged rate at an instant its integrator already reached is a
+    /// bitwise no-op, so only this node needs touching.
+    fn recompute(&mut self, node: usize, now: SimTime) {
+        let runnable = self.runnable_per_node[node];
+        let cores = self.cores[node] as f64;
+        self.share[node] = if runnable > 0 {
+            self.speed[node] * (cores / runnable as f64).min(1.0)
+        } else {
+            0.0
+        };
+        self.busy[node].set_rate(now, (runnable as f64).min(cores));
     }
 }
 
-// simlint: allow(unit-suffix, rate is in core-seconds per second, matching Job::rate)
+// simlint: allow(unit-suffix, rate is in core-seconds per second, matching CpuSim::share)
 fn completion_eps(rate: f64) -> f64 {
     (rate * 2e-9).max(1e-12)
 }
@@ -312,10 +377,8 @@ mod tests {
 
     #[test]
     fn simultaneous_completions_report_in_job_id_order() {
-        // Regression for the jobs-map migration to BTreeMap: identical
-        // jobs all finish at the same instant and must come back in
-        // submission (job-id) order — a HashMap scan iterated them in
-        // RandomState bucket order and relied on a post-hoc sort.
+        // Identical jobs all finish at the same instant and must come
+        // back in submission (job-id) order, not node or slot order.
         let run = || {
             let mut cpu = CpuSim::homogeneous(4, 2, 1.0);
             for &(node, tag) in &[(3usize, 9u64), (0, 4), (2, 7), (1, 1), (0, 0)] {
@@ -331,6 +394,16 @@ mod tests {
         assert_eq!(a, run());
         // Submission order, not node order.
         assert_eq!(a, vec![(3, 9), (0, 4), (2, 7), (1, 1), (0, 0)]);
+    }
+
+    #[test]
+    fn next_event_saturates_instead_of_wrapping() {
+        // 1e12 core-seconds at speed 1e-12 is 1e24 s away, far past the
+        // clock's range. The instant must saturate at SimTime::MAX; a
+        // wrapping add would report a phantom completion due at once.
+        let mut cpu = CpuSim::homogeneous(1, 1, 1e-12);
+        cpu.submit(SimTime::from_secs(1), 0, 1e12, 0);
+        assert_eq!(cpu.next_event_time(), Some(SimTime::MAX));
     }
 
     #[test]

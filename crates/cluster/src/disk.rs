@@ -24,6 +24,15 @@
 //!   dropped, never written;
 //! * reads of recently written data are served from memory while the
 //!   node's recent-write footprint fits the cache budget (~60 % of RAM).
+//!
+//! ## Next-event cache
+//!
+//! Every completion instant is integer [`SimTime`], so [`DiskSim`] keeps
+//! the earliest one in `next_due` exactly: each enqueue or cache-lane
+//! insert folds its completion time in with a `min`, and only an
+//! [`DiskSim::advance_to`] that actually completes something rescans.
+//! Until the clock reaches `next_due` an advance returns at once, and
+//! [`DiskSim::next_event_time`] is O(1).
 
 use std::collections::VecDeque;
 
@@ -89,13 +98,25 @@ struct Disk {
 }
 
 impl Disk {
-    fn start_next(&mut self, now: SimTime) {
+    /// Put the next queued request in service if the spindle is idle,
+    /// returning its completion instant.
+    fn start_next(&mut self, now: SimTime) -> Option<SimTime> {
         if self.in_service.is_none() {
             if let Some(req) = self.fg.pop_front().or_else(|| self.bg.pop_front()) {
                 let done = now + req.service;
                 self.in_service = Some((req, done));
+                return Some(done);
             }
         }
+        None
+    }
+}
+
+/// The earlier of two optional instants.
+fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -124,6 +145,9 @@ pub struct DiskSim {
     caches: Vec<Option<NodeCache>>,
     /// Pending cache-lane completions, ordered by (time, id).
     cache_lane: VecDeque<(SimTime, u64, IoCompletion)>,
+    /// The earliest in-service or cache-lane completion; always equal to
+    /// [`DiskSim::scan_next_due`].
+    next_due: Option<SimTime>,
 }
 
 impl DiskSim {
@@ -156,6 +180,7 @@ impl DiskSim {
             clock: SimTime::ZERO,
             caches: vec![None; n],
             cache_lane: VecDeque::new(),
+            next_due: None,
         }
     }
 
@@ -201,7 +226,9 @@ impl DiskSim {
     ) -> IoId {
         assert!(node < self.disks.len(), "unknown node {node}");
         self.clock = self.clock.max(now);
-        self.enqueue_fg(now, node, bytes, kind, tag)
+        let id = self.enqueue_fg(now, node, bytes, kind, tag);
+        self.check_next_due();
+        id
     }
 
     fn pick_disk(&mut self, node: usize) -> usize {
@@ -240,7 +267,8 @@ impl DiskSim {
             node,
             writeback_bytes: 0,
         });
-        disk.start_next(now);
+        let done = disk.start_next(now);
+        self.next_due = earliest(self.next_due, done);
         IoId(id)
     }
 
@@ -263,7 +291,8 @@ impl DiskSim {
                 node,
                 writeback_bytes: chunk,
             });
-            disk.start_next(now);
+            let done = disk.start_next(now);
+            self.next_due = earliest(self.next_due, done);
         }
     }
 
@@ -286,6 +315,7 @@ impl DiskSim {
             .position(|(t, i, _)| (*t, *i) > (done, id))
             .unwrap_or(self.cache_lane.len());
         self.cache_lane.insert(pos, entry);
+        self.next_due = earliest(self.next_due, Some(done));
         IoId(id)
     }
 
@@ -306,7 +336,7 @@ impl DiskSim {
             return self.submit(now, node, bytes, kind, tag);
         }
         let b = bytes.as_bytes();
-        match kind {
+        let id = match kind {
             IoKind::Write => {
                 let cache = self.caches[node].as_mut().expect("checked above");
                 cache.resident = (cache.resident + b as f64).min(cache.resident_budget);
@@ -333,7 +363,9 @@ impl DiskSim {
                     self.enqueue_fg(now, node, bytes, kind, tag)
                 }
             }
-        }
+        };
+        self.check_next_due();
+        id
     }
 
     /// A transient file (spill) on `node` was deleted: cancel up to
@@ -363,28 +395,48 @@ impl DiskSim {
         if let Some(cache) = &mut self.caches[node] {
             cache.dirty = (cache.dirty - cancelled as f64).max(0.0);
         }
+        // Only queued requests die; no in-service completion moves.
+        self.check_next_due();
         cancelled
     }
 
     /// The earliest I/O completion across all disks and the cache lane.
     pub fn next_event_time(&self) -> Option<SimTime> {
+        self.next_due
+    }
+
+    /// The earliest completion by a full scan of every spindle and the
+    /// cache lane (whose head is its earliest entry).
+    fn scan_next_due(&self) -> Option<SimTime> {
         let disk = self
             .disks
             .iter()
             .flatten()
             .filter_map(|d| d.in_service.as_ref().map(|(_, t)| *t))
             .min();
-        let lane = self.cache_lane.front().map(|(t, _, _)| *t);
-        match (disk, lane) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        earliest(disk, self.cache_lane.front().map(|(t, _, _)| *t))
+    }
+
+    /// Under `invariants`, the cached `next_due` must equal a full rescan
+    /// after every mutating call.
+    #[inline]
+    fn check_next_due(&self) {
+        #[cfg(any(test, feature = "invariants"))]
+        assert_eq!(
+            self.next_due,
+            self.scan_next_due(),
+            "disk next_due cache is stale"
+        );
     }
 
     /// Advance to `now`, returning completions (deterministic id order).
     pub fn advance_to(&mut self, now: SimTime) -> Vec<IoCompletion> {
         assert!(now >= self.clock, "disk clock cannot run backwards");
         self.clock = now;
+        // Nothing completes before the earliest completion instant.
+        if self.next_due.is_none_or(|t| now < t) {
+            return Vec::new();
+        }
         let mut out = Vec::new();
         while let Some((t, id, c)) = self.cache_lane.front().copied() {
             if t > now {
@@ -423,6 +475,7 @@ impl DiskSim {
                 }
             }
         }
+        self.next_due = self.scan_next_due();
         out.sort_unstable_by_key(|(id, _)| *id);
         out.into_iter().map(|(_, c)| c).collect()
     }
@@ -686,6 +739,77 @@ mod tests {
             last = t;
         }
         assert!(last.as_secs_f64() < 2.0, "drained at {last:?}");
+    }
+
+    /// Seeded model test of the next-event cache: random mixes of raw
+    /// submits, cached writes (under and over the dirty budget), cached
+    /// reads, write-back discards and advances. `check_next_due` compares
+    /// the cache with a full rescan after every mutating call; the test
+    /// also checks it after every step, and that each external request
+    /// completes exactly once and never before it was due.
+    #[test]
+    fn next_due_cache_matches_rescan_under_random_mix() {
+        let mut rng = simcore::rng::SplitMix64::new(0xD15C_CAC4);
+        for case in 0..100 {
+            let nodes = 1 + rng.next_below(4) as usize;
+            let spindles = 1 + rng.next_below(3) as usize;
+            let s = spec(50.0 + rng.next_f64() * 150.0, rng.next_f64() * 8.0);
+            let mut d = DiskSim::homogeneous(nodes, spindles, s);
+            if rng.next_below(4) != 0 {
+                // A 51–256 MiB dirty budget, so 1–300 MiB writes cross it.
+                d.enable_page_cache(ByteSize::from_mib(256 + rng.next_below(1024)));
+            }
+            let mut now = SimTime::ZERO;
+            let mut pending: Vec<IoId> = Vec::new();
+            for step in 0..300 {
+                let node = rng.next_below(nodes as u64) as usize;
+                let bytes = ByteSize::from_mib(1 + rng.next_below(300));
+                let kind = if rng.next_below(2) == 0 {
+                    IoKind::Read
+                } else {
+                    IoKind::Write
+                };
+                match rng.next_below(10) {
+                    0 => pending.push(d.submit(now, node, bytes, kind, step)),
+                    1..=3 => pending.push(d.submit_cached(now, node, bytes, kind, step)),
+                    4 => {
+                        d.discard_writeback(node, ByteSize::from_mib(rng.next_below(512)));
+                    }
+                    5..=7 => {
+                        if let Some(t) = d.next_event_time() {
+                            now = t;
+                        }
+                        for c in d.advance_to(now) {
+                            let at = pending.iter().position(|&id| id == c.id);
+                            pending.remove(at.expect("completed exactly once"));
+                        }
+                    }
+                    _ => {
+                        now += SimDuration::from_nanos(rng.next_below(2_000_000_000));
+                        let due = d.next_event_time();
+                        let done = d.advance_to(now);
+                        assert!(done.is_empty() || due.is_some_and(|t| t <= now));
+                        for c in done {
+                            let at = pending.iter().position(|&id| id == c.id);
+                            pending.remove(at.expect("completed exactly once"));
+                        }
+                    }
+                }
+                assert_eq!(
+                    d.next_event_time(),
+                    d.scan_next_due(),
+                    "case {case} step {step}"
+                );
+            }
+            for c in drain(&mut d) {
+                let at = pending.iter().position(|&id| id == c.id);
+                pending.remove(at.expect("completed exactly once"));
+            }
+            assert!(
+                pending.is_empty(),
+                "case {case}: {pending:?} never completed"
+            );
+        }
     }
 
     #[test]

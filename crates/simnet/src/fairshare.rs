@@ -292,6 +292,75 @@ pub struct FlowKey(u32);
 /// resource quad.
 const NO_RES: u32 = u32::MAX;
 
+/// Fair share of a resource with `cnt` unfrozen flows (the batch
+/// solver's formula), or +inf when it has none so [`argmin`] skips it.
+#[inline]
+fn share_of(remaining_bps: f64, cnt: usize) -> f64 {
+    if cnt > 0 {
+        (remaining_bps / cnt as f64).max(0.0)
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// Shares per chunk of [`argmin`]'s pass.
+const ARGMIN_CHUNK: usize = 8;
+
+/// Index of the smallest finite share, or `None` when every share is
+/// +inf. Among equal minima it returns the lowest index, which is what a
+/// first-wins strict-`<` scan picks; IEEE `==` ties `±0` the same way.
+///
+/// One branch-free pass takes each chunk's minimum and keeps the first
+/// chunk holding the running minimum (strict `<` never moves to a later
+/// equal chunk). The answer is the first share `==` that minimum inside
+/// that chunk.
+fn argmin(share: &[f64]) -> Option<usize> {
+    let mut chunks = share.chunks_exact(ARGMIN_CHUNK);
+    let (mut min, mut first) = (f64::INFINITY, 0);
+    for (k, chunk) in (&mut chunks).enumerate() {
+        let m = chunk_min(chunk.try_into().expect("exact chunk"));
+        let lt = m < min;
+        min = if lt { m } else { min };
+        first = if lt { k * ARGMIN_CHUNK } else { first };
+    }
+    let tail = chunks.remainder();
+    let m = tail.iter().fold(f64::INFINITY, |a, &x| pick_min(a, x));
+    if m < min {
+        min = m;
+        first = share.len() - tail.len();
+    }
+    if min == f64::INFINITY {
+        return None;
+    }
+    let end = (first + ARGMIN_CHUNK).min(share.len());
+    share[first..end]
+        .iter()
+        .position(|&x| x == min)
+        .map(|p| first + p)
+}
+
+/// Minimum of one chunk as a tree of pairwise selects, which compiles to
+/// packed `min` instructions.
+#[inline]
+fn chunk_min(c: &[f64; ARGMIN_CHUNK]) -> f64 {
+    let q = [
+        pick_min(c[0], c[4]),
+        pick_min(c[1], c[5]),
+        pick_min(c[2], c[6]),
+        pick_min(c[3], c[7]),
+    ];
+    pick_min(pick_min(q[0], q[2]), pick_min(q[1], q[3]))
+}
+
+#[inline]
+fn pick_min(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
 /// Incremental max-min solver: owns per-resource membership lists and all
 /// scratch buffers, so repeated solves over a slowly-changing flow set
 /// are allocation-free and skip the full per-round flow rescan of the
@@ -342,6 +411,7 @@ pub struct FairshareSolver {
     /// resource's remaining capacity or unfrozen count changed — the
     /// formula (and therefore the value) is exactly what a per-round
     /// recompute would produce, the cache just skips redundant divisions.
+    /// Resources with no unfrozen flow hold +inf.
     share: Vec<f64>,
     res_dirty: Vec<u32>,
     in_dirty: Vec<bool>,
@@ -591,9 +661,7 @@ impl FairshareSolver {
         for r in 0..self.unfrozen.len() {
             let cnt = self.res_flows[r].len();
             self.unfrozen[r] = cnt;
-            if cnt > 0 {
-                self.share[r] = (self.remaining[r] / cnt as f64).max(0.0);
-            }
+            self.share[r] = share_of(self.remaining[r], cnt);
         }
         // The previous solve's final round left its freeze-touched
         // resources queued; drop the stale queue AND reset their flags,
@@ -613,45 +681,40 @@ impl FairshareSolver {
             for i in 0..self.res_dirty.len() {
                 let r = self.res_dirty[i] as usize;
                 self.in_dirty[r] = false;
-                let cnt = self.unfrozen[r];
-                if cnt > 0 {
-                    self.share[r] = (self.remaining[r] / cnt as f64).max(0.0);
-                }
+                self.share[r] = share_of(self.remaining[r], self.unfrozen[r]);
             }
             self.res_dirty.clear();
-            let mut best_share = f64::INFINITY;
-            let mut best_res = usize::MAX;
-            for (r, &cnt) in self.unfrozen.iter().enumerate() {
-                if cnt > 0 {
-                    let share = self.share[r];
-                    if share < best_share {
-                        best_share = share;
-                        best_res = r;
-                    }
-                }
-            }
-            if best_res == usize::MAX {
+            // Resources without unfrozen flows hold +inf, so an infinite
+            // minimum means no contended resource is left.
+            let Some(best_res) = argmin(&self.share) else {
                 // Defensive: freeze the rest at the floor (same
                 // bookkeeping as the batch solver).
                 for idx in 0..self.active.len() {
                     let fi = self.active[idx] as usize;
                     if self.frozen_at[fi] != epoch {
-                        self.freeze(fi, self.rate_floor_bps, epoch);
+                        self.freeze(fi, self.rate_floor_bps, epoch, usize::MAX);
                     }
                 }
                 break;
-            }
-            let rate = best_share.max(self.rate_floor_bps);
+            };
+            let rate = self.share[best_res].max(self.rate_floor_bps);
             // Freeze the bottleneck's members in arrival order. The list
             // is walked by index because `freeze` needs `&mut self`; it
             // only mutates slab columns and scratch, never the lists.
+            let before = n_frozen;
             for idx in 0..self.res_flows[best_res].len() {
                 let fi = self.res_flows[best_res][idx] as usize;
                 if self.frozen_at[fi] != epoch {
-                    self.freeze(fi, rate, epoch);
+                    self.freeze(fi, rate, epoch, best_res);
                     n_frozen += 1;
                 }
             }
+            // Every unfrozen member froze this round, so the bottleneck
+            // is done: its `remaining` (left unsubtracted by `freeze`) is
+            // never read again in this solve.
+            debug_assert_eq!(n_frozen - before, self.unfrozen[best_res]);
+            self.unfrozen[best_res] = 0;
+            self.share[best_res] = f64::INFINITY;
         }
 
         debug_assert!(
@@ -660,18 +723,21 @@ impl FairshareSolver {
         );
     }
 
-    fn freeze(&mut self, fi: usize, rate_bps: f64, epoch: u64) {
+    /// Freeze flow `fi` at `rate_bps`, charging every resource it crosses
+    /// except `bottleneck` (`usize::MAX` for none), whose bookkeeping the
+    /// caller settles once for all of its members.
+    fn freeze(&mut self, fi: usize, rate_bps: f64, epoch: u64, bottleneck: usize) {
         self.frozen_at[fi] = epoch;
         if self.rates_bps[fi].to_bits() != rate_bps.to_bits() {
             self.changed.push((self.users[fi], rate_bps));
             self.rates_bps[fi] = rate_bps;
         }
         for r in self.res_quad[fi] {
-            if r != NO_RES {
+            if r != NO_RES && r as usize != bottleneck {
                 self.touch(r as usize, rate_bps);
             }
         }
-        if self.fabric_res != usize::MAX {
+        if self.fabric_res != usize::MAX && self.fabric_res != bottleneck {
             self.touch(self.fabric_res, rate_bps);
         }
     }
@@ -889,8 +955,18 @@ mod tests {
     /// Every batch scenario above, replayed through the incremental
     /// solver, must produce bit-identical rates.
     fn check_incremental(flows: &[FlowSpec], egress: &[f64], ingress: &[f64], fabric: Option<f64>) {
-        let oracle = max_min_rates(flows, egress, ingress, fabric);
-        let mut solver = FairshareSolver::new(egress, ingress, fabric);
+        check_incremental_racked(flows, egress, ingress, None, fabric);
+    }
+
+    fn check_incremental_racked(
+        flows: &[FlowSpec],
+        egress: &[f64],
+        ingress: &[f64],
+        racks: Option<RackCaps<'_>>,
+        fabric: Option<f64>,
+    ) -> Vec<f64> {
+        let oracle = max_min_rates_racked(flows, egress, ingress, racks, fabric);
+        let mut solver = FairshareSolver::with_racks(egress, ingress, racks, fabric);
         let keys: Vec<FlowKey> = flows
             .iter()
             .enumerate()
@@ -908,6 +984,112 @@ mod tests {
         }
         // First solve must report every flow as changed (from NaN).
         assert_eq!(solver.changed().len(), flows.len());
+        oracle
+    }
+
+    #[test]
+    fn argmin_takes_the_lowest_index_among_equal_minima() {
+        let inf = f64::INFINITY;
+        assert_eq!(argmin(&[]), None);
+        assert_eq!(argmin(&[inf; 11]), None);
+        assert_eq!(argmin(&[inf, 2.0, 1.0, 1.0, 3.0]), Some(2));
+        // IEEE `==` ties ±0, so the first zero wins either way round.
+        assert_eq!(argmin(&[inf, 0.0, -0.0]), Some(1));
+        assert_eq!(argmin(&[inf, -0.0, 0.0]), Some(1));
+        // Ties within and across chunks and in the remainder: every
+        // length from empty to three chunks plus a partial one, against a
+        // strict-`<` first-wins scan.
+        let mut rng = simcore::rng::SplitMix64::new(0xA7A1);
+        for len in 0..=3 * ARGMIN_CHUNK + 5 {
+            for _ in 0..50 {
+                let share: Vec<f64> = (0..len)
+                    .map(|_| match rng.next_below(4) {
+                        0 => inf,
+                        1 => 0.0,
+                        _ => rng.next_below(3) as f64,
+                    })
+                    .collect();
+                let mut want = None;
+                let mut best = inf;
+                for (r, &s) in share.iter().enumerate() {
+                    if s < best {
+                        best = s;
+                        want = Some(r);
+                    }
+                }
+                assert_eq!(argmin(&share), want, "{share:?}");
+            }
+        }
+    }
+
+    /// A NIC share ties the fabric share. Freezing the NIC first (the
+    /// lower index) leaves the fabric `(F - F/3) / 2` for the others,
+    /// which differs from `F/3` in the last bit, so freezing the fabric
+    /// first would change their rates.
+    #[test]
+    fn nic_and_fabric_tie_resolves_to_the_nic() {
+        let f = 1e9;
+        assert_ne!((f - f / 3.0) / 2.0, f / 3.0, "test premise");
+        let mut egress = vec![f; 6];
+        egress[0] = f / 3.0;
+        let flows = [
+            FlowSpec { src: 0, dst: 1 },
+            FlowSpec { src: 2, dst: 3 },
+            FlowSpec { src: 4, dst: 5 },
+        ];
+        let rates = check_incremental_racked(&flows, &egress, &[f; 6], None, Some(f));
+        assert_eq!(rates[1].to_bits(), ((f - f / 3.0) / 2.0).to_bits());
+    }
+
+    /// A NIC, a rack uplink and the fabric all tie at `F/3`. Lowest
+    /// index first means NIC, then uplink, then fabric; any other order
+    /// moves the intra-rack flow's rate by an ulp.
+    #[test]
+    fn nic_uplink_and_fabric_tie_resolves_in_index_order() {
+        let f = 1e9;
+        let third = f / 3.0;
+        let rack_of = [0, 0, 1, 1, 2, 2, 3, 3];
+        let uplink = [2.0 * third, f, f, f];
+        let racks = RackCaps {
+            rack_of: &rack_of,
+            uplink: &uplink,
+        };
+        let mut egress = vec![f; 8];
+        egress[0] = third;
+        let flows = [
+            FlowSpec { src: 0, dst: 2 },
+            FlowSpec { src: 1, dst: 4 },
+            FlowSpec { src: 6, dst: 7 },
+        ];
+        let rates = check_incremental_racked(&flows, &egress, &[f; 8], Some(racks), Some(f));
+        assert_eq!(rates[0].to_bits(), third.to_bits());
+        assert_eq!(rates[1].to_bits(), third.to_bits());
+        assert_ne!(rates[2].to_bits(), third.to_bits(), "test premise");
+    }
+
+    /// A drifted-negative NIC share clamps to zero and ties a zero-capacity
+    /// uplink and a zero fabric: every flow freezes at the floor, in the
+    /// batch solver's order.
+    #[test]
+    fn zero_clamped_shares_tie_like_the_batch_solver() {
+        let drifted = 0.3_f64 - 0.1 - 0.1 - 0.1;
+        assert!(drifted < 0.0, "test premise");
+        let rack_of = [0, 0, 1, 1];
+        let uplink = [0.0, 100.0];
+        let racks = RackCaps {
+            rack_of: &rack_of,
+            uplink: &uplink,
+        };
+        let egress = [drifted, 100.0, 100.0, 100.0];
+        let flows = [
+            FlowSpec { src: 0, dst: 2 },
+            FlowSpec { src: 1, dst: 3 },
+            FlowSpec { src: 3, dst: 2 },
+        ];
+        for fabric in [None, Some(0.0)] {
+            let rates = check_incremental_racked(&flows, &egress, &[100.0; 4], Some(racks), fabric);
+            assert!(rates.iter().all(|&r| r > 0.0), "{rates:?}");
+        }
     }
 
     #[test]
@@ -1019,12 +1201,19 @@ mod tests {
 
     /// Seeded random arrival/departure churn, bit-compared against the
     /// batch oracle after every solve. Equal capacities keep the shares
-    /// tie-heavy (the hardest case for cached-share bookkeeping).
+    /// tie-heavy (the hardest case for cached-share bookkeeping). The
+    /// node counts give resource counts below, at, and off a multiple of
+    /// the argmin's chunk width.
     #[test]
     fn incremental_matches_batch_over_random_churn() {
         let mut rng = simcore::rng::SplitMix64::new(0x5eed_7fa1);
-        let nodes = 10usize;
-        for fabric in [None, Some(4.0e9)] {
+        for (nodes, fabric) in [
+            (10usize, None),
+            (10, Some(4.0e9)),
+            (3, Some(4.0e9)),
+            (4, None),
+            (4, Some(2.0e9)),
+        ] {
             let caps = vec![950e6; nodes];
             let mut solver = FairshareSolver::new(&caps, &caps, fabric);
             let mut live: Vec<(FlowKey, FlowSpec)> = Vec::new();
@@ -1061,13 +1250,15 @@ mod tests {
     /// The same churn discipline over randomized *rack* topologies: a
     /// seeded random rack assignment and tight uplinks (a 2-level
     /// resource set), bit-compared against the racked batch oracle after
-    /// every solve — with and without a fabric cap on top.
+    /// every solve — with and without a fabric cap on top. The
+    /// `(nodes, racks)` pairs put the resource count (`2·nodes + 2·racks`,
+    /// plus one with a fabric) on and off multiples of the argmin's chunk
+    /// width.
     #[test]
     fn incremental_matches_batch_over_random_rack_churn() {
         let mut rng = simcore::rng::SplitMix64::new(0x5eed_7fa2);
-        let nodes = 12usize;
         for fabric in [None, Some(3.0e9)] {
-            for n_racks in [2usize, 4] {
+            for (nodes, n_racks) in [(12usize, 2usize), (12, 4), (13, 3), (5, 2), (9, 4)] {
                 // Random (not necessarily contiguous or balanced) rack
                 // assignment; every rack is guaranteed a member by
                 // seeding the first n_racks nodes round-robin.

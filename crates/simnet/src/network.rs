@@ -308,8 +308,12 @@ impl Network {
         }
         let completion = (best_q < f64::INFINITY).then(|| {
             // +1 ns guards against float rounding leaving a sub-byte
-            // residue at the computed instant.
-            self.clock + SimDuration::from_secs_f64(best_q) + SimDuration::from_nanos(1)
+            // residue at the computed instant. Saturate: a quotient past
+            // the clock's range converts to the maximum duration, and a
+            // plain `+` would wrap it back to "now".
+            self.clock
+                .saturating_add(SimDuration::from_secs_f64(best_q))
+                .saturating_add(SimDuration::from_nanos(1))
         });
         match (latent_at, completion) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -617,6 +621,23 @@ mod tests {
         let t = n.now().as_secs_f64();
         let expect = 300.0 * 1024.0 * 1024.0 / (3000.0 * 1e6);
         assert!((t - expect).abs() < 1e-3, "loopback time {t} vs {expect}");
+    }
+
+    #[test]
+    fn next_event_saturates_instead_of_wrapping() {
+        // 1 MiB at 1e-12 B/s is ~1e18 s away, far past the clock's range.
+        // The instant must saturate at SimTime::MAX; a wrapping add would
+        // report a phantom completion due at once.
+        let mut n = net(2, Interconnect::GigE1);
+        n.set_loopback_rate(Rate::from_bytes_per_sec(1e-12));
+        n.start_flow(
+            SimTime::from_secs(1),
+            NodeId(0),
+            NodeId(0),
+            ByteSize::from_mib(1),
+            0,
+        );
+        assert_eq!(n.next_event_time(), Some(SimTime::MAX));
     }
 
     #[test]
