@@ -14,6 +14,7 @@
 //!    without speculative backups.
 
 use mrbench::{run, BenchConfig, MicroBenchmark};
+use mrbench_bench::figures::Verdict;
 use mrbench_bench::{figure_header, Harness};
 use simcore::units::ByteSize;
 use simnet::Interconnect;
@@ -88,15 +89,18 @@ fn real_main() -> Result<(), mrbench::Error> {
                 added(1, pi) / times[1][0] * 100.0,
             );
         }
-        let ok = added(1, 3) > added(0, 3);
-        println!(
-            "  [{}] MR-SKEW amplifies recovery cost vs MR-AVG at p=0.2: +{:.1}s > +{:.1}s",
-            if ok { "ok      " } else { "DEVIATES" },
-            added(1, 3),
-            added(0, 3)
-        );
+        Verdict::check(
+            added(1, 3) > added(0, 3),
+            format!(
+                "MR-SKEW amplifies recovery cost vs MR-AVG at p=0.2: +{:.1}s > +{:.1}s",
+                added(1, 3),
+                added(0, 3)
+            ),
+        )
+        .print();
     } else {
-        println!("  [DEVIATES] some runs failed outright; no degradation comparison");
+        let text = "some runs failed outright; no degradation comparison";
+        Verdict::check(false, text.into()).print();
     }
     println!();
 
@@ -127,10 +131,7 @@ fn real_main() -> Result<(), mrbench::Error> {
         crashed.result.counters.killed_attempts
     );
     let ok = crashed.result.succeeded() && crashed.job_time_secs() > clean.job_time_secs();
-    println!(
-        "  [{}] the job survives the crash and pays for it",
-        if ok { "ok      " } else { "DEVIATES" }
-    );
+    Verdict::check(ok, "the job survives the crash and pays for it".into()).print();
     println!();
 
     // Panel 3: straggler node, speculation off vs on.
@@ -157,9 +158,7 @@ fn real_main() -> Result<(), mrbench::Error> {
     );
     let ok =
         on.job_time_secs() <= off.job_time_secs() && on.result.counters.speculative_launches > 0;
-    println!(
-        "  [{}] speculative execution launches backups and does not hurt",
-        if ok { "ok      " } else { "DEVIATES" }
-    );
+    let text = "speculative execution launches backups and does not hurt";
+    Verdict::check(ok, text.into()).print();
     harness.finish()
 }

@@ -1,113 +1,6 @@
-//! Figure 2: job execution time for the three intermediate data
-//! distribution patterns on Cluster A (MRv1).
-//!
-//! Configuration (paper Sect. 5.2): 16 map / 8 reduce tasks on 4 slaves,
-//! 1 KiB key/value pairs of `BytesWritable`, shuffle sizes 8–32 GB, over
-//! 1 GigE vs 10 GigE vs IPoIB QDR (32 Gbps).
-
-use mrbench::calib::claims;
-use mrbench::{BenchConfig, MicroBenchmark, Sweep};
-use mrbench_bench::{
-    check_shape, figure_header, paper_sizes, print_improvements, run_panel, Harness,
-    CLUSTER_A_NETWORKS,
-};
-use simcore::units::ByteSize;
-use simnet::Interconnect;
+//! Figure 2: job time for the three data distribution patterns on
+//! Cluster A (MRv1). Defined by [`mrbench_bench::figures::FIG2`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::exit_code(real_main())
-}
-
-fn real_main() -> Result<(), mrbench::Error> {
-    let mut harness = Harness::from_env("fig2");
-    figure_header(
-        "Figure 2",
-        "Job execution time for different data distribution patterns on Cluster A",
-    );
-
-    let sizes = harness.sizes(paper_sizes());
-    let mut sweeps: Vec<(MicroBenchmark, Sweep)> = Vec::new();
-    for (panel, bench) in ["(a)", "(b)", "(c)"].iter().zip(MicroBenchmark::ALL) {
-        let sweep = run_panel(
-            &mut harness,
-            &format!("Fig 2{panel} {bench} — 16 maps / 8 reduces on 4 slaves, 1 KiB k/v"),
-            &sizes,
-            &CLUSTER_A_NETWORKS,
-            |shuffle, ic| BenchConfig::cluster_a_default(bench, ic, shuffle),
-        )?;
-        print_improvements(&sweep);
-        sweeps.push((bench, sweep));
-    }
-
-    if harness.quick {
-        harness.note_quick();
-        return harness.finish();
-    }
-    println!("shape checks against the paper's prose:");
-    let at = ByteSize::from_gib(16);
-    let avg = &sweeps[0].1;
-    let rand = &sweeps[1].1;
-    let skew = &sweeps[2].1;
-
-    check_shape(
-        "MR-AVG: 10GigE improvement over 1GigE (%)",
-        claims::AVG_10GIGE_IMPROVEMENT_PCT,
-        avg.improvement_pct(at, Interconnect::GigE1, Interconnect::GigE10)
-            .unwrap(),
-        0.35,
-    );
-    check_shape(
-        "MR-AVG: IPoIB QDR improvement over 1GigE (%)",
-        claims::AVG_IPOIB_IMPROVEMENT_PCT,
-        avg.improvement_pct(at, Interconnect::GigE1, Interconnect::IpoibQdr)
-            .unwrap(),
-        0.35,
-    );
-    check_shape(
-        "MR-RAND: 10GigE improvement over 1GigE (%)",
-        claims::RAND_10GIGE_IMPROVEMENT_PCT,
-        rand.improvement_pct(at, Interconnect::GigE1, Interconnect::GigE10)
-            .unwrap(),
-        0.35,
-    );
-    check_shape(
-        "MR-RAND: IPoIB QDR improvement over 1GigE (%)",
-        claims::RAND_IPOIB_IMPROVEMENT_PCT,
-        rand.improvement_pct(at, Interconnect::GigE1, Interconnect::IpoibQdr)
-            .unwrap(),
-        0.35,
-    );
-    check_shape(
-        "MR-SKEW: job time vs MR-AVG at 16 GB (factor, IPoIB)",
-        claims::SKEW_VS_AVG_FACTOR_MRV1,
-        skew.time(at, Interconnect::IpoibQdr).unwrap()
-            / avg.time(at, Interconnect::IpoibQdr).unwrap(),
-        0.35,
-    );
-    // The prose also claims IPoIB's edge grows with shuffle size.
-    let small_gap = avg
-        .improvement_pct(
-            ByteSize::from_gib(8),
-            Interconnect::GigE1,
-            Interconnect::IpoibQdr,
-        )
-        .unwrap();
-    let large_gap = avg
-        .improvement_pct(
-            ByteSize::from_gib(32),
-            Interconnect::GigE1,
-            Interconnect::IpoibQdr,
-        )
-        .unwrap();
-    println!(
-        "  [{}] IPoIB improvement grows (or holds) with shuffle size: {:.1}% @8GB -> {:.1}% @32GB",
-        if large_gap >= small_gap - 3.0 {
-            "ok      "
-        } else {
-            "DEVIATES"
-        },
-        small_gap,
-        large_gap
-    );
-    harness.finish()
+    mrbench_bench::figures::FIG2.main()
 }

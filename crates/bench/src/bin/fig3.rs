@@ -1,91 +1,6 @@
-//! Figure 3: job execution time with the three distribution patterns on
-//! the Hadoop NextGen (YARN) architecture.
-//!
-//! Configuration (paper Sect. 5.2): 32 map / 16 reduce tasks on 8 slaves
-//! of Cluster A, 1 KiB key/value pairs, Apache Hadoop 2.x YARN.
-
-use mrbench::calib::claims;
-use mrbench::{BenchConfig, MicroBenchmark, Sweep};
-use mrbench_bench::{
-    check_shape, figure_header, paper_sizes, print_improvements, run_grid, run_panel, Harness,
-    CLUSTER_A_NETWORKS,
-};
-use simcore::units::ByteSize;
-use simnet::Interconnect;
+//! Figure 3: the three distribution patterns on YARN, Cluster A.
+//! Defined by [`mrbench_bench::figures::FIG3`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::exit_code(real_main())
-}
-
-fn real_main() -> Result<(), mrbench::Error> {
-    let mut harness = Harness::from_env("fig3");
-    figure_header(
-        "Figure 3",
-        "Job execution time with different patterns for the YARN architecture on Cluster A",
-    );
-
-    let sizes = harness.sizes(paper_sizes());
-    let mut sweeps: Vec<(MicroBenchmark, Sweep)> = Vec::new();
-    for (panel, bench) in ["(a)", "(b)", "(c)"].iter().zip(MicroBenchmark::ALL) {
-        let sweep = run_panel(
-            &mut harness,
-            &format!("Fig 3{panel} {bench} — YARN, 32 maps / 16 reduces on 8 slaves"),
-            &sizes,
-            &CLUSTER_A_NETWORKS,
-            |shuffle, ic| BenchConfig::yarn_default(bench, ic, shuffle),
-        )?;
-        print_improvements(&sweep);
-        sweeps.push((bench, sweep));
-    }
-
-    if harness.quick {
-        harness.note_quick();
-        return harness.finish();
-    }
-    println!("shape checks against the paper's prose:");
-    let at = ByteSize::from_gib(16);
-    let avg = &sweeps[0].1;
-    let skew = &sweeps[2].1;
-
-    check_shape(
-        "YARN MR-AVG: 10GigE improvement over 1GigE (%)",
-        claims::YARN_AVG_10GIGE_PCT,
-        avg.improvement_pct(at, Interconnect::GigE1, Interconnect::GigE10)
-            .unwrap(),
-        0.6,
-    );
-    check_shape(
-        "YARN MR-AVG: IPoIB improvement over 1GigE (%)",
-        claims::YARN_AVG_IPOIB_PCT,
-        avg.improvement_pct(at, Interconnect::GigE1, Interconnect::IpoibQdr)
-            .unwrap(),
-        0.6,
-    );
-    check_shape(
-        "YARN MR-SKEW: job time vs MR-AVG (factor, IPoIB)",
-        claims::SKEW_VS_AVG_FACTOR_YARN,
-        skew.time(at, Interconnect::IpoibQdr).unwrap()
-            / avg.time(at, Interconnect::IpoibQdr).unwrap(),
-        0.4,
-    );
-
-    // Sect. 5.2: "increasing cluster size and concurrency significantly
-    // benefits average and random data distribution patterns" — compare
-    // against the Fig. 2 configuration at the same shuffle size.
-    let fig2_avg = run_grid(&harness, &[at], &[Interconnect::IpoibQdr], |s, ic| {
-        BenchConfig::cluster_a_default(MicroBenchmark::Avg, ic, s)
-    })?;
-    let t_fig2 = fig2_avg.time(at, Interconnect::IpoibQdr).unwrap();
-    let t_fig3 = avg.time(at, Interconnect::IpoibQdr).unwrap();
-    println!(
-        "  [{}] doubling the cluster speeds up MR-AVG: {:.1}s (4 slaves) -> {:.1}s (8 slaves)",
-        if t_fig3 < t_fig2 {
-            "ok      "
-        } else {
-            "DEVIATES"
-        },
-        t_fig2,
-        t_fig3
-    );
-    harness.finish()
+    mrbench_bench::figures::FIG3.main()
 }

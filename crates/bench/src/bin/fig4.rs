@@ -1,83 +1,6 @@
-//! Figure 4: impact of the key/value pair size on MR-AVG job time.
-//!
-//! Configuration (paper Sect. 5.2): MR-AVG, 16 maps / 8 reduces on 4
-//! slaves of Cluster A, `BytesWritable`, key/value pair sizes of 100 B,
-//! 1 KiB and 10 KiB, shuffle sizes 8–32 GB.
-
-use mrbench::calib::{ANCHOR_IPOIB_16GB_100B_SECS, ANCHOR_IPOIB_16GB_1KB_SECS};
-use mrbench::{BenchConfig, MicroBenchmark};
-use mrbench_bench::{
-    check_shape, figure_header, paper_sizes, print_improvements, run_panel, Harness,
-    CLUSTER_A_NETWORKS,
-};
-use simcore::units::ByteSize;
-use simnet::Interconnect;
+//! Figure 4: MR-AVG job time by key/value pair size. Defined by
+//! [`mrbench_bench::figures::FIG4`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::exit_code(real_main())
-}
-
-fn real_main() -> Result<(), mrbench::Error> {
-    let mut harness = Harness::from_env("fig4");
-    figure_header(
-        "Figure 4",
-        "Job execution time with MR-AVG for different key/value pair sizes on Cluster A",
-    );
-
-    let sizes = harness.sizes(paper_sizes());
-    let kv_sizes: [(usize, &str); 3] = [(100, "100 bytes"), (1024, "1 KB"), (10240, "10 KB")];
-    let mut at_16gb_ipoib = Vec::new();
-
-    for ((kv, label), panel) in kv_sizes.iter().zip(["(a)", "(b)", "(c)"]) {
-        let sweep = run_panel(
-            &mut harness,
-            &format!("Fig 4{panel} MR-AVG with key/value size of {label}"),
-            &sizes,
-            &CLUSTER_A_NETWORKS,
-            |shuffle, ic| {
-                let mut c = BenchConfig::cluster_a_default(MicroBenchmark::Avg, ic, shuffle);
-                c.key_size = *kv;
-                c.value_size = *kv;
-                c
-            },
-        )?;
-        print_improvements(&sweep);
-        if !harness.quick {
-            at_16gb_ipoib.push(
-                sweep
-                    .time(ByteSize::from_gib(16), Interconnect::IpoibQdr)
-                    .unwrap(),
-            );
-        }
-    }
-
-    if harness.quick {
-        harness.note_quick();
-        return harness.finish();
-    }
-    println!("shape checks against the paper's prose:");
-    check_shape(
-        "16 GB / IPoIB / 100 B k/v job time (s)",
-        ANCHOR_IPOIB_16GB_100B_SECS,
-        at_16gb_ipoib[0],
-        0.25,
-    );
-    check_shape(
-        "16 GB / IPoIB / 1 KB k/v job time (s) [calibration anchor]",
-        ANCHOR_IPOIB_16GB_1KB_SECS,
-        at_16gb_ipoib[1],
-        0.15,
-    );
-    println!(
-        "  [{}] larger key/value pairs lower job time at fixed volume: {:.1}s (100B) > {:.1}s (1KB) > {:.1}s (10KB)",
-        if at_16gb_ipoib[0] > at_16gb_ipoib[1] && at_16gb_ipoib[1] > at_16gb_ipoib[2] {
-            "ok      "
-        } else {
-            "DEVIATES"
-        },
-        at_16gb_ipoib[0],
-        at_16gb_ipoib[1],
-        at_16gb_ipoib[2]
-    );
-    harness.finish()
+    mrbench_bench::figures::FIG4.main()
 }

@@ -1,100 +1,6 @@
-//! Figure 5: impact of varying the number of map and reduce tasks.
-//!
-//! Configuration (paper Sect. 5.2): MR-AVG on 4 slaves of Cluster A,
-//! 1 KiB key/value pairs, comparing 4 maps + 2 reduces (4M-2R) against
-//! 8 maps + 4 reduces (8M-4R) over 10 GigE and IPoIB QDR.
-
-use mrbench::{BenchConfig, MicroBenchmark, ShuffleVolume, Sweep};
-use mrbench_bench::{figure_header, paper_sizes, run_panel, Harness};
-use simcore::units::ByteSize;
-use simnet::Interconnect;
-
-fn config(maps: u32, reduces: u32, shuffle: ByteSize, ic: Interconnect) -> BenchConfig {
-    let mut c = BenchConfig::cluster_a_default(MicroBenchmark::Avg, ic, shuffle);
-    c.num_maps = maps;
-    c.num_reduces = reduces;
-    // Re-derive pairs for the new task counts.
-    c.volume = ShuffleVolume::TotalBytes(shuffle);
-    c
-}
+//! Figure 5: MR-AVG job time by number of maps and reduces. Defined by
+//! [`mrbench_bench::figures::FIG5`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::exit_code(real_main())
-}
-
-fn real_main() -> Result<(), mrbench::Error> {
-    let mut harness = Harness::from_env("fig5");
-    figure_header(
-        "Figure 5",
-        "Job execution time with varying number of maps and reduces on Cluster A",
-    );
-
-    let sizes = harness.sizes(paper_sizes());
-    let networks = [Interconnect::GigE10, Interconnect::IpoibQdr];
-
-    let mut results: Vec<(String, Sweep)> = Vec::new();
-    for (maps, reduces) in [(4u32, 2u32), (8, 4)] {
-        let label = format!("{maps}M-{reduces}R");
-        let title = format!("Fig 5 MR-AVG with {label}");
-        let sweep = run_panel(&mut harness, &title, &sizes, &networks, |shuffle, ic| {
-            config(maps, reduces, shuffle, ic)
-        })?;
-        results.push((label, sweep));
-    }
-
-    if harness.quick {
-        harness.note_quick();
-        return harness.finish();
-    }
-    println!("shape checks against the paper's prose:");
-    let at = ByteSize::from_gib(32);
-    let s42 = &results[0].1;
-    let s84 = &results[1].1;
-
-    // "IPoIB (32 Gbps) outperforms 10GigE, by about 13%."
-    let ipoib_gain_42 = s42
-        .improvement_pct(at, Interconnect::GigE10, Interconnect::IpoibQdr)
-        .unwrap();
-    let ipoib_gain_84 = s84
-        .improvement_pct(at, Interconnect::GigE10, Interconnect::IpoibQdr)
-        .unwrap();
-    println!(
-        "  [info    ] IPoIB gain over 10GigE at 32 GB: {ipoib_gain_42:.1}% (4M-2R), {ipoib_gain_84:.1}% (8M-4R) — paper ~13%"
-    );
-
-    // "increasing the number of map and reduce tasks improved the
-    // performance of the MapReduce job by about 32% for IPoIB, while it
-    // improved by only 24% for 10GigE, for a shuffle data size of 32GB."
-    for (ic, paper) in [(Interconnect::IpoibQdr, 32.0), (Interconnect::GigE10, 24.0)] {
-        let t42 = s42.time(at, ic).unwrap();
-        let t84 = s84.time(at, ic).unwrap();
-        let gain = (t42 - t84) / t42 * 100.0;
-        println!(
-            "  [{}] doubling tasks helps {} at 32 GB: paper ~{paper:.0}%, measured {gain:.1}% ({t42:.1}s -> {t84:.1}s)",
-            if gain > 0.0 { "ok      " } else { "DEVIATES" },
-            ic.label()
-        );
-    }
-    // And the qualitative claim: concurrency helps the faster network more.
-    let help_ipoib = {
-        let t42 = s42.time(at, Interconnect::IpoibQdr).unwrap();
-        let t84 = s84.time(at, Interconnect::IpoibQdr).unwrap();
-        (t42 - t84) / t42
-    };
-    let help_10g = {
-        let t42 = s42.time(at, Interconnect::GigE10).unwrap();
-        let t84 = s84.time(at, Interconnect::GigE10).unwrap();
-        (t42 - t84) / t42
-    };
-    println!(
-        "  [{}] concurrency gains are at least as large on IPoIB as on 10GigE: {:.1}% vs {:.1}%",
-        if help_ipoib >= help_10g - 0.03 {
-            "ok      "
-        } else {
-            "DEVIATES"
-        },
-        help_ipoib * 100.0,
-        help_10g * 100.0
-    );
-    harness.finish()
+    mrbench_bench::figures::FIG5.main()
 }

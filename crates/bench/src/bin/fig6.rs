@@ -1,86 +1,6 @@
-//! Figure 6: impact of the data type (`BytesWritable` vs `Text`).
-//!
-//! Configuration (paper Sect. 5.2): MR-RAND ("MR-RANDOM"), 16 maps /
-//! 8 reduces on 4 slaves of Cluster A, 1 KiB key/value pairs, scaling the
-//! shuffle size up to 64 GB.
-
-use mapreduce::io::DataType;
-use mrbench::{BenchConfig, MicroBenchmark, Sweep};
-use mrbench_bench::{figure_header, print_improvements, run_panel, Harness, CLUSTER_A_NETWORKS};
-use simcore::units::ByteSize;
-use simnet::Interconnect;
+//! Figure 6: MR-RAND with `BytesWritable` vs `Text`. Defined by
+//! [`mrbench_bench::figures::FIG6`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::exit_code(real_main())
-}
-
-fn real_main() -> Result<(), mrbench::Error> {
-    let mut harness = Harness::from_env("fig6");
-    figure_header(
-        "Figure 6",
-        "Job execution time with BytesWritable and Text data types on Cluster A",
-    );
-
-    // "as we scale up to 64 GB"
-    let sizes = harness.sizes([16u64, 32, 48, 64].map(ByteSize::from_gib).to_vec());
-
-    let mut sweeps: Vec<(DataType, Sweep)> = Vec::new();
-    for (dt, panel) in DataType::ALL.into_iter().zip(["(a)", "(b)"]) {
-        let title = format!("Fig 6{panel} MR-RAND with {dt}");
-        let sweep = run_panel(
-            &mut harness,
-            &title,
-            &sizes,
-            &CLUSTER_A_NETWORKS,
-            |shuffle, ic| {
-                let mut c = BenchConfig::cluster_a_default(MicroBenchmark::Rand, ic, shuffle);
-                c.data_type = dt;
-                c
-            },
-        )?;
-        print_improvements(&sweep);
-        sweeps.push((dt, sweep));
-    }
-
-    if harness.quick {
-        harness.note_quick();
-        return harness.finish();
-    }
-    println!("shape checks against the paper's prose:");
-    // "job execution time decreases around 23-25% ... 10GigE ... up to
-    //  28% ... IPoIB" — both types see similar gains from fast networks.
-    let at = ByteSize::from_gib(64);
-    for (dt, sweep) in &sweeps {
-        let g10 = sweep
-            .improvement_pct(at, Interconnect::GigE1, Interconnect::GigE10)
-            .unwrap();
-        let gib = sweep
-            .improvement_pct(at, Interconnect::GigE1, Interconnect::IpoibQdr)
-            .unwrap();
-        println!(
-            "  [info    ] {dt} at 64 GB: 10GigE {g10:.1}% (paper ~23-25%), IPoIB {gib:.1}% (paper up to ~28%)"
-        );
-    }
-    let (g_b, g_t) = (
-        sweeps[0]
-            .1
-            .improvement_pct(at, Interconnect::GigE1, Interconnect::IpoibQdr)
-            .unwrap(),
-        sweeps[1]
-            .1
-            .improvement_pct(at, Interconnect::GigE1, Interconnect::IpoibQdr)
-            .unwrap(),
-    );
-    println!(
-        "  [{}] high-speed interconnects help both data types similarly: {:.1}% (BytesWritable) vs {:.1}% (Text)",
-        if (g_b - g_t).abs() < 6.0 { "ok      " } else { "DEVIATES" },
-        g_b,
-        g_t
-    );
-    // Text's smaller framing means slightly less materialized data, so it
-    // should never be meaningfully slower at equal payload.
-    let t_b = sweeps[0].1.time(at, Interconnect::IpoibQdr).unwrap();
-    let t_t = sweeps[1].1.time(at, Interconnect::IpoibQdr).unwrap();
-    println!("  [info    ] 64 GB / IPoIB: BytesWritable {t_b:.1}s vs Text {t_t:.1}s");
-    harness.finish()
+    mrbench_bench::figures::FIG6.main()
 }

@@ -1,143 +1,6 @@
-//! Figure 7: resource utilization on one slave node during MR-AVG.
-//!
-//! Configuration (paper Sect. 5.2): MR-AVG with 16 GB of intermediate
-//! data, 1 KiB `BytesWritable` pairs, 16 maps / 8 reduces on 4 slaves.
-//! Panel (a) plots CPU utilization (%) per one-second sample; panel (b)
-//! plots network throughput (MB received per second) on the same slave.
-
-use mrbench::calib::claims;
-use mrbench::{run, BenchConfig, BenchReport, MicroBenchmark};
-use mrbench_bench::{check_shape, figure_header, Harness, CLUSTER_A_NETWORKS};
-use simcore::stats::TimeSeries;
-use simcore::units::ByteSize;
-use simnet::NodeId;
-
-fn values(series: Option<&TimeSeries>) -> Vec<f64> {
-    series
-        .map(|s| s.samples().iter().map(|s| s.value).collect())
-        .unwrap_or_default()
-}
-
-fn sample_row(report: &BenchReport, node: usize) -> (Vec<f64>, Vec<f64>) {
-    (
-        values(report.cpu_series(node)),
-        values(report.rx_series(node)),
-    )
-}
-
-fn print_series(label: &str, values: &[f64], stride: usize) {
-    print!("{label:>16}");
-    for v in values.iter().step_by(stride) {
-        print!(" {v:>5.0}");
-    }
-    println!();
-}
+//! Figure 7: resource utilization on one slave during MR-AVG. Defined
+//! by [`mrbench_bench::figures::FIG7`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::exit_code(real_main())
-}
-
-fn real_main() -> Result<(), mrbench::Error> {
-    let mut harness = Harness::from_env("fig7");
-    figure_header(
-        "Figure 7",
-        "Resource utilization on one slave node for MR-AVG (16 GB) on Cluster A",
-    );
-
-    let shuffle = harness.shuffle(ByteSize::from_gib(16));
-    let mut reports = Vec::new();
-    for ic in CLUSTER_A_NETWORKS {
-        let config = harness.prep(BenchConfig::cluster_a_default(
-            MicroBenchmark::Avg,
-            ic,
-            shuffle,
-        ));
-        let report = run(&config)?;
-        mrbench_bench::ensure_within_budget(&report)?;
-        harness.record_report(
-            &format!("Fig 7 MR-AVG utilization — {}", ic.label()),
-            &report,
-        );
-        reports.push((ic, report));
-    }
-
-    // Print a decimated view of both series for slave 0 (full resolution
-    // is in the JobResult; the paper's plot is also 1 Hz).
-    let node = 0;
-    let stride = 5;
-    println!("Fig 7(a) CPU utilization (%), slave {node}, every {stride}th second:");
-    for (ic, report) in &reports {
-        let (cpu, _) = sample_row(report, node);
-        print_series(ic.label(), &cpu, stride);
-    }
-    println!();
-    println!("Fig 7(b) network throughput (MB/s received), slave {node}, every {stride}th second:");
-    for (ic, report) in &reports {
-        let (_, rx) = sample_row(report, node);
-        print_series(ic.label(), &rx, stride);
-    }
-    println!();
-
-    if harness.quick {
-        harness.note_quick();
-        return harness.finish();
-    }
-    println!("shape checks against the paper's prose:");
-    let peaks: Vec<f64> = reports
-        .iter()
-        .map(|(_, r)| {
-            // Peak over all slaves, as a dstat on any slave would show.
-            (0..r.config.slaves)
-                .map(|n| r.rx_series(n).and_then(TimeSeries::peak).unwrap_or(0.0))
-                .fold(0.0f64, f64::max)
-        })
-        .collect();
-    check_shape(
-        "peak rx on 1GigE (MB/s)",
-        claims::PEAK_RX_MBPS_GIGE1,
-        peaks[0],
-        0.2,
-    );
-    check_shape(
-        "peak rx on 10GigE (MB/s)",
-        claims::PEAK_RX_MBPS_GIGE10,
-        peaks[1],
-        0.25,
-    );
-    check_shape(
-        "peak rx on IPoIB QDR (MB/s)",
-        claims::PEAK_RX_MBPS_IPOIB,
-        peaks[2],
-        0.25,
-    );
-
-    // "CPU utilization trends of 10GigE and IPoIB are similar to that of
-    //  1GigE": compare mean CPU% over the job.
-    let cpu_means: Vec<f64> = reports
-        .iter()
-        .map(|(_, r)| r.cpu_series(node).and_then(TimeSeries::mean).unwrap_or(0.0))
-        .collect();
-    let spread = cpu_means.iter().fold(0.0f64, |a, &b| a.max(b))
-        - cpu_means.iter().fold(f64::INFINITY, |a, &b| a.min(b));
-    println!(
-        "  [{}] CPU trends similar across networks: mean CPU {:.0}% / {:.0}% / {:.0}% (spread {:.0} pts)",
-        if spread < 20.0 { "ok      " } else { "DEVIATES" },
-        cpu_means[0],
-        cpu_means[1],
-        cpu_means[2],
-        spread
-    );
-
-    // Sanity: the byte integral of the rx series matches what the node
-    // actually received.
-    let (_, report) = &reports[2];
-    let rx_total_mb: f64 = values(report.rx_series(node)).iter().sum();
-    let expected_mb =
-        report.result.counters.remote_shuffle_bytes as f64 / 1e6 / report.config.slaves as f64;
-    println!(
-        "  [info    ] slave {node} received ~{:.0} MB over the job (cluster-wide remote shuffle / slaves = {:.0} MB)",
-        rx_total_mb, expected_mb
-    );
-    let _ = NodeId(0); // slave ids are NodeId in the underlying API
-    harness.finish()
+    mrbench_bench::figures::FIG7.main()
 }

@@ -1,82 +1,6 @@
-//! Figure 8: the RDMA case study — MRoIB vs IPoIB on Cluster B
-//! (TACC Stampede, FDR InfiniBand).
-//!
-//! Configuration (paper Sect. 6): MR-AVG, 32 maps / 16 reduce tasks,
-//! 1 KiB `BytesWritable` pairs, on 8 and then 16 slave nodes, comparing
-//! default Hadoop over IPoIB (56 Gbps) against the RDMA-enhanced
-//! MapReduce (MRoIB) over native InfiniBand FDR.
-
-use mrbench::calib::claims;
-use mrbench::BenchConfig;
-use mrbench_bench::{check_shape, figure_header, paper_sizes, run_panel, Harness};
-use simcore::units::ByteSize;
-use simnet::Interconnect;
+//! Figure 8: the RDMA case study, MRoIB vs IPoIB on Cluster B. Defined
+//! by [`mrbench_bench::figures::FIG8`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::exit_code(real_main())
-}
-
-fn real_main() -> Result<(), mrbench::Error> {
-    let mut harness = Harness::from_env("fig8");
-    figure_header(
-        "Figure 8",
-        "MR-AVG with IPoIB vs RDMA (MRoIB) on Cluster B (56 Gbps FDR)",
-    );
-
-    let sizes = harness.sizes(paper_sizes());
-    let networks = [Interconnect::IpoibFdr, Interconnect::RdmaFdr];
-
-    let mut sweeps = Vec::new();
-    for (slaves, panel) in [(8usize, "(a)"), (16, "(b)")] {
-        let title = format!("Fig 8{panel} MR-AVG with {slaves} slave nodes");
-        let sweep = run_panel(&mut harness, &title, &sizes, &networks, |shuffle, ic| {
-            BenchConfig::cluster_b_case_study(ic, shuffle, slaves)
-        })?;
-        sweeps.push((slaves, sweep));
-    }
-
-    if harness.quick {
-        harness.note_quick();
-        return harness.finish();
-    }
-    println!("shape checks against the paper's prose:");
-    let at = ByteSize::from_gib(32);
-    let gain_8 = sweeps[0]
-        .1
-        .improvement_pct(at, Interconnect::IpoibFdr, Interconnect::RdmaFdr)
-        .unwrap();
-    let gain_16 = sweeps[1]
-        .1
-        .improvement_pct(at, Interconnect::IpoibFdr, Interconnect::RdmaFdr)
-        .unwrap();
-    check_shape(
-        "MRoIB improvement over IPoIB FDR, 8 slaves (%)",
-        claims::RDMA_IMPROVEMENT_8SLAVES_PCT,
-        gain_8,
-        0.45,
-    );
-    check_shape(
-        "MRoIB improvement over IPoIB FDR, 16 slaves (%)",
-        claims::RDMA_IMPROVEMENT_16SLAVES_PCT,
-        gain_16,
-        0.45,
-    );
-    // "RDMA-enhanced MapReduce outperforms IPoIB ... even on a larger
-    //  cluster": the advantage persists at every size and both scales.
-    let mut all_positive = true;
-    for (_, sweep) in &sweeps {
-        for &size in &sweep.sizes {
-            let g = sweep
-                .improvement_pct(size, Interconnect::IpoibFdr, Interconnect::RdmaFdr)
-                .unwrap();
-            if g <= 0.0 {
-                all_positive = false;
-            }
-        }
-    }
-    println!(
-        "  [{}] RDMA wins at every shuffle size on both cluster scales",
-        if all_positive { "ok      " } else { "DEVIATES" }
-    );
-    harness.finish()
+    mrbench_bench::figures::FIG8.main()
 }

@@ -98,12 +98,8 @@ fn real_main() -> Result<(), Error> {
         shuffle_mb = shuffle_mb.min(64);
     }
 
-    let mut topology = Topology::single_switch(slaves, Interconnect::IpoibQdr);
-    if racks > 1 || oversubscription > 1.0 {
-        topology = topology.with_racks(racks, oversubscription);
-    }
     let spec = MultiJobSpec {
-        topology,
+        topology: topology(slaves, racks, oversubscription)?,
         tenants: (0..tenants)
             .map(|t| TenantSpec {
                 name: format!("tenant-{t}"),
@@ -154,10 +150,56 @@ fn real_main() -> Result<(), Error> {
     Ok(())
 }
 
+/// The shared fabric. Checks what `Topology` asserts, so bad flags are a
+/// config error (exit 3) rather than a panic.
+fn topology(slaves: usize, racks: usize, oversubscription: f64) -> Result<Topology, Error> {
+    if slaves == 0 {
+        return Err(Error::config("need at least one slave"));
+    }
+    let flat = Topology::single_switch(slaves, Interconnect::IpoibQdr);
+    if !(racks > 1 || oversubscription > 1.0) {
+        return Ok(flat);
+    }
+    if !((1..=slaves).contains(&racks) && oversubscription.is_finite() && oversubscription >= 1.0) {
+        return Err(Error::config(format!(
+            "need 1 to {slaves} racks and a finite oversubscription >= 1.0, \
+             got {racks} racks at {oversubscription}"
+        )));
+    }
+    Ok(flat.with_racks(racks, oversubscription))
+}
+
 fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, Error>
 where
     T::Err: std::fmt::Display,
 {
     s.parse()
         .map_err(|e| Error::usage(format!("bad {flag} value: {e}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bad_topology_flags_are_config_errors() {
+        for (slaves, racks, oversubscription) in [
+            (0, 1, 1.0),
+            (0, 4, 4.0),
+            (2, 5, 1.0),
+            (4, 0, 4.0),
+            (4, 2, f64::INFINITY),
+            (4, 2, f64::NAN),
+            (4, 2, 0.5),
+        ] {
+            let err = topology(slaves, racks, oversubscription).unwrap_err();
+            assert_eq!(
+                err.exit_code(),
+                3,
+                "{slaves}/{racks}/{oversubscription}: {err}"
+            );
+        }
+        assert_eq!(topology(8, 1, 1.0).unwrap().n_racks(), 1);
+        assert_eq!(topology(8, 4, 2.0).unwrap().n_racks(), 4);
+    }
 }

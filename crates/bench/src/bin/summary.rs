@@ -1,234 +1,7 @@
-//! Paper-vs-measured summary over every headline claim.
-//!
-//! Prints a Markdown table suitable for `EXPERIMENTS.md`. Covers the
-//! prose claims of Sect. 5.2, Sect. 6 and the conclusion (Sect. 7),
-//! referencing each figure.
-
-use mrbench::calib::{claims, ANCHOR_IPOIB_16GB_100B_SECS, ANCHOR_IPOIB_16GB_1KB_SECS};
-use mrbench::{run, BenchConfig, MicroBenchmark, Sweep};
-use mrbench_bench::{run_grid, Harness};
-use simcore::units::ByteSize;
-use simnet::Interconnect;
-
-struct Row {
-    exp: &'static str,
-    what: &'static str,
-    paper: f64,
-    measured: f64,
-    unit: &'static str,
-}
+//! Paper-vs-measured summary over every headline claim of Sects. 5.2,
+//! 6 and 7: a Markdown table for `EXPERIMENTS.md`, built from every
+//! figure's claims by [`mrbench_bench::figures::summary`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::exit_code(real_main())
-}
-
-fn real_main() -> Result<(), mrbench::Error> {
-    let mut harness = Harness::from_env("summary");
-    let gb16 = harness.shuffle(ByteSize::from_gib(16));
-    let a_nets = [
-        Interconnect::GigE1,
-        Interconnect::GigE10,
-        Interconnect::IpoibQdr,
-    ];
-
-    let mut rows: Vec<Row> = Vec::new();
-
-    // Fig 2 (MRv1, Cluster A) at 16 GB.
-    let cluster_a = |bench| {
-        run_grid(&harness, &[gb16], &a_nets, |s, ic| {
-            BenchConfig::cluster_a_default(bench, ic, s)
-        })
-    };
-    let avg = cluster_a(MicroBenchmark::Avg)?;
-    let rand = cluster_a(MicroBenchmark::Rand)?;
-    let skew = cluster_a(MicroBenchmark::Skew)?;
-    harness.record_sweep("Fig 2 MR-AVG (MRv1, Cluster A)", &avg);
-    harness.record_sweep("Fig 2 MR-RAND (MRv1, Cluster A)", &rand);
-    harness.record_sweep("Fig 2 MR-SKEW (MRv1, Cluster A)", &skew);
-    let imp = |s: &Sweep, fast| s.improvement_pct(gb16, Interconnect::GigE1, fast).unwrap();
-    rows.push(Row {
-        exp: "Fig 2(a)",
-        what: "MR-AVG: 10GigE gain over 1GigE",
-        paper: claims::AVG_10GIGE_IMPROVEMENT_PCT,
-        measured: imp(&avg, Interconnect::GigE10),
-        unit: "%",
-    });
-    rows.push(Row {
-        exp: "Fig 2(a)",
-        what: "MR-AVG: IPoIB QDR gain over 1GigE",
-        paper: claims::AVG_IPOIB_IMPROVEMENT_PCT,
-        measured: imp(&avg, Interconnect::IpoibQdr),
-        unit: "%",
-    });
-    rows.push(Row {
-        exp: "Fig 2(b)",
-        what: "MR-RAND: 10GigE gain over 1GigE",
-        paper: claims::RAND_10GIGE_IMPROVEMENT_PCT,
-        measured: imp(&rand, Interconnect::GigE10),
-        unit: "%",
-    });
-    rows.push(Row {
-        exp: "Fig 2(b)",
-        what: "MR-RAND: IPoIB QDR gain over 1GigE",
-        paper: claims::RAND_IPOIB_IMPROVEMENT_PCT,
-        measured: imp(&rand, Interconnect::IpoibQdr),
-        unit: "%",
-    });
-    rows.push(Row {
-        exp: "Fig 2(c)",
-        what: "MR-SKEW: IPoIB QDR gain over 1GigE",
-        paper: claims::SKEW_IMPROVEMENT_PCT,
-        measured: imp(&skew, Interconnect::IpoibQdr),
-        unit: "%",
-    });
-    rows.push(Row {
-        exp: "Fig 2(c)",
-        what: "MR-SKEW / MR-AVG job-time factor (IPoIB)",
-        paper: claims::SKEW_VS_AVG_FACTOR_MRV1,
-        measured: skew.time(gb16, Interconnect::IpoibQdr).unwrap()
-            / avg.time(gb16, Interconnect::IpoibQdr).unwrap(),
-        unit: "x",
-    });
-
-    // Fig 3 (YARN).
-    let yavg = run_grid(&harness, &[gb16], &a_nets, |s, ic| {
-        BenchConfig::yarn_default(MicroBenchmark::Avg, ic, s)
-    })?;
-    let yskew = run_grid(&harness, &[gb16], &[Interconnect::IpoibQdr], |s, ic| {
-        BenchConfig::yarn_default(MicroBenchmark::Skew, ic, s)
-    })?;
-    harness.record_sweep("Fig 3 MR-AVG (YARN, Cluster A)", &yavg);
-    harness.record_sweep("Fig 3 MR-SKEW (YARN, Cluster A)", &yskew);
-    rows.push(Row {
-        exp: "Fig 3(a)",
-        what: "YARN MR-AVG: 10GigE gain over 1GigE",
-        paper: claims::YARN_AVG_10GIGE_PCT,
-        measured: yavg
-            .improvement_pct(gb16, Interconnect::GigE1, Interconnect::GigE10)
-            .unwrap(),
-        unit: "%",
-    });
-    rows.push(Row {
-        exp: "Fig 3(a)",
-        what: "YARN MR-AVG: IPoIB gain over 1GigE",
-        paper: claims::YARN_AVG_IPOIB_PCT,
-        measured: yavg
-            .improvement_pct(gb16, Interconnect::GigE1, Interconnect::IpoibQdr)
-            .unwrap(),
-        unit: "%",
-    });
-    rows.push(Row {
-        exp: "Fig 3(c)",
-        what: "YARN MR-SKEW / MR-AVG factor (IPoIB)",
-        paper: claims::SKEW_VS_AVG_FACTOR_YARN,
-        measured: yskew.time(gb16, Interconnect::IpoibQdr).unwrap()
-            / yavg.time(gb16, Interconnect::IpoibQdr).unwrap(),
-        unit: "x",
-    });
-
-    // Fig 4: key/value size anchors.
-    let t_1kb = avg.time(gb16, Interconnect::IpoibQdr).unwrap();
-    let small = run_grid(&harness, &[gb16], &[Interconnect::IpoibQdr], |s, ic| {
-        let mut c = BenchConfig::cluster_a_default(MicroBenchmark::Avg, ic, s);
-        c.key_size = 100;
-        c.value_size = 100;
-        c
-    })?;
-    harness.record_sweep("Fig 4 MR-AVG with 100 B k/v", &small);
-    rows.push(Row {
-        exp: "Fig 4(a)",
-        what: "16 GB / IPoIB / 100 B k/v job time",
-        paper: ANCHOR_IPOIB_16GB_100B_SECS,
-        measured: small.time(gb16, Interconnect::IpoibQdr).unwrap(),
-        unit: "s",
-    });
-    rows.push(Row {
-        exp: "Fig 4(b)",
-        what: "16 GB / IPoIB / 1 KB k/v job time (anchor)",
-        paper: ANCHOR_IPOIB_16GB_1KB_SECS,
-        measured: t_1kb,
-        unit: "s",
-    });
-
-    // Fig 7: peak throughputs.
-    for (ic, paper, exp) in [
-        (Interconnect::GigE1, claims::PEAK_RX_MBPS_GIGE1, "Fig 7(b)"),
-        (
-            Interconnect::GigE10,
-            claims::PEAK_RX_MBPS_GIGE10,
-            "Fig 7(b)",
-        ),
-        (
-            Interconnect::IpoibQdr,
-            claims::PEAK_RX_MBPS_IPOIB,
-            "Fig 7(b)",
-        ),
-    ] {
-        let report = run(&harness.prep(BenchConfig::cluster_a_default(
-            MicroBenchmark::Avg,
-            ic,
-            gb16,
-        )))?;
-        mrbench_bench::ensure_within_budget(&report)?;
-        harness.record_report(&format!("Fig 7 utilization — {}", ic.label()), &report);
-        rows.push(Row {
-            exp,
-            what: match ic {
-                Interconnect::GigE1 => "peak rx throughput, 1GigE",
-                Interconnect::GigE10 => "peak rx throughput, 10GigE",
-                _ => "peak rx throughput, IPoIB QDR",
-            },
-            paper,
-            measured: report.peak_rx_mbps(),
-            unit: "MB/s",
-        });
-    }
-
-    // Fig 8: RDMA case study at 32 GB.
-    let gb32 = harness.shuffle(ByteSize::from_gib(32));
-    for (slaves, paper, exp) in [
-        (8usize, claims::RDMA_IMPROVEMENT_8SLAVES_PCT, "Fig 8(a)"),
-        (16, claims::RDMA_IMPROVEMENT_16SLAVES_PCT, "Fig 8(b)"),
-    ] {
-        let s = run_grid(
-            &harness,
-            &[gb32],
-            &[Interconnect::IpoibFdr, Interconnect::RdmaFdr],
-            |sz, ic| BenchConfig::cluster_b_case_study(ic, sz, slaves),
-        )?;
-        harness.record_sweep(&format!("Fig 8 MR-AVG, {slaves} slaves (Cluster B)"), &s);
-        rows.push(Row {
-            exp,
-            what: if slaves == 8 {
-                "MRoIB gain over IPoIB FDR, 8 slaves"
-            } else {
-                "MRoIB gain over IPoIB FDR, 16 slaves"
-            },
-            paper,
-            measured: s
-                .improvement_pct(gb32, Interconnect::IpoibFdr, Interconnect::RdmaFdr)
-                .unwrap(),
-            unit: "%",
-        });
-    }
-
-    // Render.
-    println!("| Experiment | Quantity | Paper | Measured | Δ |");
-    println!("|---|---|---:|---:|---:|");
-    for r in &rows {
-        let delta = if r.paper != 0.0 {
-            format!("{:+.0}%", (r.measured - r.paper) / r.paper * 100.0)
-        } else {
-            "-".into()
-        };
-        println!(
-            "| {} | {} | {:.1} {} | {:.1} {} | {} |",
-            r.exp, r.what, r.paper, r.unit, r.measured, r.unit, delta
-        );
-    }
-    if harness.quick {
-        println!();
-        harness.note_quick();
-    }
-    harness.finish()
+    mrbench_bench::figures::summary()
 }

@@ -2,9 +2,13 @@
 //!
 //! One binary per figure of the paper (`fig2` … `fig8`, plus `summary`),
 //! each regenerating the corresponding series: same workloads, same
-//! parameter sweeps, same table rows. Shape claims from the paper's prose
-//! are self-checked and reported as `ok` / `DEVIATES` lines, never
-//! panics — the point is to *measure* the reproduction, not to hide it.
+//! parameter sweeps, same table rows. Each figure is one
+//! [`figures::FigureSpec`] — its size axis, its panels (title,
+//! interconnects, config builder) and its claims — and the binaries are
+//! shims over it; `summary` tabulates every spec's claims from the same
+//! panel builders. Shape claims from the paper's prose are self-checked
+//! and reported as `ok` / `DEVIATES` / `info` lines, never panics — the
+//! point is to *measure* the reproduction, not to hide it.
 //!
 //! Run e.g.:
 //!
@@ -39,9 +43,11 @@
 //! Exit codes follow `mrbench::error`: 0 success, 2 usage, 3 config,
 //! 4 I/O, 5 parse, 6 budget exceeded, 7 deadline.
 
+pub mod figures;
+
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use simcore::units::ByteSize;
 use simnet::Interconnect;
@@ -151,6 +157,9 @@ impl Harness {
                             "--deadline must be a positive number of seconds, got '{v}'"
                         )));
                     }
+                    if Duration::try_from_secs_f64(secs).is_err() {
+                        return Err(Error::usage(format!("--deadline '{v}' is too large")));
+                    }
                     deadline_secs = Some(secs);
                 }
                 "--max-events" => {
@@ -201,14 +210,18 @@ impl Harness {
             self.store = Some(ResultStore::open(dir)?);
         }
         if let Some(secs) = self.deadline_secs {
-            self.deadline_at = Some(wall_now() + std::time::Duration::from_secs_f64(secs));
+            let at = Duration::try_from_secs_f64(secs)
+                .ok()
+                .and_then(|d| wall_now().checked_add(d))
+                .ok_or_else(|| Error::usage(format!("--deadline {secs:e} s is too large")))?;
+            self.deadline_at = Some(at);
         }
         Ok(self)
     }
 
     /// Apply the harness's run-wide switches to a config: phase tracing
     /// and the watchdog budgets. Figure binaries pass every config they
-    /// run through this (panels built via [`run_panel`] get it
+    /// run through this (panels run via [`run_grid`] get it
     /// automatically).
     pub fn prep(&self, mut config: BenchConfig) -> BenchConfig {
         config.trace = self.trace.is_some();
@@ -241,16 +254,6 @@ impl Harness {
             .write(self.paths.json.as_deref(), self.paths.csv.as_deref())
         {
             eprintln!("error: {e}");
-        }
-    }
-
-    /// The figure's shuffle-size axis: `full` normally, [`quick_sizes`]
-    /// under `--quick`.
-    pub fn sizes(&self, full: Vec<ByteSize>) -> Vec<ByteSize> {
-        if self.quick {
-            quick_sizes()
-        } else {
-            full
         }
     }
 
@@ -335,9 +338,12 @@ pub fn quick_sizes() -> Vec<ByteSize> {
     [256u64, 512].map(ByteSize::from_mib).to_vec()
 }
 
+/// The shuffle sizes (GiB) the Cluster A figures sweep.
+const PAPER_GIB: [u64; 4] = [8, 16, 24, 32];
+
 /// The shuffle sizes the Cluster A figures sweep.
 pub fn paper_sizes() -> Vec<ByteSize> {
-    [8u64, 16, 24, 32].map(ByteSize::from_gib).to_vec()
+    PAPER_GIB.map(ByteSize::from_gib).to_vec()
 }
 
 /// The three Cluster A interconnects (Figs. 2–7).
@@ -347,34 +353,12 @@ pub const CLUSTER_A_NETWORKS: [Interconnect; 3] = [
     Interconnect::IpoibQdr,
 ];
 
-/// Run one panel: a (size × interconnect) grid with a config builder.
-/// The sweep is printed as the paper-style table and recorded into the
-/// harness's artifact under `title`.
-///
-/// The harness's `--resume` store and `--deadline` flow through to the
-/// grid runner: finished cells are checkpointed the moment they
-/// complete, and an expired deadline stops the sweep at a cell
-/// boundary, flushes the panels recorded so far as a valid partial
-/// artifact, and surfaces [`Error::Deadline`] (exit 7).
-pub fn run_panel(
-    harness: &mut Harness,
-    title: &str,
-    sizes: &[ByteSize],
-    networks: &[Interconnect],
-    make: impl Fn(ByteSize, Interconnect) -> BenchConfig + Sync,
-) -> Result<Sweep, Error> {
-    let sweep = run_grid(harness, sizes, networks, make)?;
-    print!("{}", sweep.table(title));
-    println!();
-    harness.record_sweep(title, &sweep);
-    Ok(sweep)
-}
-
-/// [`run_panel`] without the table printing or artifact recording, for
-/// binaries that render their own output (e.g. `summary`). Configs are
-/// still passed through [`Harness::prep`], the `--resume` store is
-/// consulted, and an expired `--deadline` flushes the panels recorded
-/// so far before surfacing [`Error::Deadline`].
+/// Run one panel: a (size × interconnect) grid with a config builder,
+/// every config passed through [`Harness::prep`]. Finished cells are
+/// checkpointed in the `--resume` store the moment they complete, and
+/// an expired `--deadline` stops the sweep at a cell boundary, flushes
+/// the panels recorded so far as a valid partial artifact, and surfaces
+/// [`Error::Deadline`] (exit 7).
 pub fn run_grid(
     harness: &Harness,
     sizes: &[ByteSize],
@@ -417,41 +401,6 @@ pub fn print_improvements(sweep: &Sweep) {
         println!();
     }
     println!();
-}
-
-/// Outcome of one shape check.
-#[derive(Debug)]
-pub struct ShapeCheck {
-    /// What was checked.
-    pub name: String,
-    /// The paper's value.
-    pub expected: f64,
-    /// Our measurement.
-    pub measured: f64,
-    /// Whether it is within tolerance.
-    pub ok: bool,
-}
-
-/// Compare a measured value against a paper claim with a relative
-/// tolerance, print the verdict, and return it for aggregation.
-pub fn check_shape(name: &str, expected: f64, measured: f64, rel_tol: f64) -> ShapeCheck {
-    let ok = if expected == 0.0 {
-        measured.abs() < rel_tol
-    } else {
-        ((measured - expected) / expected).abs() <= rel_tol
-    };
-    println!(
-        "  [{}] {name}: paper {:.1}, measured {:.1}",
-        if ok { "ok      " } else { "DEVIATES" },
-        expected,
-        measured
-    );
-    ShapeCheck {
-        name: name.to_owned(),
-        expected,
-        measured,
-        ok,
-    }
 }
 
 /// Print the standard header for a figure binary.
@@ -565,6 +514,7 @@ mod tests {
             &["--deadline", "soon"],
             &["--deadline", "-1"],
             &["--deadline", "0"],
+            &["--deadline", "1e300"],
             &["--max-events", "many"],
             &["--max-sim-secs", "soon"],
         ] {
@@ -619,6 +569,11 @@ mod tests {
             .arm()
             .unwrap();
         assert!(!h.deadline_expired());
+        // A deadline past the clock's range is a usage error, not a panic.
+        let err = Harness::parse("fig2", &s(&["--deadline", "1e19"]))
+            .and_then(Harness::arm)
+            .unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
     }
 
     #[test]
@@ -630,11 +585,8 @@ mod tests {
 
     #[test]
     fn shape_check_tolerances() {
-        let ok = check_shape("x", 100.0, 110.0, 0.2);
-        assert!(ok.ok);
-        let bad = check_shape("y", 100.0, 200.0, 0.2);
-        assert!(!bad.ok);
-        let zero = check_shape("z", 0.0, 0.05, 0.1);
-        assert!(zero.ok);
+        assert!(figures::within(100.0, 110.0, 0.2));
+        assert!(!figures::within(100.0, 200.0, 0.2));
+        assert!(figures::within(0.0, 0.05, 0.1));
     }
 }

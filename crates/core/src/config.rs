@@ -354,6 +354,13 @@ impl BenchConfig {
                 ));
             }
         }
+        // `job_spec` divides the shuffle volume by the map count.
+        if self.num_maps == 0 {
+            return Err("num_maps must be at least 1".into());
+        }
+        if self.num_reduces == 0 {
+            return Err("num_reduces must be at least 1".into());
+        }
         self.job_spec().validate()
     }
 
@@ -548,6 +555,21 @@ mod tests {
             BenchConfig::cluster_b_case_study(Interconnect::IpoibFdr, ByteSize::from_gib(16), 8);
         assert_eq!(i.shuffle_engine, ShuffleEngineKind::Tcp);
         assert_eq!(i.cluster, ClusterPreset::ClusterB);
+    }
+
+    #[test]
+    fn zero_tasks_are_rejected_before_the_job_spec_is_built() {
+        for (maps, reduces) in [(0, 8), (16, 0), (0, 0)] {
+            let mut c = BenchConfig::cluster_a_default(
+                MicroBenchmark::Avg,
+                Interconnect::GigE1,
+                ByteSize::from_mib(64),
+            );
+            c.num_maps = maps;
+            c.num_reduces = reduces;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("at least 1"), "{maps}M-{reduces}R: {err}");
+        }
     }
 
     #[test]

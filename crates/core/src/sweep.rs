@@ -15,7 +15,6 @@ use std::sync::Mutex;
 use simcore::units::ByteSize;
 use simnet::Interconnect;
 
-use crate::bench::MicroBenchmark;
 use crate::config::BenchConfig;
 use crate::error::Error;
 use crate::report::BenchReport;
@@ -242,17 +241,6 @@ impl Sweep {
         })
     }
 
-    /// Convenience: the paper's Cluster A grid for one benchmark.
-    pub fn cluster_a(
-        benchmark: MicroBenchmark,
-        sizes: &[ByteSize],
-        interconnects: &[Interconnect],
-    ) -> Result<Sweep, Error> {
-        Sweep::run_grid(sizes, interconnects, |shuffle, ic| {
-            BenchConfig::cluster_a_default(benchmark, ic, shuffle)
-        })
-    }
-
     /// The cell at (`shuffle`, `ic`), located by row-major index — O(grid
     /// edge), not O(cells), so `table()` stays linear in the cell count.
     pub fn cell(&self, shuffle: ByteSize, ic: Interconnect) -> Option<&SweepCell> {
@@ -320,6 +308,7 @@ impl Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::MicroBenchmark;
 
     fn tiny(shuffle: ByteSize, ic: Interconnect) -> BenchConfig {
         let mut c = BenchConfig::cluster_a_default(MicroBenchmark::Avg, ic, shuffle);

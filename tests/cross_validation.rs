@@ -23,12 +23,8 @@
 
 use hadoop_mr_microbench::mrbench::{run, BackendKind, BenchConfig, Interconnect, MicroBenchmark};
 use hadoop_mr_microbench::simcore::units::ByteSize;
-
-const NETWORKS: [Interconnect; 3] = [
-    Interconnect::GigE1,
-    Interconnect::GigE10,
-    Interconnect::IpoibQdr,
-];
+use mrbench_bench::figures::{FIG2, FIG4, FIG8};
+use mrbench_bench::CLUSTER_A_NETWORKS as NETWORKS;
 
 /// Run `config` on the given backend.
 fn on(config: &BenchConfig, backend: BackendKind) -> hadoop_mr_microbench::mrbench::BenchReport {
@@ -50,19 +46,17 @@ fn rel_err(des_s: f64, ana_s: f64) -> f64 {
     (ana_s - des_s) / des_s
 }
 
-fn cluster_a(bench: MicroBenchmark, ic: Interconnect, size: ByteSize) -> BenchConfig {
-    BenchConfig::cluster_a_default(bench, ic, size)
-}
-
 #[test]
 fn fig2_fig3_network_ordering_matches_with_bounded_error() {
     // Figs. 2–3: MR-AVG / MR-RAND over the three Cluster A interconnects.
     let size = ByteSize::from_gib(4);
-    for bench in [MicroBenchmark::Avg, MicroBenchmark::Rand] {
+    // Fig. 2(a) MR-AVG and 2(b) MR-RAND.
+    for panel in &FIG2.panels[..2] {
+        let bench = panel.title;
         let mut des = Vec::new();
         let mut ana = Vec::new();
         for ic in NETWORKS {
-            let (d, a) = both(&cluster_a(bench, ic, size));
+            let (d, a) = both(&(panel.config)(size, ic));
             // Pinned band: probe measured |err| <= 0.08 on this grid.
             let e = rel_err(d, a);
             assert!(
@@ -85,16 +79,8 @@ fn fig2_fig3_network_ordering_matches_with_bounded_error() {
 fn fig5_skew_ordering_matches_with_bounded_error() {
     // Fig. 5: MR-SKEW vs MR-AVG on IPoIB QDR — the skew factor.
     let size = ByteSize::from_gib(4);
-    let (avg_d, avg_a) = both(&cluster_a(
-        MicroBenchmark::Avg,
-        Interconnect::IpoibQdr,
-        size,
-    ));
-    let (skew_d, skew_a) = both(&cluster_a(
-        MicroBenchmark::Skew,
-        Interconnect::IpoibQdr,
-        size,
-    ));
+    let (avg_d, avg_a) = both(&(FIG2.panels[0].config)(size, Interconnect::IpoibQdr));
+    let (skew_d, skew_a) = both(&(FIG2.panels[2].config)(size, Interconnect::IpoibQdr));
     assert!(skew_d > avg_d, "DES: skew {skew_d} vs avg {avg_d}");
     assert!(skew_a > avg_a, "analytic: skew {skew_a} vs avg {avg_a}");
     // Both backends agree the factor is paper-sized (roughly 2x).
@@ -115,32 +101,25 @@ fn fig5_skew_ordering_matches_with_bounded_error() {
 fn fig4_kv_size_ordering_matches_with_bounded_error() {
     // Fig. 4: smaller records cost more CPU per shuffled byte.
     let size = ByteSize::from_gib(2);
-    let time_for = |kv: usize, backend| {
-        let mut c = cluster_a(MicroBenchmark::Avg, Interconnect::IpoibQdr, size);
-        c.key_size = kv;
-        c.value_size = kv;
-        on(&c, backend).job_time_secs()
-    };
+    // Fig. 4's panels: 100 B, 1 KiB and 10 KiB keys and values.
+    let kv = |panel: usize| (FIG4.panels[panel].config)(size, Interconnect::IpoibQdr);
+    let time_for = |panel: usize, backend| on(&kv(panel), backend).job_time_secs();
     for backend in [BackendKind::Des, BackendKind::Analytic] {
-        let t100 = time_for(100, backend);
-        let t1k = time_for(1024, backend);
-        let t10k = time_for(10240, backend);
+        let t100 = time_for(0, backend);
+        let t1k = time_for(1, backend);
+        let t10k = time_for(2, backend);
         assert!(
             t100 > t1k && t1k > t10k,
             "{backend}: {t100:.1} {t1k:.1} {t10k:.1}"
         );
         assert!(t100 / t1k < 2.0, "{backend}: 100B catastrophically slow");
     }
-    for kv in [100usize, 1024, 10240] {
-        let (d, a) = {
-            let mut c = cluster_a(MicroBenchmark::Avg, Interconnect::IpoibQdr, size);
-            c.key_size = kv;
-            c.value_size = kv;
-            both(&c)
-        };
+    for panel in 0..3 {
+        let (d, a) = both(&kv(panel));
         // Pinned band: probe measured |err| <= 0.06 on the kv cells.
         let e = rel_err(d, a);
-        assert!(e.abs() <= 0.12, "kv={kv}: err {e:+.2} ({a:.1}s vs {d:.1}s)");
+        let kv = FIG4.panels[panel].title;
+        assert!(e.abs() <= 0.12, "{kv}: err {e:+.2} ({a:.1}s vs {d:.1}s)");
     }
 }
 
@@ -149,7 +128,8 @@ fn fig8_rdma_ordering_matches_with_bounded_error() {
     // Fig. 8 (Cluster B case study): RDMA shuffle beats IPoIB FDR and
     // eliminates protocol CPU — under both backends.
     let size = ByteSize::from_gib(4);
-    let mk = |ic| BenchConfig::cluster_b_case_study(ic, size, 8);
+    // Fig. 8(a): 8 slaves.
+    let mk = |ic| (FIG8.panels[0].config)(size, ic);
     for backend in [BackendKind::Des, BackendKind::Analytic] {
         let ipoib = on(&mk(Interconnect::IpoibFdr), backend);
         let rdma = on(&mk(Interconnect::RdmaFdr), backend);
@@ -182,7 +162,7 @@ fn analytic_does_at_least_100x_less_simulated_work() {
     let mut des_work = 0u64;
     let mut ana_work = 0u64;
     for ic in NETWORKS {
-        let config = cluster_a(MicroBenchmark::Avg, ic, size);
+        let config = (FIG2.panels[0].config)(size, ic);
         let d = on(&config, BackendKind::Des);
         let a = on(&config, BackendKind::Analytic);
         assert!(d.result.sim_work > 0, "DES must report events");
@@ -207,11 +187,7 @@ fn backends_write_distinct_digests_and_des_is_untouched() {
     use hadoop_mr_microbench::mrbench::config_digest;
     // Backend selection must show up in the cache key (the store must
     // never serve an analytic result to a DES request or vice versa)...
-    let des_cfg = cluster_a(
-        MicroBenchmark::Avg,
-        Interconnect::GigE1,
-        ByteSize::from_mib(256),
-    );
+    let des_cfg = (FIG2.panels[0].config)(ByteSize::from_mib(256), Interconnect::GigE1);
     let mut ana_cfg = des_cfg.clone();
     ana_cfg.backend = BackendKind::Analytic;
     assert_ne!(config_digest(&des_cfg), config_digest(&ana_cfg));
@@ -261,7 +237,7 @@ fn analytic_is_scale_monotone_across_random_configs() {
             Interconnect::RdmaFdr,
         ]);
         let size_mib = rng.pick(&[64u64, 256, 1024, 4096]);
-        let mut base = cluster_a(bench, ic, ByteSize::from_mib(size_mib));
+        let mut base = BenchConfig::cluster_a_default(bench, ic, ByteSize::from_mib(size_mib));
         base.backend = BackendKind::Analytic;
         base.slaves = rng.pick(&[2usize, 4, 8]);
         base.num_maps = rng.pick(&[8u32, 16, 32]);
@@ -318,30 +294,20 @@ fn probe_error_bands() {
             "{label:<40} des {d:8.1}s  ana {a:8.1}s  err {e:+.3}\n"
         ));
     };
-    for bench in [
-        MicroBenchmark::Avg,
-        MicroBenchmark::Rand,
-        MicroBenchmark::Skew,
-    ] {
+    for panel in FIG2.panels {
         for ic in NETWORKS {
             for gib in [1u64, 4] {
-                let c = cluster_a(bench, ic, ByteSize::from_gib(gib));
-                add(format!("{bench} {ic:?} {gib}GiB"), &c);
+                let c = (panel.config)(ByteSize::from_gib(gib), ic);
+                add(format!("{} {ic:?} {gib}GiB", c.benchmark), &c);
             }
         }
     }
-    for kv in [100usize, 1024, 10240] {
-        let mut c = cluster_a(
-            MicroBenchmark::Avg,
-            Interconnect::IpoibQdr,
-            ByteSize::from_gib(2),
-        );
-        c.key_size = kv;
-        c.value_size = kv;
-        add(format!("kv={kv}"), &c);
+    for panel in FIG4.panels {
+        let c = (panel.config)(ByteSize::from_gib(2), Interconnect::IpoibQdr);
+        add(format!("kv={}", c.key_size), &c);
     }
     for ic in [Interconnect::IpoibFdr, Interconnect::RdmaFdr] {
-        let c = BenchConfig::cluster_b_case_study(ic, ByteSize::from_gib(4), 8);
+        let c = (FIG8.panels[0].config)(ByteSize::from_gib(4), ic);
         add(format!("clusterB {ic:?}"), &c);
     }
     println!("{table}worst |err| = {worst:.3}");

@@ -4,6 +4,7 @@ use hadoop_mr_microbench::mrbench::{
     run, BenchConfig, EngineKind, Interconnect, MicroBenchmark, ShuffleVolume,
 };
 use hadoop_mr_microbench::simcore::units::ByteSize;
+use mrbench_bench::figures::{FIG2, FIG3};
 
 fn small(bench: MicroBenchmark, ic: Interconnect) -> BenchConfig {
     let mut c = BenchConfig::cluster_a_default(bench, ic, ByteSize::from_mib(512));
@@ -103,16 +104,9 @@ fn resource_monitors_cover_the_whole_job() {
 
 #[test]
 fn yarn_and_larger_cluster_scale_down_job_time() {
-    let base = BenchConfig::cluster_a_default(
-        MicroBenchmark::Avg,
-        Interconnect::IpoibQdr,
-        ByteSize::from_gib(2),
-    );
-    let bigger = BenchConfig::yarn_default(
-        MicroBenchmark::Avg,
-        Interconnect::IpoibQdr,
-        ByteSize::from_gib(2),
-    );
+    // Fig. 2(a) (MRv1, 4 slaves) against Fig. 3(a) (YARN, 8 slaves).
+    let base = (FIG2.panels[0].config)(ByteSize::from_gib(2), Interconnect::IpoibQdr);
+    let bigger = (FIG3.panels[0].config)(ByteSize::from_gib(2), Interconnect::IpoibQdr);
     let t_small = run(&base).unwrap().job_time_secs();
     let t_big = run(&bigger).unwrap().job_time_secs();
     assert!(

@@ -1,22 +1,20 @@
 //! Integration: the paper's qualitative claims must hold at modest scale.
 //!
-//! These run the real figure configurations at reduced shuffle sizes so
-//! the suite stays fast under `cargo test`; the full-size sweeps live in
-//! the `fig2`..`fig8` binaries.
+//! These run the real figure configurations — the panel builders of the
+//! `fig2`..`fig8` specs — at reduced shuffle sizes so the suite stays
+//! fast under `cargo test`; the full-size sweeps live in the binaries.
 
-use hadoop_mr_microbench::mrbench::{run, BenchConfig, Interconnect, MicroBenchmark, Sweep};
+use hadoop_mr_microbench::mrbench::{run, Interconnect, Sweep};
 use hadoop_mr_microbench::simcore::units::ByteSize;
-
-const NETWORKS: [Interconnect; 3] = [
-    Interconnect::GigE1,
-    Interconnect::GigE10,
-    Interconnect::IpoibQdr,
-];
+use mrbench_bench::figures::{FIG2, FIG4, FIG7, FIG8};
+use mrbench_bench::CLUSTER_A_NETWORKS as NETWORKS;
 
 #[test]
 fn network_ordering_holds_for_avg_and_rand() {
-    for bench in [MicroBenchmark::Avg, MicroBenchmark::Rand] {
-        let sweep = Sweep::cluster_a(bench, &[ByteSize::from_gib(8)], &NETWORKS).unwrap();
+    // Fig. 2(a) MR-AVG and 2(b) MR-RAND.
+    for panel in &FIG2.panels[..2] {
+        let bench = panel.title;
+        let sweep = Sweep::run_grid(&[ByteSize::from_gib(8)], &NETWORKS, panel.config).unwrap();
         let t1 = sweep
             .time(ByteSize::from_gib(8), Interconnect::GigE1)
             .unwrap();
@@ -39,8 +37,9 @@ fn network_ordering_holds_for_avg_and_rand() {
 #[test]
 fn skew_roughly_doubles_job_time() {
     let at = ByteSize::from_gib(8);
-    let avg = Sweep::cluster_a(MicroBenchmark::Avg, &[at], &[Interconnect::IpoibQdr]).unwrap();
-    let skew = Sweep::cluster_a(MicroBenchmark::Skew, &[at], &[Interconnect::IpoibQdr]).unwrap();
+    let ipoib = [Interconnect::IpoibQdr];
+    let avg = Sweep::run_grid(&[at], &ipoib, FIG2.panels[0].config).unwrap();
+    let skew = Sweep::run_grid(&[at], &ipoib, FIG2.panels[2].config).unwrap();
     let factor = skew.time(at, Interconnect::IpoibQdr).unwrap()
         / avg.time(at, Interconnect::IpoibQdr).unwrap();
     assert!(
@@ -52,15 +51,14 @@ fn skew_roughly_doubles_job_time() {
 #[test]
 fn kv_size_effect_matches_fig4() {
     let at = ByteSize::from_gib(4);
-    let time_for = |kv: usize| {
-        let mut c = BenchConfig::cluster_a_default(MicroBenchmark::Avg, Interconnect::IpoibQdr, at);
-        c.key_size = kv;
-        c.value_size = kv;
-        run(&c).unwrap().job_time_secs()
+    // Fig. 4's panels: 100 B, 1 KiB and 10 KiB keys and values.
+    let time_for = |panel: usize| {
+        let config = (FIG4.panels[panel].config)(at, Interconnect::IpoibQdr);
+        run(&config).unwrap().job_time_secs()
     };
-    let t100 = time_for(100);
-    let t1k = time_for(1024);
-    let t10k = time_for(10240);
+    let t100 = time_for(0);
+    let t1k = time_for(1);
+    let t10k = time_for(2);
     assert!(t100 > t1k && t1k > t10k, "{t100} {t1k} {t10k}");
     // The effect is meaningful but bounded (paper: 128s vs 107s at 16GB).
     assert!(
@@ -72,18 +70,10 @@ fn kv_size_effect_matches_fig4() {
 #[test]
 fn rdma_beats_ipoib_on_cluster_b() {
     let at = ByteSize::from_gib(8);
-    let ipoib = run(&BenchConfig::cluster_b_case_study(
-        Interconnect::IpoibFdr,
-        at,
-        8,
-    ))
-    .unwrap();
-    let rdma = run(&BenchConfig::cluster_b_case_study(
-        Interconnect::RdmaFdr,
-        at,
-        8,
-    ))
-    .unwrap();
+    // Fig. 8(a): 8 slaves.
+    let eight_slaves = FIG8.panels[0].config;
+    let ipoib = run(&eight_slaves(at, Interconnect::IpoibFdr)).unwrap();
+    let rdma = run(&eight_slaves(at, Interconnect::RdmaFdr)).unwrap();
     let gain = (ipoib.job_time_secs() - rdma.job_time_secs()) / ipoib.job_time_secs() * 100.0;
     assert!(
         (10.0..40.0).contains(&gain),
@@ -97,7 +87,7 @@ fn fig7_peak_throughput_ordering() {
     let at = ByteSize::from_gib(8);
     let mut peaks = Vec::new();
     for ic in NETWORKS {
-        let report = run(&BenchConfig::cluster_a_default(MicroBenchmark::Avg, ic, at)).unwrap();
+        let report = run(&(FIG7.panels[0].config)(at, ic)).unwrap();
         peaks.push(report.peak_rx_mbps());
     }
     assert!(
@@ -111,12 +101,7 @@ fn fig7_peak_throughput_ordering() {
 #[test]
 fn skew_reducer_zero_is_the_straggler() {
     let at = ByteSize::from_gib(4);
-    let report = run(&BenchConfig::cluster_a_default(
-        MicroBenchmark::Skew,
-        Interconnect::IpoibQdr,
-        at,
-    ))
-    .unwrap();
+    let report = run(&(FIG2.panels[2].config)(at, Interconnect::IpoibQdr)).unwrap();
     let mut reducers: Vec<_> = report.result.tasks.iter().filter(|t| !t.is_map).collect();
     reducers.sort_by_key(|t| t.index);
     let slowest = reducers
