@@ -5,7 +5,8 @@
 //! These benches guard the wall-clock cost of the pieces every figure
 //! reproduction exercises thousands of times: the max-min fair-share
 //! solver, the processor-sharing CPU model, the deterministic RNGs, the
-//! partitioners' bulk assignment, the IFile codec, and a full end-to-end
+//! partitioners' bulk assignment, the IFile codec, the JSON layer that
+//! writes artifacts and serves store fragments, and a full end-to-end
 //! job. Run with `cargo bench -p mrbench-bench`.
 
 // The one place wall-clock time is legitimate: this harness measures
@@ -21,8 +22,12 @@ use mapreduce::ifile::{IFileReader, IFileWriter};
 use mapreduce::io::vint;
 use mapreduce::partition::Partitioner;
 use mrbench::partitioners::{AvgPartitioner, RandPartitioner, SkewPartitioner};
-use mrbench::{run, BenchConfig, MicroBenchmark};
+use mrbench::store::FRAGMENT_SCHEMA;
+use mrbench::{config_digest, run, BenchConfig, MicroBenchmark};
+use mrbench_bench::figures::FIG2;
 use simcore::event::EventQueue;
+use simcore::jobj;
+use simcore::json::Json;
 use simcore::rng::{JavaRandom, Xoshiro256pp};
 use simcore::time::SimTime;
 use simcore::units::ByteSize;
@@ -245,6 +250,25 @@ fn bench_ifile() {
     });
 }
 
+fn bench_json() {
+    // One paper-scale Fig. 2 cell (MR-AVG, 32 GB over IPoIB QDR) as the
+    // store fragment `ResultStore::put` writes and `get` parses.
+    let config = (FIG2.panels[0].config)(ByteSize::from_gib(32), Interconnect::IpoibQdr);
+    let fragment = jobj! {
+        "schema": FRAGMENT_SCHEMA,
+        "digest": config_digest(&config),
+        "report": run(&config).unwrap().to_json(),
+    };
+    let text = fragment.to_pretty();
+    println!("json/fragment_bytes {:>33}", text.len());
+    bench("json/to_pretty_report", 500, || {
+        black_box(black_box(&fragment).to_pretty());
+    });
+    bench("json/parse_fragment", 500, || {
+        black_box(Json::parse(black_box(&text)).unwrap());
+    });
+}
+
 fn bench_end_to_end() {
     let mut config = BenchConfig::cluster_a_default(
         MicroBenchmark::Avg,
@@ -277,5 +301,6 @@ fn main() {
     bench_rng();
     bench_partitioners();
     bench_ifile();
+    bench_json();
     bench_end_to_end();
 }

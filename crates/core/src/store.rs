@@ -70,12 +70,15 @@ pub fn atomic_write(path: &Path, contents: &str) -> Result<(), Error> {
             std::io::Error::other("path has no file name"),
         )
     })?;
-    // Unique per process so concurrent writers (or a crashed predecessor's
-    // leftovers) cannot collide; the final rename is what publishes.
+    // Unique per process and per call, so concurrent writers (threads of
+    // this process, other processes, a crashed predecessor's leftovers)
+    // never share a temp file; the final rename is what publishes.
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let tmp_name = format!(
-        ".{}.tmp.{}",
+        ".{}.tmp.{}.{}",
         file_name.to_string_lossy(),
-        std::process::id()
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
     );
     let tmp = match dir {
         Some(d) => d.join(&tmp_name),
@@ -340,6 +343,61 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(names, ["out.json"], "no temp files linger");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `write` `per_thread` times on each of four threads released
+    /// together, and returns how many calls failed.
+    fn failures_of_concurrent(
+        per_thread: usize,
+        write: impl Fn(usize) -> Result<(), Error> + Sync,
+    ) -> usize {
+        const THREADS: usize = 4;
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (start, write) = (&start, &write);
+                    s.spawn(move || {
+                        start.wait();
+                        (0..per_thread).filter(|_| write(t).is_err()).count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        })
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_all_succeed() {
+        let dir = tmp_dir("concurrent");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.json");
+        let bodies: Vec<String> = (0..4)
+            .map(|t| format!("writer {t}\n").repeat(500))
+            .collect();
+        let failed = failures_of_concurrent(200, |t| atomic_write(&path, &bodies[t]));
+        assert_eq!(failed, 0, "{failed} of 800 atomic_write calls failed");
+        let last = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            bodies.contains(&last),
+            "the file holds one writer's whole body"
+        );
+
+        // Sweep workers finishing the same cell `put` one digest.
+        let store = ResultStore::open(dir.join("store")).unwrap();
+        let config = small_config();
+        let digest = config_digest(&config);
+        let report = crate::runner::run(&config).unwrap();
+        let failed = failures_of_concurrent(25, |_| store.put(&digest, &report));
+        assert_eq!(failed, 0, "{failed} of 100 concurrent puts failed");
+        let back = store.get(&digest).expect("hit after concurrent puts");
+        assert_eq!(back.to_json().to_pretty(), report.to_json().to_pretty());
+        let names: Vec<_> = std::fs::read_dir(store.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, [format!("{digest}.json")], "no temp files linger");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -173,7 +173,7 @@ impl Json {
     /// Compact single-line rendering.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        emit::<false>(self, &mut out, 0);
         out
     }
 
@@ -181,124 +181,172 @@ impl Json {
     /// newline, for files humans read.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        emit::<true>(self, &mut out, 0);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => {
-                let _ = fmt::Write::write_fmt(out, format_args!("{i}"));
-            }
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // `{}` on f64 is the shortest representation that
-                    // parses back to the same bits, so floats round-trip.
-                    let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-                items[i].write(out, indent, depth + 1)
-            }),
-            Json::Obj(members) => {
-                write_seq(out, indent, depth, '{', '}', members.len(), |out, i| {
-                    let (k, v) = &members[i];
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1)
-                })
-            }
-        }
-    }
-
     /// Parse a JSON document. The whole input must be one value plus
-    /// optional surrounding whitespace. Nesting deeper than
-    /// [`MAX_PARSE_DEPTH`] is rejected with an error rather than risking
-    /// a stack overflow on hostile or corrupt input.
+    /// optional surrounding whitespace, in the RFC 8259 grammar: numbers
+    /// are `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, strings hold
+    /// no raw control byte and `\u` takes exactly four hex digits. A
+    /// number without fraction or exponent is an [`Json::Int`] and must
+    /// fit `i128`. Nesting deeper than [`MAX_PARSE_DEPTH`] is rejected
+    /// with an error rather than risking a stack overflow on hostile or
+    /// corrupt input.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing characters at byte {pos}"));
+        let mut parser = Parser { text, pos: 0 };
+        let value = parser.value(0)?;
+        parser.skip_ws();
+        if parser.pos != text.len() {
+            return Err(format!("trailing characters at byte {}", parser.pos));
         }
         Ok(value)
     }
 }
 
-fn write_seq(
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
+/// Spaces per nesting level in [`Json::to_pretty`].
+const INDENT_STEP: usize = 2;
+
+/// A comma and line break followed by the run of spaces every
+/// indentation is copied from; a deeper line takes the run in several
+/// chunks.
+const BREAK: &str = ",\n                                                                ";
+
+/// `"00"`, `"01"`, …, `"99"`: integers are written two digits a step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
-    for i in 0..len {
-        if i > 0 {
+    table
+};
+
+/// How the writer escapes each control byte: the three with short
+/// forms use them, the rest `\u00xx` in lowercase hex.
+const CONTROL_ESCAPES: [&str; 32] = [
+    "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+    "\\u0008", "\\t", "\\n", "\\u000b", "\\u000c", "\\r", "\\u000e", "\\u000f", "\\u0010",
+    "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017", "\\u0018",
+    "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+];
+
+/// The one writer behind [`Json::to_compact`] (`PRETTY = false`) and
+/// [`Json::to_pretty`] (`PRETTY = true`, without the final newline).
+fn emit<const PRETTY: bool>(value: &Json, out: &mut String, depth: usize) {
+    match value {
+        Json::Null => out.push_str("null"),
+        Json::Bool(true) => out.push_str("true"),
+        Json::Bool(false) => out.push_str("false"),
+        Json::Int(i) => write_int(out, *i),
+        Json::Num(n) if n.is_finite() => {
+            // `{}` on f64 is the shortest representation that parses
+            // back to the same bits, so floats round-trip.
+            let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
+        }
+        Json::Num(_) => out.push_str("null"),
+        Json::Str(s) => write_escaped(out, s),
+        Json::Arr(items) if items.is_empty() => out.push_str("[]"),
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                item_break::<PRETTY>(out, i, depth + 1);
+                emit::<PRETTY>(item, out, depth + 1);
+            }
+            item_break::<PRETTY>(out, 0, depth);
+            out.push(']');
+        }
+        Json::Obj(members) if members.is_empty() => out.push_str("{}"),
+        Json::Obj(members) => {
+            out.push('{');
+            for (i, (key, member)) in members.iter().enumerate() {
+                item_break::<PRETTY>(out, i, depth + 1);
+                write_escaped(out, key);
+                out.push_str(if PRETTY { ": " } else { ":" });
+                emit::<PRETTY>(member, out, depth + 1);
+            }
+            item_break::<PRETTY>(out, 0, depth);
+            out.push('}');
+        }
+    }
+}
+
+/// The separator before item `index` of a container whose items sit at
+/// `depth`: a comma unless it is the first, then in pretty form a line
+/// break indented `depth` levels. Before a closing bracket it is called
+/// with index 0 and the container's own depth.
+fn item_break<const PRETTY: bool>(out: &mut String, index: usize, depth: usize) {
+    if !PRETTY {
+        if index > 0 {
             out.push(',');
         }
-        if let Some(step) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', step * (depth + 1)));
-        }
-        item(out, i);
+        return;
     }
-    if let Some(step) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', step * depth));
+    let chunk = BREAK.len() - 2;
+    let mut spaces = depth * INDENT_STEP;
+    let first = spaces.min(chunk);
+    out.push_str(&BREAK[usize::from(index == 0)..2 + first]);
+    spaces -= first;
+    while spaces > 0 {
+        let n = spaces.min(chunk);
+        out.push_str(&BREAK[2..2 + n]);
+        spaces -= n;
     }
-    out.push(close);
 }
 
+/// Integers in the `i64`/`u64` range go through a digit loop; only the
+/// rest of `i128` takes `Display`.
+fn write_int(out: &mut String, i: i128) {
+    if let Ok(u) = u64::try_from(i) {
+        write_u64(out, u);
+    } else if let Ok(n) = i64::try_from(i) {
+        out.push('-');
+        write_u64(out, n.unsigned_abs());
+    } else {
+        let _ = fmt::Write::write_fmt(out, format_args!("{i}"));
+    }
+}
+
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 10 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    // The pairs leave one digit still to write, or none (0 itself
+    // still writes its digit).
+    if v > 0 || at == buf.len() {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    out.extend(buf[at..].iter().map(|&digit| char::from(digit)));
+}
+
+/// A string without `"`, `\\` or control bytes is copied in one
+/// `push_str`; otherwise the runs between escapes are.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            0..=0x1f => CONTROL_ESCAPES[usize::from(b)],
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `run..i` lies on char boundaries.
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("expected '{lit}' at byte {pos}", pos = *pos))
-    }
 }
 
 /// Maximum container nesting depth [`Json::parse`] accepts. Real
@@ -307,153 +355,250 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
 /// the call stack does.
 pub const MAX_PARSE_DEPTH: usize = 512;
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    if depth > MAX_PARSE_DEPTH {
-        return Err(format!(
-            "nesting deeper than {MAX_PARSE_DEPTH} at byte {pos}",
-            pos = *pos
-        ));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}", pos = *pos));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                members.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos),
-    }
+/// Recursive-descent state over the input. `pos` is a byte offset; the
+/// parser only ever slices `text` at ASCII bytes, so every slice is on
+/// a char boundary.
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        // Surrogate pairs are not needed by our writers;
-                        // reject them rather than mis-decode.
-                        let c = char::from_u32(code).ok_or("invalid \\u escape")?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always on a char boundary).
-                let start = *pos;
-                *pos += 1;
-                while *pos < bytes.len() && (bytes[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
-            }
-        }
-    }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
+    /// Skips whitespace; runs of spaces (pretty indentation) go eight
+    /// bytes at a time.
+    fn skip_ws(&mut self) {
+        const SPACES: u64 = u64::from_le_bytes(*b"        ");
+        let bytes = self.text.as_bytes();
+        loop {
+            if let Some(chunk) = bytes.get(self.pos..).and_then(<[u8]>::first_chunk::<8>) {
+                // The lowest non-zero byte of `other` is the first one
+                // that is not a space.
+                let other = u64::from_le_bytes(*chunk) ^ SPACES;
+                if other == 0 {
+                    self.pos += 8;
+                    continue;
+                }
+                self.pos += (other.trailing_zeros() / 8) as usize;
             }
-            _ => break,
+            match bytes.get(self.pos) {
+                Some(b' ' | b'\t' | b'\n' | b'\r') => self.pos += 1,
+                _ => return,
+            }
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    if text.is_empty() || text == "-" {
-        return Err(format!("expected number at byte {start}"));
+
+    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(format!("expected '{lit}' at byte {}", self.pos))
+        }
     }
-    if is_float {
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number '{text}': {e}"))
-    } else {
+
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        if depth > MAX_PARSE_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_PARSE_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".into()),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'[') => {
+                self.pos += 1;
+                let mut items = Vec::new();
+                self.skip_ws();
+                if self.peek() == Some(b']') {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                loop {
+                    items.push(self.value(depth + 1)?);
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => self.pos += 1,
+                        Some(b']') => {
+                            self.pos += 1;
+                            return Ok(Json::Arr(items));
+                        }
+                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                    }
+                }
+            }
+            Some(b'{') => {
+                self.pos += 1;
+                let mut members = Vec::new();
+                self.skip_ws();
+                if self.peek() == Some(b'}') {
+                    self.pos += 1;
+                    return Ok(Json::Obj(members));
+                }
+                loop {
+                    self.skip_ws();
+                    let key = self.string()?;
+                    self.skip_ws();
+                    if self.peek() != Some(b':') {
+                        return Err(format!("expected ':' at byte {}", self.pos));
+                    }
+                    self.pos += 1;
+                    let value = self.value(depth + 1)?;
+                    members.push((key, value));
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => self.pos += 1,
+                        Some(b'}') => {
+                            self.pos += 1;
+                            return Ok(Json::Obj(members));
+                        }
+                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                    }
+                }
+            }
+            Some(_) => self.number(),
+        }
+    }
+
+    /// A string without escapes is one slice copy; otherwise the runs
+    /// between escapes are.
+    fn string(&mut self) -> Result<String, String> {
+        if self.peek() != Some(b'"') {
+            return Err(format!("expected string at byte {}", self.pos));
+        }
+        self.pos += 1;
+        let bytes = self.text.as_bytes();
+        let mut run = self.pos;
+        let mut out = String::new();
+        loop {
+            match bytes.get(self.pos) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    let tail = &self.text[run..self.pos];
+                    self.pos += 1;
+                    // Every escape pushes a char, so an empty `out` means
+                    // the string had none.
+                    if out.is_empty() {
+                        return Ok(tail.to_owned());
+                    }
+                    out.push_str(tail);
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    out.push_str(&self.text[run..self.pos]);
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                    run = self.pos;
+                }
+                Some(0..=0x1f) => {
+                    return Err(format!("raw control byte in string at byte {}", self.pos))
+                }
+                Some(_) => self.pos += 1,
+            }
+        }
+    }
+
+    /// The escape whose letter is at `pos`; leaves `pos` past it.
+    fn escape(&mut self) -> Result<char, String> {
+        let bytes = self.text.as_bytes();
+        let c = match bytes.get(self.pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let hex = bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or("truncated \\u escape")?;
+                let mut code = 0;
+                for &h in hex {
+                    let digit = char::from(h)
+                        .to_digit(16)
+                        .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                    code = code * 16 + digit;
+                }
+                self.pos += 4;
+                // Surrogate pairs are not needed by our writers; reject
+                // them rather than mis-decode.
+                char::from_u32(code).ok_or("invalid \\u escape")?
+            }
+            _ => return Err(format!("bad escape at byte {}", self.pos)),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Consumes one or more digits and returns their value, wrapped
+    /// modulo 2^64; fails naming the number's start if there are none.
+    fn digits(&mut self, start: usize) -> Result<u64, String> {
+        let bytes = self.text.as_bytes();
+        let first = self.pos;
+        let mut value = 0u64;
+        while let Some(&digit @ b'0'..=b'9') = bytes.get(self.pos) {
+            value = value.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
+            self.pos += 1;
+        }
+        if self.pos == first {
+            return Err(format!("expected digit in number at byte {start}"));
+        }
+        Ok(value)
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        let int_start = self.pos;
+        let magnitude = match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                0
+            }
+            Some(b'1'..=b'9') => self.digits(start)?,
+            _ => return Err(format!("expected number at byte {start}")),
+        };
+        let int_digits = self.pos - int_start;
+        let mut is_float = false;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits(start)?;
+            is_float = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits(start)?;
+            is_float = true;
+        }
+        let text = &self.text[start..self.pos];
+        if is_float {
+            return text
+                .parse::<f64>()
+                .map(Json::Num)
+                .map_err(|e| format!("bad number '{text}': {e}"));
+        }
+        // Every 19-digit decimal is below 10^19 < u64::MAX, so
+        // `magnitude` did not wrap.
+        if int_digits <= 19 {
+            let magnitude = i128::from(magnitude);
+            return Ok(Json::Int(if negative { -magnitude } else { magnitude }));
+        }
         text.parse::<i128>()
             .map(Json::Int)
             .map_err(|e| format!("bad integer '{text}': {e}"))
@@ -626,6 +771,73 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("{1: 2}").is_err());
         assert!(Json::parse("nulL").is_err());
+    }
+
+    #[test]
+    fn grammar_is_rfc_8259_strict() {
+        let accepted = [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("10", Json::Int(10)),
+            (
+                "-1234567890123456789",
+                Json::Int(-1_234_567_890_123_456_789),
+            ),
+            (
+                "-12345678901234567890",
+                Json::Int(-12_345_678_901_234_567_890),
+            ),
+            ("0.5", Json::Num(0.5)),
+            ("-0.5", Json::Num(-0.5)),
+            ("1e5", Json::Num(1e5)),
+            ("1E+5", Json::Num(1e5)),
+            ("2.5e-3", Json::Num(2.5e-3)),
+            ("0e0", Json::Num(0.0)),
+            (r#""a\/b""#, Json::Str("a/b".into())),
+            (r#""\b\fåå""#, Json::Str("\u{8}\u{c}åå".into())),
+            ("\"\u{7f}é\"", Json::Str("\u{7f}é".into())),
+            (
+                " \t\r\n[ 1 ,\t2 ]\r\n",
+                Json::Arr(vec![Json::Int(1), Json::Int(2)]),
+            ),
+        ];
+        for (text, want) in accepted {
+            assert_eq!(Json::parse(text), Ok(want), "{text:?}");
+        }
+        assert_eq!(
+            Json::parse("-0.0").map(|v| v.as_f64().map(f64::to_bits)),
+            Ok(Some((-0.0f64).to_bits()))
+        );
+        let rejected = [
+            "+1",
+            ".5",
+            "1.",
+            "-.5",
+            "01",
+            "-01",
+            "00",
+            "-",
+            "--1",
+            "1e",
+            "1e+",
+            "1.e5",
+            "0x10",
+            "1.5.5",
+            "1e5e5",
+            "[01]",
+            r#"{"a": +1}"#,
+            "\"a\u{1}b\"",
+            "\"tab\there\"",
+            "\"nl\n\"",
+            r#""\u+041""#,
+            r#""\u00g1""#,
+            r#""\u00""#,
+            r#""\x""#,
+            r#""\ud800""#,
+        ];
+        for text in rejected {
+            assert!(Json::parse(text).is_err(), "{text:?} must be rejected");
+        }
     }
 
     #[test]

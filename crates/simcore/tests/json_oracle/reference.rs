@@ -1,0 +1,292 @@
+//! The original char-at-a-time JSON writer and byte-at-a-time parser,
+//! kept verbatim as the test oracle for `simcore::json`. It is not part
+//! of the library: production code has exactly one writer and one
+//! parser. Only the entry points changed shape, from methods on `Json`
+//! to the free functions [`to_compact`], [`to_pretty`] and [`parse`].
+//!
+//! The parser is the lenient one: it accepts `+1`, `.5`, `1.`, `01` and
+//! raw control bytes inside strings, which the library's strict parser
+//! rejects. The oracle property therefore compares the two only on the
+//! writers' output, which never contains those forms.
+
+use std::fmt;
+
+use simcore::json::{Json, MAX_PARSE_DEPTH};
+
+/// Compact single-line rendering.
+pub fn to_compact(v: &Json) -> String {
+    let mut out = String::new();
+    write(v, &mut out, None, 0);
+    out
+}
+
+/// Pretty rendering with two-space indentation and a trailing newline.
+pub fn to_pretty(v: &Json) -> String {
+    let mut out = String::new();
+    write(v, &mut out, Some(2), 0);
+    out.push('\n');
+    out
+}
+
+fn write(v: &Json, out: &mut String, indent: Option<usize>, depth: usize) {
+    match v {
+        Json::Null => out.push_str("null"),
+        Json::Bool(true) => out.push_str("true"),
+        Json::Bool(false) => out.push_str("false"),
+        Json::Int(i) => {
+            let _ = fmt::Write::write_fmt(out, format_args!("{i}"));
+        }
+        Json::Num(n) => {
+            if n.is_finite() {
+                // `{}` on f64 is the shortest representation that
+                // parses back to the same bits, so floats round-trip.
+                let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
+            } else {
+                out.push_str("null");
+            }
+        }
+        Json::Str(s) => write_escaped(out, s),
+        Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
+            write(&items[i], out, indent, depth + 1)
+        }),
+        Json::Obj(members) => write_seq(out, indent, depth, '{', '}', members.len(), |out, i| {
+            let (k, v) = &members[i];
+            write_escaped(out, k);
+            out.push(':');
+            if indent.is_some() {
+                out.push(' ');
+            }
+            write(v, out, indent, depth + 1)
+        }),
+    }
+}
+
+/// Parse a JSON document. The whole input must be one value plus
+/// optional surrounding whitespace.
+pub fn parse(text: &str) -> Result<Json, String> {
+    let bytes = text.as_bytes();
+    let mut pos = 0;
+    let value = parse_value(bytes, &mut pos, 0)?;
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(format!("trailing characters at byte {pos}"));
+    }
+    Ok(value)
+}
+
+fn write_seq(
+    out: &mut String,
+    indent: Option<usize>,
+    depth: usize,
+    open: char,
+    close: char,
+    len: usize,
+    mut item: impl FnMut(&mut String, usize),
+) {
+    out.push(open);
+    if len == 0 {
+        out.push(close);
+        return;
+    }
+    for i in 0..len {
+        if i > 0 {
+            out.push(',');
+        }
+        if let Some(step) = indent {
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', step * (depth + 1)));
+        }
+        item(out, i);
+    }
+    if let Some(step) = indent {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', step * depth));
+    }
+    out.push(close);
+}
+
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+fn skip_ws(bytes: &[u8], pos: &mut usize) {
+    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
+}
+
+fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
+    if bytes[*pos..].starts_with(lit.as_bytes()) {
+        *pos += lit.len();
+        Ok(())
+    } else {
+        Err(format!("expected '{lit}' at byte {pos}", pos = *pos))
+    }
+}
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    if depth > MAX_PARSE_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_PARSE_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
+    skip_ws(bytes, pos);
+    match bytes.get(*pos) {
+        None => Err("unexpected end of input".into()),
+        Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
+        Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
+        Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
+        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'[') => {
+            *pos += 1;
+            let mut items = Vec::new();
+            skip_ws(bytes, pos);
+            if bytes.get(*pos) == Some(&b']') {
+                *pos += 1;
+                return Ok(Json::Arr(items));
+            }
+            loop {
+                items.push(parse_value(bytes, pos, depth + 1)?);
+                skip_ws(bytes, pos);
+                match bytes.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b']') => {
+                        *pos += 1;
+                        return Ok(Json::Arr(items));
+                    }
+                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
+                }
+            }
+        }
+        Some(b'{') => {
+            *pos += 1;
+            let mut members = Vec::new();
+            skip_ws(bytes, pos);
+            if bytes.get(*pos) == Some(&b'}') {
+                *pos += 1;
+                return Ok(Json::Obj(members));
+            }
+            loop {
+                skip_ws(bytes, pos);
+                let key = parse_string(bytes, pos)?;
+                skip_ws(bytes, pos);
+                if bytes.get(*pos) != Some(&b':') {
+                    return Err(format!("expected ':' at byte {pos}", pos = *pos));
+                }
+                *pos += 1;
+                let value = parse_value(bytes, pos, depth + 1)?;
+                members.push((key, value));
+                skip_ws(bytes, pos);
+                match bytes.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b'}') => {
+                        *pos += 1;
+                        return Ok(Json::Obj(members));
+                    }
+                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
+                }
+            }
+        }
+        Some(_) => parse_number(bytes, pos),
+    }
+}
+
+fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+    if bytes.get(*pos) != Some(&b'"') {
+        return Err(format!("expected string at byte {pos}", pos = *pos));
+    }
+    *pos += 1;
+    let mut out = String::new();
+    loop {
+        match bytes.get(*pos) {
+            None => return Err("unterminated string".into()),
+            Some(b'"') => {
+                *pos += 1;
+                return Ok(out);
+            }
+            Some(b'\\') => {
+                *pos += 1;
+                match bytes.get(*pos) {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'u') => {
+                        let hex = bytes
+                            .get(*pos + 1..*pos + 5)
+                            .ok_or("truncated \\u escape")?;
+                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                        // Surrogate pairs are not needed by our writers;
+                        // reject them rather than mis-decode.
+                        let c = char::from_u32(code).ok_or("invalid \\u escape")?;
+                        out.push(c);
+                        *pos += 4;
+                    }
+                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+                }
+                *pos += 1;
+            }
+            Some(_) => {
+                // Consume one UTF-8 scalar (input is a &str, so this is
+                // always on a char boundary).
+                let start = *pos;
+                *pos += 1;
+                while *pos < bytes.len() && (bytes[*pos] & 0xC0) == 0x80 {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
+            }
+        }
+    }
+}
+
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+    let start = *pos;
+    if bytes.get(*pos) == Some(&b'-') {
+        *pos += 1;
+    }
+    let mut is_float = false;
+    while let Some(&b) = bytes.get(*pos) {
+        match b {
+            b'0'..=b'9' => *pos += 1,
+            b'.' | b'e' | b'E' | b'+' | b'-' => {
+                is_float = true;
+                *pos += 1;
+            }
+            _ => break,
+        }
+    }
+    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    if text.is_empty() || text == "-" {
+        return Err(format!("expected number at byte {start}"));
+    }
+    if is_float {
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|e| format!("bad number '{text}': {e}"))
+    } else {
+        text.parse::<i128>()
+            .map(Json::Int)
+            .map_err(|e| format!("bad integer '{text}': {e}"))
+    }
+}
