@@ -31,7 +31,7 @@ use simcore::json::Json;
 use simcore::rng::{JavaRandom, Xoshiro256pp};
 use simcore::time::SimTime;
 use simcore::units::ByteSize;
-use simnet::fairshare::{max_min_rates, FairshareSolver, FlowSpec};
+use simnet::fairshare::{FairshareSolver, FlowSpec};
 use simnet::{Interconnect, Network, NodeId, Topology};
 
 /// Time `iters` runs of `f` after a small warm-up, printing ns/iter.
@@ -61,8 +61,14 @@ fn bench_fairshare() {
         }
     }
     let caps = vec![950e6; 16];
+    // A fresh solver per iteration: build, register every flow, solve.
     bench("fairshare/40_flows_16_nodes", 10_000, || {
-        black_box(max_min_rates(black_box(&flows), &caps, &caps, None));
+        let mut solver = FairshareSolver::new(&caps, &caps, None);
+        for (i, f) in black_box(&flows).iter().enumerate() {
+            solver.add_flow(*f, i as u64);
+        }
+        solver.solve();
+        black_box(solver.changed().len());
     });
 }
 
@@ -84,8 +90,8 @@ fn bench_event_queue() {
     });
 }
 
-/// Fair-share scaling ladder: batch solve and incremental churn at each
-/// flow-count the figure workloads span.
+/// Fair-share scaling ladder: incremental churn at each flow count the
+/// figure workloads span.
 fn bench_fairshare_scaling() {
     for &flows in &[10usize, 100, 1_000, 10_000] {
         let nodes = (flows / 4).clamp(4, 128);
@@ -101,10 +107,6 @@ fn bench_fairshare_scaling() {
             .collect();
         let caps = vec![950e6; nodes];
         let iters = (200_000 / flows.max(100)) as u32;
-        bench(&format!("fairshare/batch_{flows}_flows"), iters, || {
-            black_box(max_min_rates(black_box(&specs), &caps, &caps, None));
-        });
-
         let mut solver = FairshareSolver::new(&caps, &caps, None);
         let keys: Vec<_> = specs
             .iter()
@@ -158,8 +160,8 @@ fn bench_cpu() {
 
 fn bench_all_to_all() {
     // 32 nodes, 992 concurrent staggered flows run to idle: the shuffle
-    // phase's dominant network pattern (perfbench runs the 100-node
-    // version; keep `cargo bench` turnaround short).
+    // phase's dominant network pattern, small enough to keep `cargo
+    // bench` turnaround short.
     let nodes = 32usize;
     bench("network/all_to_all_992_flows", 20, || {
         let mut net = Network::new(Topology::single_switch(nodes, Interconnect::IpoibQdr));
@@ -179,11 +181,11 @@ fn bench_all_to_all() {
                 }
             }
         }
-        let mut completions = 0usize;
+        let mut done = Vec::with_capacity(nodes * (nodes - 1));
         while let Some(t) = net.next_event_time() {
-            completions += net.advance_to(t).len();
+            net.advance_to_into(t, &mut done);
         }
-        assert_eq!(completions, nodes * (nodes - 1));
+        assert_eq!(done.len(), nodes * (nodes - 1));
     });
 }
 

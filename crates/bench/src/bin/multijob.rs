@@ -111,15 +111,14 @@ fn real_main() -> Result<(), Error> {
         slots_per_node: 2,
         maps_per_job: maps,
         reduces_per_job: reduces,
-        shuffle_bytes_per_job: ByteSize::from_mib(shuffle_mb),
+        shuffle_bytes_per_job: mib(shuffle_mb)?,
         map_service_s: 1.0,
         reduce_service_s: 0.5,
         seed,
     };
-    spec.validate().map_err(Error::Config)?;
 
     let start = Instant::now();
-    let result = multijob::run(&spec);
+    let result = multijob::run(&spec).map_err(Error::Config)?;
     let wall_s = start.elapsed().as_secs_f64();
 
     let mut doc = jobj! {
@@ -169,6 +168,14 @@ fn topology(slaves: usize, racks: usize, oversubscription: f64) -> Result<Topolo
     Ok(flat.with_racks(racks, oversubscription))
 }
 
+/// `MiB` mebibytes as a byte count, or a config error when that
+/// overflows `u64`.
+fn mib(mb: u64) -> Result<ByteSize, Error> {
+    mb.checked_mul(ByteSize::from_mib(1).as_bytes())
+        .map(ByteSize::from_bytes)
+        .ok_or_else(|| Error::config(format!("--shuffle-mb {mb} overflows a 64-bit byte count")))
+}
+
 fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, Error>
 where
     T::Err: std::fmt::Display,
@@ -201,5 +208,13 @@ mod tests {
         }
         assert_eq!(topology(8, 1, 1.0).unwrap().n_racks(), 1);
         assert_eq!(topology(8, 4, 2.0).unwrap().n_racks(), 4);
+    }
+
+    #[test]
+    fn shuffle_mib_past_u64_bytes_is_a_config_error() {
+        assert_eq!(mib(u64::MAX).unwrap_err().exit_code(), 3);
+        let top = u64::MAX >> 20;
+        assert_eq!(mib(top).unwrap().as_bytes(), top << 20);
+        assert_eq!(mib(top + 1).unwrap_err().exit_code(), 3);
     }
 }

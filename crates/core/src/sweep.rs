@@ -120,20 +120,6 @@ impl Sweep {
         Sweep::run_grid_with(sizes, interconnects, make, &SweepOptions::default())
     }
 
-    /// [`Sweep::run_grid`] with an explicit worker count.
-    pub fn run_grid_with_threads(
-        sizes: &[ByteSize],
-        interconnects: &[Interconnect],
-        make: impl Fn(ByteSize, Interconnect) -> BenchConfig + Sync,
-        threads: usize,
-    ) -> Result<Sweep, Error> {
-        let opts = SweepOptions {
-            threads,
-            ..SweepOptions::default()
-        };
-        Sweep::run_grid_with(sizes, interconnects, make, &opts)
-    }
-
     /// The fully-optioned grid runner: worker threads, an optional
     /// content-addressed [`ResultStore`] for crash-safe resume, and an
     /// optional cancellation hook (the bench harness wires a wall-clock
@@ -348,7 +334,11 @@ mod tests {
         let sizes = [ByteSize::from_mib(64), ByteSize::from_mib(128)];
         let ics = [Interconnect::GigE1, Interconnect::IpoibQdr];
         let serial = Sweep::run_grid_serial(&sizes, &ics, tiny).unwrap();
-        let parallel = Sweep::run_grid_with_threads(&sizes, &ics, tiny, 4).unwrap();
+        let opts = SweepOptions {
+            threads: 4,
+            ..SweepOptions::default()
+        };
+        let parallel = Sweep::run_grid_with(&sizes, &ics, tiny, &opts).unwrap();
         assert_eq!(serial.cells.len(), parallel.cells.len());
         for (s, p) in serial.cells.iter().zip(&parallel.cells) {
             // Same row-major cell order...

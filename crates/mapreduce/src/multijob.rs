@@ -25,8 +25,9 @@
 //! bit-identically every time — the determinism contract the rest of the
 //! repo enforces.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
+use simcore::event::EventQueue;
 use simcore::jobj;
 use simcore::json::Json;
 use simcore::rng::SeedFactory;
@@ -109,6 +110,13 @@ impl MultiJobSpec {
         if self.maps_per_job == 0 || self.reduces_per_job == 0 {
             return Err("multijob: jobs need at least one map and one reduce".into());
         }
+        if self.stream_bytes().is_none() {
+            return Err(format!(
+                "multijob: {} jobs of {} shuffle bytes overflow a 64-bit byte count",
+                self.n_jobs,
+                self.shuffle_bytes_per_job.as_bytes()
+            ));
+        }
         for s in [self.map_service_s, self.reduce_service_s] {
             if !(s.is_finite() && s > 0.0) {
                 return Err("multijob: service times must be finite and positive".into());
@@ -136,6 +144,22 @@ impl MultiJobSpec {
             }
         }
         Ok(())
+    }
+
+    /// Bytes each shuffle flow carries: the job's volume split evenly
+    /// over its `maps × reduces` flows, at least one byte.
+    fn per_flow_bytes(&self) -> u64 {
+        (self.shuffle_bytes_per_job.as_bytes() / (self.maps_per_job * self.reduces_per_job) as u64)
+            .max(1)
+    }
+
+    /// Total bytes the stream's shuffles move, or `None` when that
+    /// overflows `u64`.
+    fn stream_bytes(&self) -> Option<u64> {
+        let flows = self.maps_per_job.checked_mul(self.reduces_per_job)? as u64;
+        flows
+            .checked_mul(self.per_flow_bytes())?
+            .checked_mul(self.n_jobs as u64)
     }
 }
 
@@ -240,29 +264,23 @@ enum EventKind {
     TaskDone { job: usize, tenant: usize },
 }
 
-struct Event {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
+/// The error for a stream whose events run past the simulated clock's
+/// range (`u64` nanoseconds, about 584 years).
+fn past_clock_range() -> String {
+    "multijob: the stream runs past the simulated clock's range (~584 years); \
+     shorten the arrival gaps, service times or shuffle volume"
+        .into()
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first, with the
-        // insertion sequence as a deterministic tie-break.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+/// `now` plus `secs_s` seconds, or [`past_clock_range`]'s error.
+/// `SimDuration::from_secs_f64` saturates at the top of the range, so
+/// reaching it counts as running past it.
+fn after(now: SimTime, secs_s: f64) -> Result<SimTime, String> {
+    now.as_nanos()
+        .checked_add(SimDuration::from_secs_f64(secs_s).as_nanos())
+        .filter(|&ns| ns < SimTime::MAX.as_nanos())
+        .map(SimTime::from_nanos)
+        .ok_or_else(past_clock_range)
 }
 
 /// Map task `m` of job `j` runs here. The stride spreads a job's tasks
@@ -281,10 +299,11 @@ fn reduce_node(job: usize, r: usize, n: usize) -> usize {
 
 /// Run a multi-job workload to completion.
 ///
-/// Panics only on internal invariant violations; call
-/// [`MultiJobSpec::validate`] first for user-facing errors.
-pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
-    spec.validate().expect("invalid MultiJobSpec");
+/// Fails with a readable message when the spec does not pass
+/// [`MultiJobSpec::validate`], or when the stream's arrivals, service
+/// times or transfers run past the simulated clock's range.
+pub fn run(spec: &MultiJobSpec) -> Result<MultiJobResult, String> {
+    spec.validate()?;
     let n_nodes = spec.topology.n_nodes();
     let n_tenants = spec.tenants.len();
     let seeds = SeedFactory::new(spec.seed);
@@ -325,10 +344,11 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
         }
     }
 
-    let mut jobs: Vec<JobState> = (0..spec.n_jobs)
-        .map(|j| JobState {
+    let mut jobs: Vec<JobState> = Vec::with_capacity(spec.n_jobs);
+    for (j, &arrival_s) in arrival_times.iter().enumerate() {
+        jobs.push(JobState {
             tenant: j % n_tenants,
-            arrival: SimTime::ZERO + SimDuration::from_secs_f64(arrival_times[j]),
+            arrival: after(SimTime::ZERO, arrival_s)?,
             phase: Phase::Map,
             outstanding: 0,
             pending_flows: 0,
@@ -340,8 +360,8 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
                 .collect(),
             next_map: 0,
             next_reduce: 0,
-        })
-        .collect();
+        });
+    }
 
     let mut net = Network::new(spec.topology.clone());
     let total_slots = n_nodes * spec.slots_per_node;
@@ -351,21 +371,13 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
     // queued task of its current phase.
     let mut runnable: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_tenants];
 
-    let mut events = BinaryHeap::with_capacity(spec.n_jobs * 2);
-    let mut seq: u64 = 0;
+    // Same-instant events fire in scheduling order.
+    let mut events = EventQueue::with_capacity(spec.n_jobs * 2);
     for (j, job) in jobs.iter().enumerate() {
-        events.push(Event {
-            at: job.arrival,
-            seq,
-            kind: EventKind::Arrive { job: j },
-        });
-        seq += 1;
+        events.schedule(job.arrival, EventKind::Arrive { job: j });
     }
 
-    let per_flow = ByteSize::from_bytes(
-        (spec.shuffle_bytes_per_job.as_bytes() / (spec.maps_per_job * spec.reduces_per_job) as u64)
-            .max(1),
-    );
+    let per_flow = ByteSize::from_bytes(spec.per_flow_bytes());
     let mut job_times: Vec<Vec<f64>> = vec![Vec::new(); n_tenants];
     let mut completed = 0usize;
     let mut makespan = SimTime::ZERO;
@@ -379,8 +391,8 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
                  running: &mut Vec<usize>,
                  runnable: &mut Vec<VecDeque<usize>>,
                  jobs: &mut Vec<JobState>,
-                 events: &mut BinaryHeap<Event>,
-                 seq: &mut u64| {
+                 events: &mut EventQueue<EventKind>|
+     -> Result<(), String> {
         while *free_slots > 0 {
             let mut best: Option<usize> = None;
             for t in 0..n_tenants {
@@ -417,18 +429,21 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
             };
             *free_slots -= 1;
             running[t] += 1;
-            events.push(Event {
-                at: now + SimDuration::from_secs_f64(service),
-                seq: *seq,
-                kind: EventKind::TaskDone { job: j, tenant: t },
-            });
-            *seq += 1;
+            events.schedule(
+                after(now, service)?,
+                EventKind::TaskDone { job: j, tenant: t },
+            );
         }
+        Ok(())
     };
 
     while completed < spec.n_jobs {
-        let t_ev = events.peek().map(|e| e.at);
+        let t_ev = events.peek_time();
         let t_net = net.next_event_time();
+        if t_net == Some(SimTime::MAX) {
+            // The network saturates a completion past the clock's range.
+            return Err(past_clock_range());
+        }
         // At equal instants the network settles first, so a shuffle that
         // finishes exactly when a task ends can enqueue its reduces
         // before the freed slot is granted.
@@ -464,20 +479,18 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
                     &mut runnable,
                     &mut jobs,
                     &mut events,
-                    &mut seq,
-                );
+                )?;
             }
             continue;
         }
-        let ev = match events.pop() {
+        let (now, kind) = match events.pop() {
             Some(ev) => ev,
             None => panic!(
                 "multijob deadlock: {completed}/{} jobs done, no events, no flows",
                 spec.n_jobs
             ),
         };
-        let now = ev.at;
-        match ev.kind {
+        match kind {
             EventKind::Arrive { job: j } => {
                 let job = &mut jobs[j];
                 job.outstanding = spec.maps_per_job;
@@ -523,8 +536,7 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
             &mut runnable,
             &mut jobs,
             &mut events,
-            &mut seq,
-        );
+        )?;
     }
 
     let tenants = spec
@@ -557,12 +569,12 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
         })
         .collect();
 
-    MultiJobResult {
+    Ok(MultiJobResult {
         tenants,
         makespan_s: makespan.since(SimTime::ZERO).as_secs_f64(),
         jobs_completed: completed,
         shuffled_bytes: net.delivered_bytes(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -601,7 +613,7 @@ mod tests {
 
     #[test]
     fn completes_every_job_and_reports_all_tenants() {
-        let r = run(&spec(flat8()));
+        let r = run(&spec(flat8())).unwrap();
         assert_eq!(r.jobs_completed, 12);
         assert_eq!(r.tenants.len(), 2);
         assert_eq!(r.tenants[0].jobs + r.tenants[1].jobs, 12);
@@ -621,8 +633,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let s = spec(flat8());
-        let a = run(&s);
-        let b = run(&s);
+        let a = run(&s).unwrap();
+        let b = run(&s).unwrap();
         assert_eq!(a.makespan_s.to_bits(), b.makespan_s.to_bits());
         for (x, y) in a.tenants.iter().zip(&b.tenants) {
             assert_eq!(x.p50_s.to_bits(), y.p50_s.to_bits());
@@ -636,8 +648,8 @@ mod tests {
         let s = spec(flat8());
         let mut s2 = s.clone();
         s2.seed = 43;
-        let a = run(&s);
-        let b = run(&s2);
+        let a = run(&s).unwrap();
+        let b = run(&s2).unwrap();
         assert_ne!(a.makespan_s.to_bits(), b.makespan_s.to_bits());
     }
 
@@ -647,10 +659,10 @@ mod tests {
         // Saturate: everything arrives at once.
         s.arrivals = ArrivalProcess::Trace(vec![0.0]);
         s.shuffle_bytes_per_job = ByteSize::from_mib(256);
-        let flat = run(&s);
+        let flat = run(&s).unwrap();
         let mut racked = s.clone();
         racked.topology = flat8().with_racks(2, 8.0);
-        let r = run(&racked);
+        let r = run(&racked).unwrap();
         assert!(
             r.makespan_s > flat.makespan_s,
             "racked {} vs flat {}",
@@ -668,7 +680,7 @@ mod tests {
         s.arrivals = ArrivalProcess::Trace(vec![0.0]);
         s.n_jobs = 24;
         s.slots_per_node = 1;
-        let r = run(&s);
+        let r = run(&s).unwrap();
         assert!(
             r.tenants[1].p95_s < r.tenants[0].p95_s,
             "beta(w=8) {:?} vs alpha(w=1) {:?}",
@@ -682,7 +694,7 @@ mod tests {
         let mut s = spec(flat8());
         s.n_jobs = 3;
         s.arrivals = ArrivalProcess::Trace(vec![0.0, 5.0, 10.0]);
-        let r = run(&s);
+        let r = run(&s).unwrap();
         assert_eq!(r.jobs_completed, 3);
         // The last job cannot finish before it arrives.
         assert!(r.makespan_s > 10.0);
@@ -693,7 +705,7 @@ mod tests {
         // One job, two tenants: round-robin assignment starves beta.
         let mut s = spec(flat8());
         s.n_jobs = 1;
-        let r = run(&s);
+        let r = run(&s).unwrap();
         assert_eq!(r.jobs_completed, 1);
         let beta = &r.tenants[1];
         assert_eq!(beta.jobs, 0);
@@ -720,7 +732,7 @@ mod tests {
         // Two jobs over two tenants: each tenant completes exactly one.
         let mut s = spec(flat8());
         s.n_jobs = 2;
-        let r = run(&s);
+        let r = run(&s).unwrap();
         for t in &r.tenants {
             assert_eq!(t.jobs, 1, "{t:?}");
             assert!(t.p50_s > 0.0);
@@ -754,6 +766,59 @@ mod tests {
         assert!(s.validate().is_err());
         let mut s = spec(flat8());
         s.map_service_s = f64::NAN;
+        assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn huge_arrival_gaps_are_errors_not_panics() {
+        // A drawn arrival past the clock's range used to saturate, and the
+        // first task's end then wrapped (release) or overflowed (debug).
+        for mean_gap_s in [1e12, 1e300] {
+            let mut s = spec(flat8());
+            s.arrivals = ArrivalProcess::Poisson { mean_gap_s };
+            assert!(s.validate().is_ok());
+            let err = run(&s).unwrap_err();
+            assert!(err.contains("clock's range"), "{mean_gap_s}: {err}");
+        }
+        // A trace offset just inside the range still fails once the
+        // job's tasks run past it.
+        let mut s = spec(flat8());
+        s.n_jobs = 1;
+        s.arrivals = ArrivalProcess::Trace(vec![(SimTime::MAX.as_nanos() / 1_000_000_000) as f64]);
+        assert!(run(&s).unwrap_err().contains("clock's range"));
+    }
+
+    #[test]
+    fn transfers_past_the_clock_range_are_errors_not_hangs() {
+        // One flow of u64::MAX bytes over 1GigE needs ~5000 years.
+        let mut s = spec(flat8());
+        s.n_jobs = 1;
+        s.maps_per_job = 1;
+        s.reduces_per_job = 1;
+        s.shuffle_bytes_per_job = ByteSize::from_bytes(u64::MAX);
+        assert!(s.validate().is_ok());
+        assert!(run(&s).unwrap_err().contains("clock's range"));
+    }
+
+    #[test]
+    fn shuffle_volumes_overflowing_u64_are_rejected() {
+        let mut s = spec(flat8());
+        s.n_jobs = 2;
+        s.shuffle_bytes_per_job = ByteSize::from_bytes(u64::MAX);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+        assert_eq!(run(&s).unwrap_err(), err);
+        // One job of the same volume fits.
+        s.n_jobs = 1;
+        assert!(s.validate().is_ok());
+        // So does the largest stream total.
+        s.n_jobs = 3;
+        s.shuffle_bytes_per_job = ByteSize::from_bytes(u64::MAX / 3);
+        assert!(s.validate().is_ok());
+        // Flow counts count too: a map × reduce product past `usize`.
+        let mut s = spec(flat8());
+        s.maps_per_job = usize::MAX;
+        s.reduces_per_job = 2;
         assert!(s.validate().is_err());
     }
 

@@ -8,19 +8,16 @@
 //! algorithm is used: repeatedly find the most-contended resource, freeze
 //! all flows crossing it at its fair share, subtract, and continue.
 //!
-//! Two implementations share the same arithmetic:
+//! [`FairshareSolver`] is the one max-min solver in the library. It keeps
+//! per-resource membership lists and reusable scratch buffers across
+//! calls, so a flow arrival or departure is O(1) bookkeeping and each
+//! re-solve touches only the bottleneck sets (resources and the flows
+//! frozen at them) instead of rescanning every flow per round.
 //!
-//! * [`max_min_rates`] / [`max_min_rates_racked`] — the batch reference.
-//!   Allocates fresh buffers and recounts resource membership on every
-//!   call; kept as the test oracle.
-//! * [`FairshareSolver`] — the incremental hot-path solver the network
-//!   engine uses. It maintains per-resource membership lists and reusable
-//!   scratch buffers across calls, so a flow arrival or departure is O(1)
-//!   bookkeeping and each re-solve touches only the bottleneck sets
-//!   (resources and the flows frozen at them) instead of rescanning every
-//!   flow per round. The freeze order — and therefore every floating-point
-//!   operation — is identical to the batch solver's, so both produce
-//!   bit-identical rates.
+//! Its freeze order, and therefore every floating-point operation, is
+//! that of the textbook batch algorithm run over the flows in arrival
+//! order. That batch solver lives under `tests/fairshare_oracle/` as the
+//! test oracle, which checks the two bit for bit.
 //!
 //! Resource layout: `[0, n)` egress, `[n, 2n)` ingress, then (when a rack
 //! layer is present) `[2n, 2n+R)` rack uplinks (egress direction) and
@@ -64,224 +61,6 @@ fn rate_floor_for(max_cap: f64) -> f64 {
     (max_cap * 1e-12).max(f64::MIN_POSITIVE)
 }
 
-/// Compute max-min fair rates (bytes/s) for `flows` on a flat crossbar.
-///
-/// * `egress[n]` / `ingress[n]` — per-direction NIC capacities.
-/// * `fabric` — optional aggregate capacity shared by all flows.
-///
-/// Flows with `src == dst` must be filtered out by the caller (loopback
-/// does not cross the fabric).
-///
-/// This is the batch reference implementation (and test oracle for
-/// [`FairshareSolver`]); the network hot path uses the incremental solver.
-pub fn max_min_rates(
-    flows: &[FlowSpec],
-    egress: &[f64],
-    ingress: &[f64],
-    fabric: Option<f64>,
-) -> Vec<f64> {
-    max_min_rates_racked(flows, egress, ingress, None, fabric)
-}
-
-/// [`max_min_rates`] with an optional rack layer (see the module docs for
-/// the resource layout). With `racks: None` this performs the exact same
-/// floating-point operations as the flat solver.
-pub fn max_min_rates_racked(
-    flows: &[FlowSpec],
-    egress: &[f64],
-    ingress: &[f64],
-    racks: Option<RackCaps<'_>>,
-    fabric: Option<f64>,
-) -> Vec<f64> {
-    let nf = flows.len();
-    if nf == 0 {
-        return Vec::new();
-    }
-    let n = egress.len();
-    assert_eq!(n, ingress.len(), "egress/ingress length mismatch");
-    let n_racks = racks.map_or(0, |r| {
-        assert_eq!(r.rack_of.len(), n, "rack_of length mismatch");
-        r.uplink.len()
-    });
-
-    let n_res = 2 * n + 2 * n_racks + usize::from(fabric.is_some());
-    let mut remaining = vec![0.0f64; n_res];
-    remaining[..n].copy_from_slice(egress);
-    remaining[n..2 * n].copy_from_slice(ingress);
-    if let Some(r) = racks {
-        remaining[2 * n..2 * n + n_racks].copy_from_slice(r.uplink);
-        remaining[2 * n + n_racks..2 * n + 2 * n_racks].copy_from_slice(r.uplink);
-    }
-    if let Some(f) = fabric {
-        remaining[2 * n + 2 * n_racks] = f;
-    }
-
-    let mut unfrozen_count = vec![0usize; n_res];
-    let resources_of = |f: &FlowSpec| -> [usize; 5] {
-        let fab = if fabric.is_some() {
-            2 * n + 2 * n_racks
-        } else {
-            usize::MAX
-        };
-        let (up, down) = match racks {
-            Some(r) => {
-                let (rs, rd) = (r.rack_of[f.src], r.rack_of[f.dst]);
-                if rs != rd {
-                    (2 * n + rs, 2 * n + n_racks + rd)
-                } else {
-                    (usize::MAX, usize::MAX)
-                }
-            }
-            None => (usize::MAX, usize::MAX),
-        };
-        [f.src, n + f.dst, up, down, fab]
-    };
-    for f in flows {
-        assert!(f.src != f.dst, "loopback flows must not enter the solver");
-        assert!(f.src < n && f.dst < n, "flow references unknown node");
-        for r in resources_of(f) {
-            if r != usize::MAX {
-                unfrozen_count[r] += 1;
-            }
-        }
-    }
-
-    let mut rates = vec![f64::NAN; nf];
-    let mut frozen = vec![false; nf];
-    let mut n_frozen = 0;
-
-    let max_cap = remaining.iter().cloned().fold(0.0f64, f64::max);
-    let rate_floor = rate_floor_for(max_cap);
-
-    while n_frozen < nf {
-        // Find the bottleneck: the resource with the smallest fair share.
-        let mut best_share = f64::INFINITY;
-        let mut best_res = usize::MAX;
-        for (r, &cnt) in unfrozen_count.iter().enumerate() {
-            if cnt > 0 {
-                let share = (remaining[r] / cnt as f64).max(0.0);
-                if share < best_share {
-                    best_share = share;
-                    best_res = r;
-                }
-            }
-        }
-        if best_res == usize::MAX {
-            // No contended resources remain (unreachable while flows are
-            // unfrozen, since every flow crosses ≥2 resources), freeze
-            // the rest at the floor defensively — with full bookkeeping,
-            // so the post-solve invariants below still hold.
-            for (i, fz) in frozen.iter_mut().enumerate() {
-                if !*fz {
-                    *fz = true;
-                    rates[i] = rate_floor;
-                    for r in resources_of(&flows[i]) {
-                        if r != usize::MAX {
-                            remaining[r] = (remaining[r] - rate_floor).max(0.0);
-                            unfrozen_count[r] -= 1;
-                        }
-                    }
-                }
-            }
-            break;
-        }
-
-        // Freeze every unfrozen flow crossing the bottleneck. The frozen
-        // rate (floored) is exactly what is subtracted from the crossed
-        // resources, so `remaining` always reflects the allocation and
-        // the incremental solver can rely on it.
-        for (i, f) in flows.iter().enumerate() {
-            if frozen[i] {
-                continue;
-            }
-            let crosses = resources_of(f).contains(&best_res);
-            if crosses {
-                frozen[i] = true;
-                n_frozen += 1;
-                let rate = best_share.max(rate_floor);
-                rates[i] = rate;
-                for r in resources_of(f) {
-                    if r != usize::MAX {
-                        remaining[r] = (remaining[r] - rate).max(0.0);
-                        unfrozen_count[r] -= 1;
-                    }
-                }
-            }
-        }
-    }
-
-    // Post-solve invariants: every flow frozen exactly once (all
-    // per-resource unfrozen counts came back to zero) and the allocation
-    // is feasible (no resource over capacity beyond the float tolerance).
-    debug_assert!(
-        unfrozen_count.iter().all(|&c| c == 0),
-        "unfrozen counts must return to zero after the solve"
-    );
-    #[cfg(debug_assertions)]
-    assert_feasible(flows, egress, ingress, racks, fabric, &rates, rate_floor);
-
-    rates
-}
-
-/// Debug-only feasibility check: per-resource allocated bandwidth must
-/// not exceed capacity beyond float tolerance plus the floor overshoot
-/// (flows frozen at the floor can collectively exceed a capacity that
-/// itself drifted to ~0).
-#[cfg(debug_assertions)]
-fn assert_feasible(
-    flows: &[FlowSpec],
-    egress: &[f64],
-    ingress: &[f64],
-    racks: Option<RackCaps<'_>>,
-    fabric: Option<f64>,
-    rates_bps: &[f64],
-    rate_floor_bps: f64,
-) {
-    let n = egress.len();
-    let n_racks = racks.map_or(0, |r| r.uplink.len());
-    let mut eg = vec![0.0f64; n];
-    let mut ing = vec![0.0f64; n];
-    let mut up = vec![0.0f64; n_racks];
-    let mut down = vec![0.0f64; n_racks];
-    let mut fab = 0.0f64;
-    for (f, r) in flows.iter().zip(rates_bps) {
-        assert!(r.is_finite() && *r > 0.0, "rate must be positive: {r}");
-        eg[f.src] += r;
-        ing[f.dst] += r;
-        if let Some(rc) = racks {
-            let (rs, rd) = (rc.rack_of[f.src], rc.rack_of[f.dst]);
-            if rs != rd {
-                up[rs] += r;
-                down[rd] += r;
-            }
-        }
-        fab += r;
-    }
-    let tol = |cap: f64| cap * 1e-9 + rate_floor_bps * flows.len() as f64 + 1e-9;
-    for i in 0..n {
-        assert!(eg[i] <= egress[i] + tol(egress[i]), "egress {i} over cap");
-        assert!(
-            ing[i] <= ingress[i] + tol(ingress[i]),
-            "ingress {i} over cap"
-        );
-    }
-    if let Some(rc) = racks {
-        for r in 0..n_racks {
-            assert!(
-                up[r] <= rc.uplink[r] + tol(rc.uplink[r]),
-                "uplink {r} over cap"
-            );
-            assert!(
-                down[r] <= rc.uplink[r] + tol(rc.uplink[r]),
-                "downlink {r} over cap"
-            );
-        }
-    }
-    if let Some(cap) = fabric {
-        assert!(fab <= cap + tol(cap), "fabric over cap");
-    }
-}
-
 /// Handle to a flow registered with a [`FairshareSolver`]. Invalidated by
 /// [`FairshareSolver::remove_flow`]; using a stale key is a logic error
 /// (caught by debug assertions).
@@ -293,7 +72,7 @@ pub struct FlowKey(u32);
 const NO_RES: u32 = u32::MAX;
 
 /// Fair share of a resource with `cnt` unfrozen flows (the batch
-/// solver's formula), or +inf when it has none so [`argmin`] skips it.
+/// algorithm's formula), or +inf when it has none so [`argmin`] skips it.
 #[inline]
 fn share_of(remaining_bps: f64, cnt: usize) -> f64 {
     if cnt > 0 {
@@ -379,7 +158,7 @@ pub struct FairshareSolver {
     rack_of: Vec<usize>,
     /// Fabric resource index, or `usize::MAX` when absent.
     fabric_res: usize,
-    /// Static per-resource capacities, layout as in [`max_min_rates_racked`].
+    /// Static per-resource capacities, in the module's resource layout.
     capacity: Vec<f64>,
     rate_floor_bps: f64,
 
@@ -398,7 +177,7 @@ pub struct FairshareSolver {
     /// optional fabric resource is implied by `fabric_res`.
     res_quad: Vec<[u32; 4]>,
 
-    /// Alive slots in arrival (seq) order — the batch solver's flow-list
+    /// Alive slots in arrival (seq) order — the batch algorithm's flow-list
     /// order, which pins the freeze order and float-op sequence.
     active: Vec<u32>,
     /// Per-resource alive slots, each in arrival order.
@@ -420,14 +199,14 @@ pub struct FairshareSolver {
 }
 
 impl FairshareSolver {
-    /// A solver over flat-crossbar capacities (same layout as
-    /// [`max_min_rates`]).
+    /// A solver over flat-crossbar capacities: per-node `egress` and
+    /// `ingress`, plus an optional aggregate `fabric` cap.
     pub fn new(egress: &[f64], ingress: &[f64], fabric: Option<f64>) -> Self {
         Self::with_racks(egress, ingress, None, fabric)
     }
 
-    /// A solver with an optional rack layer (same layout as
-    /// [`max_min_rates_racked`]).
+    /// A solver with an optional rack layer (see the module docs for the
+    /// resource layout).
     pub fn with_racks(
         egress: &[f64],
         ingress: &[f64],
@@ -645,8 +424,8 @@ impl FairshareSolver {
 
     /// Recompute the max-min fixed point for the current flow set.
     ///
-    /// Bit-identical to [`max_min_rates_racked`] over the same flows in
-    /// arrival order: the per-resource membership lists are kept in
+    /// Bit-identical to the batch progressive-filling algorithm over the
+    /// same flows in arrival order: the per-resource membership lists are kept in
     /// arrival order, so bottleneck freezing performs the identical
     /// sequence of floating-point operations — it just skips the
     /// per-round scan of every unrelated flow.
@@ -688,7 +467,7 @@ impl FairshareSolver {
             // minimum means no contended resource is left.
             let Some(best_res) = argmin(&self.share) else {
                 // Defensive: freeze the rest at the floor (same
-                // bookkeeping as the batch solver).
+                // bookkeeping as the batch algorithm).
                 for idx in 0..self.active.len() {
                     let fi = self.active[idx] as usize;
                     if self.frozen_at[fi] != epoch {
@@ -763,12 +542,31 @@ mod tests {
         (a - b).abs() < 1e-6 * b.abs().max(1.0)
     }
 
+    /// Rates for `flows` from a fresh solver, in flow order.
+    fn solve(
+        flows: &[FlowSpec],
+        egress: &[f64],
+        ingress: &[f64],
+        racks: Option<RackCaps<'_>>,
+        fabric: Option<f64>,
+    ) -> Vec<f64> {
+        let mut solver = FairshareSolver::with_racks(egress, ingress, racks, fabric);
+        let keys: Vec<FlowKey> = flows
+            .iter()
+            .enumerate()
+            .map(|(i, f)| solver.add_flow(*f, i as u64))
+            .collect();
+        solver.solve();
+        keys.iter().map(|&k| solver.rate(k)).collect()
+    }
+
     #[test]
     fn single_flow_gets_bottleneck() {
-        let rates = max_min_rates(
+        let rates = solve(
             &[FlowSpec { src: 0, dst: 1 }],
             &[100.0, 100.0],
             &[80.0, 80.0],
+            None,
             None,
         );
         assert!(close(rates[0], 80.0), "{rates:?}");
@@ -777,7 +575,7 @@ mod tests {
     #[test]
     fn equal_flows_share_equally() {
         let flows = vec![FlowSpec { src: 0, dst: 2 }, FlowSpec { src: 1, dst: 2 }];
-        let rates = max_min_rates(&flows, &[100.0; 3], &[100.0; 3], None);
+        let rates = solve(&flows, &[100.0; 3], &[100.0; 3], None, None);
         assert!(close(rates[0], 50.0) && close(rates[1], 50.0), "{rates:?}");
     }
 
@@ -794,7 +592,7 @@ mod tests {
             FlowSpec { src: 1, dst: 2 },
             FlowSpec { src: 1, dst: 3 },
         ];
-        let rates = max_min_rates(&flows, &[100.0; 4], &[100.0; 4], None);
+        let rates = solve(&flows, &[100.0; 4], &[100.0; 4], None, None);
         assert!(close(rates[0], 50.0), "{rates:?}");
         assert!(close(rates[1], 50.0), "{rates:?}");
         assert!(close(rates[2], 50.0), "{rates:?}");
@@ -806,7 +604,7 @@ mod tests {
         let flows = vec![FlowSpec { src: 0, dst: 1 }, FlowSpec { src: 2, dst: 3 }];
         let egress = [1000.0, 1000.0, 1000.0, 1000.0];
         let ingress = [1000.0, 10.0, 1000.0, 1000.0];
-        let rates = max_min_rates(&flows, &egress, &ingress, None);
+        let rates = solve(&flows, &egress, &ingress, None, None);
         assert!(close(rates[0], 10.0), "{rates:?}");
         assert!(close(rates[1], 1000.0), "{rates:?}");
     }
@@ -814,7 +612,7 @@ mod tests {
     #[test]
     fn fabric_cap_limits_aggregate() {
         let flows = vec![FlowSpec { src: 0, dst: 2 }, FlowSpec { src: 1, dst: 3 }];
-        let rates = max_min_rates(&flows, &[100.0; 4], &[100.0; 4], Some(120.0));
+        let rates = solve(&flows, &[100.0; 4], &[100.0; 4], None, Some(120.0));
         let total: f64 = rates.iter().sum();
         assert!(total <= 120.0 + 1e-6, "{rates:?}");
         assert!(close(rates[0], 60.0) && close(rates[1], 60.0), "{rates:?}");
@@ -824,7 +622,7 @@ mod tests {
     fn incast_shares_receiver() {
         // 7 senders to one receiver: classic shuffle incast.
         let flows: Vec<FlowSpec> = (1..8).map(|s| FlowSpec { src: s, dst: 0 }).collect();
-        let rates = max_min_rates(&flows, &[950.0; 8], &[950.0; 8], None);
+        let rates = solve(&flows, &[950.0; 8], &[950.0; 8], None, None);
         for r in &rates {
             assert!(close(*r, 950.0 / 7.0), "{rates:?}");
         }
@@ -844,7 +642,7 @@ mod tests {
             FlowSpec { src: 1, dst: 3 },
             FlowSpec { src: 3, dst: 2 },
         ];
-        let rates = max_min_rates_racked(&flows, &[100.0; 4], &[100.0; 4], Some(racks), None);
+        let rates = solve(&flows, &[100.0; 4], &[100.0; 4], Some(racks), None);
         assert!(close(rates[0], 50.0), "{rates:?}");
         assert!(close(rates[1], 50.0), "{rates:?}");
         // Flow 2 is intra-rack: only contends on ingress 2 with flow 0.
@@ -859,22 +657,9 @@ mod tests {
             uplink: &[1.0, 1.0],
         };
         let flows = vec![FlowSpec { src: 0, dst: 1 }, FlowSpec { src: 2, dst: 0 }];
-        let rates = max_min_rates_racked(&flows, &[100.0; 4], &[100.0; 4], Some(racks), None);
+        let rates = solve(&flows, &[100.0; 4], &[100.0; 4], Some(racks), None);
         assert!(close(rates[0], 100.0), "{rates:?}");
         assert!(rates[1] <= 1.0 + 1e-6, "{rates:?}");
-    }
-
-    #[test]
-    fn racked_call_without_racks_is_bit_identical_to_flat() {
-        // The flat entry point delegates; pin that a None rack layer
-        // performs the identical float sequence.
-        let flows: Vec<FlowSpec> = (1..8).map(|s| FlowSpec { src: s, dst: 0 }).collect();
-        let caps = vec![950e6; 8];
-        let flat = max_min_rates(&flows, &caps, &caps, Some(4.0e9));
-        let racked = max_min_rates_racked(&flows, &caps, &caps, None, Some(4.0e9));
-        for (a, b) in flat.iter().zip(&racked) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -892,7 +677,7 @@ mod tests {
         ];
         let egress = [120.0, 90.0, 200.0, 60.0];
         let ingress = [80.0, 150.0, 100.0, 70.0];
-        let rates = max_min_rates(&flows, &egress, &ingress, None);
+        let rates = solve(&flows, &egress, &ingress, None, None);
 
         let mut eg_used = [0.0; 4];
         let mut in_used = [0.0; 4];
@@ -921,10 +706,11 @@ mod tests {
         // 0.3 - 0.1 - 0.1 - 0.1 is the classic example: ~-2.8e-17.
         let drifted = 0.3_f64 - 0.1 - 0.1 - 0.1;
         assert!(drifted < 0.0, "test premise: the subtraction must drift");
-        let rates = max_min_rates(
+        let rates = solve(
             &[FlowSpec { src: 0, dst: 1 }, FlowSpec { src: 1, dst: 0 }],
             &[drifted, 100.0],
             &[100.0, 100.0],
+            None,
             None,
         );
         // Before the floor, flow 0 froze at exactly 0 B/s — an infinite
@@ -938,53 +724,19 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(max_min_rates(&[], &[1.0], &[1.0], None).is_empty());
+        assert!(solve(&[], &[1.0], &[1.0], None, None).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "loopback")]
     fn rejects_loopback() {
-        let _ = max_min_rates(
+        let _ = solve(
             &[FlowSpec { src: 1, dst: 1 }],
             &[1.0, 1.0],
             &[1.0, 1.0],
             None,
+            None,
         );
-    }
-
-    /// Every batch scenario above, replayed through the incremental
-    /// solver, must produce bit-identical rates.
-    fn check_incremental(flows: &[FlowSpec], egress: &[f64], ingress: &[f64], fabric: Option<f64>) {
-        check_incremental_racked(flows, egress, ingress, None, fabric);
-    }
-
-    fn check_incremental_racked(
-        flows: &[FlowSpec],
-        egress: &[f64],
-        ingress: &[f64],
-        racks: Option<RackCaps<'_>>,
-        fabric: Option<f64>,
-    ) -> Vec<f64> {
-        let oracle = max_min_rates_racked(flows, egress, ingress, racks, fabric);
-        let mut solver = FairshareSolver::with_racks(egress, ingress, racks, fabric);
-        let keys: Vec<FlowKey> = flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| solver.add_flow(*f, i as u64))
-            .collect();
-        solver.solve();
-        for (i, k) in keys.iter().enumerate() {
-            assert_eq!(
-                solver.rate(*k).to_bits(),
-                oracle[i].to_bits(),
-                "flow {i}: incremental {} vs batch {}",
-                solver.rate(*k),
-                oracle[i]
-            );
-        }
-        // First solve must report every flow as changed (from NaN).
-        assert_eq!(solver.changed().len(), flows.len());
-        oracle
     }
 
     #[test]
@@ -1022,100 +774,6 @@ mod tests {
         }
     }
 
-    /// A NIC share ties the fabric share. Freezing the NIC first (the
-    /// lower index) leaves the fabric `(F - F/3) / 2` for the others,
-    /// which differs from `F/3` in the last bit, so freezing the fabric
-    /// first would change their rates.
-    #[test]
-    fn nic_and_fabric_tie_resolves_to_the_nic() {
-        let f = 1e9;
-        assert_ne!((f - f / 3.0) / 2.0, f / 3.0, "test premise");
-        let mut egress = vec![f; 6];
-        egress[0] = f / 3.0;
-        let flows = [
-            FlowSpec { src: 0, dst: 1 },
-            FlowSpec { src: 2, dst: 3 },
-            FlowSpec { src: 4, dst: 5 },
-        ];
-        let rates = check_incremental_racked(&flows, &egress, &[f; 6], None, Some(f));
-        assert_eq!(rates[1].to_bits(), ((f - f / 3.0) / 2.0).to_bits());
-    }
-
-    /// A NIC, a rack uplink and the fabric all tie at `F/3`. Lowest
-    /// index first means NIC, then uplink, then fabric; any other order
-    /// moves the intra-rack flow's rate by an ulp.
-    #[test]
-    fn nic_uplink_and_fabric_tie_resolves_in_index_order() {
-        let f = 1e9;
-        let third = f / 3.0;
-        let rack_of = [0, 0, 1, 1, 2, 2, 3, 3];
-        let uplink = [2.0 * third, f, f, f];
-        let racks = RackCaps {
-            rack_of: &rack_of,
-            uplink: &uplink,
-        };
-        let mut egress = vec![f; 8];
-        egress[0] = third;
-        let flows = [
-            FlowSpec { src: 0, dst: 2 },
-            FlowSpec { src: 1, dst: 4 },
-            FlowSpec { src: 6, dst: 7 },
-        ];
-        let rates = check_incremental_racked(&flows, &egress, &[f; 8], Some(racks), Some(f));
-        assert_eq!(rates[0].to_bits(), third.to_bits());
-        assert_eq!(rates[1].to_bits(), third.to_bits());
-        assert_ne!(rates[2].to_bits(), third.to_bits(), "test premise");
-    }
-
-    /// A drifted-negative NIC share clamps to zero and ties a zero-capacity
-    /// uplink and a zero fabric: every flow freezes at the floor, in the
-    /// batch solver's order.
-    #[test]
-    fn zero_clamped_shares_tie_like_the_batch_solver() {
-        let drifted = 0.3_f64 - 0.1 - 0.1 - 0.1;
-        assert!(drifted < 0.0, "test premise");
-        let rack_of = [0, 0, 1, 1];
-        let uplink = [0.0, 100.0];
-        let racks = RackCaps {
-            rack_of: &rack_of,
-            uplink: &uplink,
-        };
-        let egress = [drifted, 100.0, 100.0, 100.0];
-        let flows = [
-            FlowSpec { src: 0, dst: 2 },
-            FlowSpec { src: 1, dst: 3 },
-            FlowSpec { src: 3, dst: 2 },
-        ];
-        for fabric in [None, Some(0.0)] {
-            let rates = check_incremental_racked(&flows, &egress, &[100.0; 4], Some(racks), fabric);
-            assert!(rates.iter().all(|&r| r > 0.0), "{rates:?}");
-        }
-    }
-
-    #[test]
-    fn incremental_matches_batch_on_fixed_scenarios() {
-        check_incremental(
-            &[FlowSpec { src: 0, dst: 1 }],
-            &[100.0, 100.0],
-            &[80.0, 80.0],
-            None,
-        );
-        check_incremental(
-            &[FlowSpec { src: 0, dst: 2 }, FlowSpec { src: 1, dst: 2 }],
-            &[100.0; 3],
-            &[100.0; 3],
-            None,
-        );
-        check_incremental(
-            &[FlowSpec { src: 0, dst: 2 }, FlowSpec { src: 1, dst: 3 }],
-            &[100.0; 4],
-            &[100.0; 4],
-            Some(120.0),
-        );
-        let incast: Vec<FlowSpec> = (1..8).map(|s| FlowSpec { src: s, dst: 0 }).collect();
-        check_incremental(&incast, &[950.0; 8], &[950.0; 8], None);
-    }
-
     #[test]
     fn incremental_tracks_arrivals_and_departures() {
         let caps = [100.0f64; 4];
@@ -1151,192 +809,5 @@ mod tests {
         assert_eq!(solver.changed().len(), 2);
         solver.solve();
         assert!(solver.changed().is_empty(), "{:?}", solver.changed());
-    }
-
-    /// Regression: the final freeze round of a solve leaves its touched
-    /// resources queued as dirty; a later solve must reset those flags
-    /// when it discards the stale queue, or the resources can never be
-    /// re-queued and their cached shares go stale mid-solve. Equal
-    /// capacities make every share a tie, so a single stale ulp changes
-    /// the freeze cascade — this exact shape caught the bug.
-    #[test]
-    fn share_cache_survives_tie_heavy_resolves() {
-        let nodes = 8usize;
-        let caps = vec![950e6; nodes];
-        let mut solver = FairshareSolver::new(&caps, &caps, None);
-        let mut live: Vec<(FlowKey, FlowSpec)> = Vec::new();
-        for s in 0..nodes {
-            for d in 0..nodes {
-                if s != d {
-                    let spec = FlowSpec { src: s, dst: d };
-                    live.push((solver.add_flow(spec, live.len() as u64), spec));
-                }
-            }
-        }
-        // Several rounds of batched removals, bit-comparing after each.
-        for round in 0..6 {
-            solver.solve();
-            let specs: Vec<FlowSpec> = live.iter().map(|(_, s)| *s).collect();
-            let oracle = max_min_rates(&specs, &caps, &caps, None);
-            for ((k, _), want) in live.iter().zip(&oracle) {
-                assert_eq!(
-                    solver.rate(*k).to_bits(),
-                    want.to_bits(),
-                    "round {round}: incremental {} vs batch {want}",
-                    solver.rate(*k)
-                );
-            }
-            // Remove every 5th surviving flow.
-            let mut i = 0;
-            live.retain(|(k, _)| {
-                let drop = i % 5 == 0;
-                i += 1;
-                if drop {
-                    solver.remove_flow(*k);
-                }
-                !drop
-            });
-        }
-    }
-
-    /// Seeded random arrival/departure churn, bit-compared against the
-    /// batch oracle after every solve. Equal capacities keep the shares
-    /// tie-heavy (the hardest case for cached-share bookkeeping). The
-    /// node counts give resource counts below, at, and off a multiple of
-    /// the argmin's chunk width.
-    #[test]
-    fn incremental_matches_batch_over_random_churn() {
-        let mut rng = simcore::rng::SplitMix64::new(0x5eed_7fa1);
-        for (nodes, fabric) in [
-            (10usize, None),
-            (10, Some(4.0e9)),
-            (3, Some(4.0e9)),
-            (4, None),
-            (4, Some(2.0e9)),
-        ] {
-            let caps = vec![950e6; nodes];
-            let mut solver = FairshareSolver::new(&caps, &caps, fabric);
-            let mut live: Vec<(FlowKey, FlowSpec)> = Vec::new();
-            for step in 0..1_200 {
-                let add = live.is_empty() || rng.next_below(10) < 6;
-                if add {
-                    let src = rng.next_below(nodes as u64) as usize;
-                    let mut dst = rng.next_below(nodes as u64) as usize;
-                    if dst == src {
-                        dst = (dst + 1) % nodes;
-                    }
-                    let spec = FlowSpec { src, dst };
-                    live.push((solver.add_flow(spec, step), spec));
-                } else {
-                    let at = rng.next_below(live.len() as u64) as usize;
-                    let (k, _) = live.remove(at);
-                    solver.remove_flow(k);
-                }
-                solver.solve();
-                let specs: Vec<FlowSpec> = live.iter().map(|(_, s)| *s).collect();
-                let oracle = max_min_rates(&specs, &caps, &caps, fabric);
-                for ((k, _), want) in live.iter().zip(&oracle) {
-                    assert_eq!(
-                        solver.rate(*k).to_bits(),
-                        want.to_bits(),
-                        "step {step}: incremental {} vs batch {want}",
-                        solver.rate(*k)
-                    );
-                }
-            }
-        }
-    }
-
-    /// The same churn discipline over randomized *rack* topologies: a
-    /// seeded random rack assignment and tight uplinks (a 2-level
-    /// resource set), bit-compared against the racked batch oracle after
-    /// every solve — with and without a fabric cap on top. The
-    /// `(nodes, racks)` pairs put the resource count (`2·nodes + 2·racks`,
-    /// plus one with a fabric) on and off multiples of the argmin's chunk
-    /// width.
-    #[test]
-    fn incremental_matches_batch_over_random_rack_churn() {
-        let mut rng = simcore::rng::SplitMix64::new(0x5eed_7fa2);
-        for fabric in [None, Some(3.0e9)] {
-            for (nodes, n_racks) in [(12usize, 2usize), (12, 4), (13, 3), (5, 2), (9, 4)] {
-                // Random (not necessarily contiguous or balanced) rack
-                // assignment; every rack is guaranteed a member by
-                // seeding the first n_racks nodes round-robin.
-                let rack_of: Vec<usize> = (0..nodes)
-                    .map(|i| {
-                        if i < n_racks {
-                            i
-                        } else {
-                            rng.next_below(n_racks as u64) as usize
-                        }
-                    })
-                    .collect();
-                // Tight uplinks so they genuinely bind: ~1.5 NICs worth
-                // per rack regardless of member count.
-                let uplink: Vec<f64> = (0..n_racks)
-                    .map(|r| 950e6 * (1.0 + 0.5 * ((r % 2) as f64)))
-                    .collect();
-                let caps = vec![950e6; nodes];
-                let racks = RackCaps {
-                    rack_of: &rack_of,
-                    uplink: &uplink,
-                };
-                let mut solver = FairshareSolver::with_racks(&caps, &caps, Some(racks), fabric);
-                let mut live: Vec<(FlowKey, FlowSpec)> = Vec::new();
-                for step in 0..600 {
-                    let add = live.is_empty() || rng.next_below(10) < 6;
-                    if add {
-                        let src = rng.next_below(nodes as u64) as usize;
-                        let mut dst = rng.next_below(nodes as u64) as usize;
-                        if dst == src {
-                            dst = (dst + 1) % nodes;
-                        }
-                        let spec = FlowSpec { src, dst };
-                        live.push((solver.add_flow(spec, step), spec));
-                    } else {
-                        let at = rng.next_below(live.len() as u64) as usize;
-                        let (k, _) = live.remove(at);
-                        solver.remove_flow(k);
-                    }
-                    solver.solve();
-                    let specs: Vec<FlowSpec> = live.iter().map(|(_, s)| *s).collect();
-                    let oracle = max_min_rates_racked(&specs, &caps, &caps, Some(racks), fabric);
-                    for ((k, _), want) in live.iter().zip(&oracle) {
-                        assert_eq!(
-                            solver.rate(*k).to_bits(),
-                            want.to_bits(),
-                            "racks {n_racks} step {step}: incremental {} vs batch {want}",
-                            solver.rate(*k)
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn slot_reuse_keeps_arrival_order() {
-        // Remove a middle flow, add a new one: the new flow reuses the
-        // slab slot but must sort *after* the survivors (fresh seq), so
-        // the freeze order still matches a batch call in arrival order.
-        let caps = [100.0f64; 4];
-        let mut solver = FairshareSolver::new(&caps, &caps, None);
-        let a = solver.add_flow(FlowSpec { src: 0, dst: 2 }, 0);
-        let b = solver.add_flow(FlowSpec { src: 1, dst: 2 }, 1);
-        let _c = solver.add_flow(FlowSpec { src: 3, dst: 2 }, 2);
-        solver.remove_flow(b);
-        let _d = solver.add_flow(FlowSpec { src: 1, dst: 2 }, 3);
-        solver.solve();
-        let oracle = max_min_rates(
-            &[
-                solver.spec(a),
-                FlowSpec { src: 3, dst: 2 },
-                FlowSpec { src: 1, dst: 2 },
-            ],
-            &caps,
-            &caps,
-            None,
-        );
-        assert_eq!(solver.rate(a).to_bits(), oracle[0].to_bits());
     }
 }

@@ -9,7 +9,8 @@
 //!   paper's own Fig. 7(b) throughput observations.
 //! * [`topology`] — cluster fabric: single-switch crossbar or rack-aware
 //!   with oversubscribed top-of-rack uplinks.
-//! * [`fairshare`] — max-min fair allocation (progressive filling).
+//! * [`fairshare`] — the max-min fair allocation solver (progressive
+//!   filling).
 //! * [`network`] — the event-driven flow engine.
 //! * [`monitor`] — 1 Hz per-node throughput sampling (Fig. 7(b)).
 
@@ -19,9 +20,7 @@ pub mod network;
 pub mod protocol;
 pub mod topology;
 
-pub use fairshare::{
-    max_min_rates, max_min_rates_racked, FairshareSolver, FlowKey, FlowSpec, RackCaps,
-};
+pub use fairshare::{FairshareSolver, FlowKey, FlowSpec, RackCaps};
 pub use monitor::NetworkMonitor;
 pub use network::{FlowCompletion, FlowId, Network};
 pub use protocol::{Interconnect, ProtocolModel};

@@ -108,17 +108,18 @@ mod tests {
             ByteSize::from_mib(560),
             0,
         );
+        let mut done = Vec::new();
         loop {
             let sample_at = mon.next_sample_time();
             match net.next_event_time() {
                 Some(t) if t <= sample_at => {
-                    let done = net.advance_to(t);
+                    net.advance_to_into(t, &mut done);
                     if !done.is_empty() {
                         break;
                     }
                 }
                 _ => {
-                    net.advance_to(sample_at);
+                    net.advance_to_into(sample_at, &mut done);
                     mon.maybe_sample(sample_at, &mut net);
                 }
             }
@@ -159,18 +160,19 @@ mod tests {
         let total = ByteSize::from_mib(280);
         net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), total, 0);
         let end;
+        let mut done = Vec::new();
         loop {
             let sample_at = mon.next_sample_time();
             match net.next_event_time() {
                 Some(t) if t <= sample_at => {
-                    let done = net.advance_to(t);
+                    net.advance_to_into(t, &mut done);
                     if !done.is_empty() {
                         end = t;
                         break;
                     }
                 }
                 _ => {
-                    net.advance_to(sample_at);
+                    net.advance_to_into(sample_at, &mut done);
                     mon.maybe_sample(sample_at, &mut net);
                 }
             }
@@ -202,7 +204,7 @@ mod tests {
         let mut mon = NetworkMonitor::new(2, SimDuration::from_secs(1));
         for t in [1, 2] {
             let at = SimTime::from_secs(t);
-            net.advance_to(at);
+            net.advance_to_into(at, &mut Vec::new());
             mon.maybe_sample(at, &mut net);
         }
         mon.flush(SimTime::from_secs(2), &mut net);

@@ -61,7 +61,7 @@ struct FlowSlot {
     key: Option<FlowKey>,
 }
 
-/// A finished transfer, as reported by [`Network::advance_to`].
+/// A finished transfer, as reported by [`Network::advance_to_into`].
 #[derive(Clone, Copy, Debug)]
 pub struct FlowCompletion {
     /// The flow that finished.
@@ -276,7 +276,7 @@ impl Network {
     pub fn next_event_time(&self) -> Option<SimTime> {
         // The latent queue is in activation order, so its head is the
         // earliest activation; it is always >= the clock (earlier
-        // activations were consumed by `advance_to`).
+        // activations were consumed by `advance_to_into`).
         let latent_at = self
             .latent
             .front()
@@ -321,21 +321,14 @@ impl Network {
         }
     }
 
-    /// Advance the network clock to `now`, returning every transfer that
-    /// completed at or before `now` (in deterministic flow-id order).
+    /// Advance the network clock to `now`, appending every transfer that
+    /// completed at or before `now` to `out`, in deterministic flow-id
+    /// order. The buffer is caller-owned, so the event loop allocates
+    /// nothing per step.
     ///
     /// The caller must not skip past events: `now` should be at most
     /// [`Network::next_event_time`]. Skipping only loses precision, never
     /// panics.
-    pub fn advance_to(&mut self, now: SimTime) -> Vec<FlowCompletion> {
-        let mut out = Vec::new();
-        self.advance_to_into(now, &mut out);
-        out
-    }
-
-    /// [`Network::advance_to`], but appending completions to a
-    /// caller-owned buffer — the allocation-free form the engine's event
-    /// loop uses.
     pub fn advance_to_into(&mut self, now: SimTime, out: &mut Vec<FlowCompletion>) {
         assert!(now >= self.clock, "network clock cannot run backwards");
         let dt = now.since(self.clock).as_secs_f64();
@@ -588,13 +581,11 @@ mod tests {
             1,
         );
         // Step through the latency activations until the first completion.
-        let done = loop {
+        let mut done = Vec::new();
+        while done.is_empty() {
             let t = n.next_event_time().unwrap();
-            let done = n.advance_to(t);
-            if !done.is_empty() {
-                break done;
-            }
-        };
+            n.advance_to_into(t, &mut done);
+        }
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].tag, 1);
         // Rebalanced: remaining flow now runs at the full ceiling.
@@ -729,7 +720,7 @@ mod tests {
     #[test]
     fn simultaneous_completions_report_in_flow_id_order() {
         // Regression for the flows-map migration to the slab: identical
-        // flows all complete at the same instant, and `advance_to` must
+        // flows all complete at the same instant, and `advance_to_into` must
         // report them in flow-id order — slot indexes get recycled, so
         // scanning in slot order would report recycled slots too early.
         // Start flows in scrambled src order so insertion order != node

@@ -1,10 +1,12 @@
 //! Property-style tests for the network simulator, run over seeded case
-//! grids (the workspace carries no external test dependencies).
+//! grids (the workspace carries no external test dependencies). The
+//! fair-share properties check `FairshareSolver`, the solver the network
+//! runs.
 
 use simcore::rng::SplitMix64;
 use simcore::time::SimTime;
 use simcore::units::ByteSize;
-use simnet::fairshare::{max_min_rates, FlowSpec};
+use simnet::fairshare::{FairshareSolver, FlowSpec, RackCaps};
 use simnet::{Interconnect, Network, NodeId, Topology};
 
 /// Draw between 1 and 23 random (src, dst) flows over `n_nodes`, src != dst.
@@ -19,6 +21,29 @@ fn gen_flows(rng: &mut SplitMix64, n_nodes: usize) -> Vec<FlowSpec> {
         .collect()
 }
 
+/// Rates for `flows` from a fresh solver, in flow order.
+fn solve(
+    flows: &[FlowSpec],
+    egress: &[f64],
+    ingress: &[f64],
+    racks: Option<RackCaps<'_>>,
+    fabric: Option<f64>,
+) -> Vec<f64> {
+    let mut solver = FairshareSolver::with_racks(egress, ingress, racks, fabric);
+    let keys: Vec<_> = flows
+        .iter()
+        .enumerate()
+        .map(|(i, f)| solver.add_flow(*f, i as u64))
+        .collect();
+    solver.solve();
+    keys.iter().map(|&k| solver.rate(k)).collect()
+}
+
+/// `used <= cap` up to float tolerance.
+fn within(used: f64, cap: f64) -> bool {
+    used <= cap * (1.0 + 1e-9) + 1e-9
+}
+
 /// Fair-share rates never violate any resource capacity.
 #[test]
 fn fairshare_feasible() {
@@ -26,7 +51,7 @@ fn fairshare_feasible() {
     for _ in 0..128 {
         let flows = gen_flows(&mut rng, 6);
         let caps: Vec<f64> = (0..6).map(|_| 1.0 + rng.next_f64() * 1999.0).collect();
-        let rates = max_min_rates(&flows, &caps, &caps, None);
+        let rates = solve(&flows, &caps, &caps, None, None);
         let mut eg = [0.0; 6];
         let mut ing = [0.0; 6];
         for (f, r) in flows.iter().zip(&rates) {
@@ -35,8 +60,8 @@ fn fairshare_feasible() {
             ing[f.dst] += r;
         }
         for i in 0..6 {
-            assert!(eg[i] <= caps[i] * (1.0 + 1e-9) + 1e-9);
-            assert!(ing[i] <= caps[i] * (1.0 + 1e-9) + 1e-9);
+            assert!(within(eg[i], caps[i]));
+            assert!(within(ing[i], caps[i]));
         }
     }
 }
@@ -49,7 +74,7 @@ fn fairshare_work_conserving() {
     for _ in 0..128 {
         let flows = gen_flows(&mut rng, 5);
         let caps = vec![100.0; 5];
-        let rates = max_min_rates(&flows, &caps, &caps, None);
+        let rates = solve(&flows, &caps, &caps, None, None);
         let mut eg = [0.0; 5];
         let mut ing = [0.0; 5];
         for (f, r) in flows.iter().zip(&rates) {
@@ -71,12 +96,68 @@ fn fairshare_fabric_cap() {
         let flows = gen_flows(&mut rng, 4);
         let cap = 1.0 + rng.next_f64() * 499.0;
         let caps = vec![1000.0; 4];
-        let rates = max_min_rates(&flows, &caps, &caps, Some(cap));
+        let rates = solve(&flows, &caps, &caps, None, Some(cap));
         let total: f64 = rates.iter().sum();
-        assert!(
-            total <= cap * (1.0 + 1e-9) + 1e-9,
-            "total {total} cap {cap}"
-        );
+        assert!(within(total, cap), "total {total} cap {cap}");
+    }
+}
+
+/// On racked topologies no NIC, rack uplink, rack downlink or fabric cap
+/// is exceeded, and every flow gets a positive rate. Rack assignments
+/// are random and uplinks tight enough to bind, with and without a
+/// fabric cap on top.
+#[test]
+fn fairshare_racked_feasible() {
+    let mut rng = SplitMix64::new(0x5ACC);
+    for case in 0..256 {
+        let nodes = 2 + rng.next_below(11) as usize;
+        let n_racks = 1 + rng.next_below(nodes.min(4) as u64) as usize;
+        // Every rack gets a member; the rest land anywhere.
+        let rack_of: Vec<usize> = (0..nodes)
+            .map(|i| {
+                if i < n_racks {
+                    i
+                } else {
+                    rng.next_below(n_racks as u64) as usize
+                }
+            })
+            .collect();
+        let egress: Vec<f64> = (0..nodes).map(|_| 1.0 + rng.next_f64() * 999.0).collect();
+        let ingress: Vec<f64> = (0..nodes).map(|_| 1.0 + rng.next_f64() * 999.0).collect();
+        let uplink: Vec<f64> = (0..n_racks).map(|_| 1.0 + rng.next_f64() * 999.0).collect();
+        let fabric = (case % 2 == 1).then(|| 1.0 + rng.next_f64() * 1999.0);
+        let racks = RackCaps {
+            rack_of: &rack_of,
+            uplink: &uplink,
+        };
+        let flows = gen_flows(&mut rng, nodes);
+        let rates = solve(&flows, &egress, &ingress, Some(racks), fabric);
+
+        let (mut eg, mut ing) = (vec![0.0; nodes], vec![0.0; nodes]);
+        let (mut up, mut down) = (vec![0.0; n_racks], vec![0.0; n_racks]);
+        let mut total = 0.0;
+        for (f, &r) in flows.iter().zip(&rates) {
+            assert!(r.is_finite() && r > 0.0, "case {case}: rate {r}");
+            eg[f.src] += r;
+            ing[f.dst] += r;
+            let (rs, rd) = (rack_of[f.src], rack_of[f.dst]);
+            if rs != rd {
+                up[rs] += r;
+                down[rd] += r;
+            }
+            total += r;
+        }
+        for i in 0..nodes {
+            assert!(within(eg[i], egress[i]), "case {case}: egress {i}");
+            assert!(within(ing[i], ingress[i]), "case {case}: ingress {i}");
+        }
+        for r in 0..n_racks {
+            assert!(within(up[r], uplink[r]), "case {case}: uplink {r}");
+            assert!(within(down[r], uplink[r]), "case {case}: downlink {r}");
+        }
+        if let Some(cap) = fabric {
+            assert!(within(total, cap), "case {case}: fabric {total} > {cap}");
+        }
     }
 }
 
