@@ -47,11 +47,6 @@ pub mod claims {
     pub const RDMA_IMPROVEMENT_16SLAVES_PCT: f64 = 25.0;
 }
 
-/// Acceptable relative deviation when self-checking shape claims: the
-/// substrate is a simulator, not the authors' testbed, so reproduction
-/// targets the *shape* (ordering and rough magnitude), not the digit.
-pub const SHAPE_TOLERANCE: f64 = 0.5;
-
 #[cfg(test)]
 mod tests {
     use super::*;

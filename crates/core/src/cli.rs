@@ -161,19 +161,19 @@ pub fn parse_args(args: &[String]) -> Result<Cli, Error> {
             }
             "--compare" => compare = true,
             "--shuffle-gb" => {
-                let n: u64 = parse_num(value("--shuffle-gb")?)?;
-                config.volume = ShuffleVolume::TotalBytes(ByteSize::from_gib(n));
+                let n = parse_num(value("--shuffle-gb")?)?;
+                config.volume = total_bytes("--shuffle-gb", n, ByteSize::from_gib(1))?;
             }
             "--shuffle-mb" => {
-                let n: u64 = parse_num(value("--shuffle-mb")?)?;
-                config.volume = ShuffleVolume::TotalBytes(ByteSize::from_mib(n));
+                let n = parse_num(value("--shuffle-mb")?)?;
+                config.volume = total_bytes("--shuffle-mb", n, ByteSize::from_mib(1))?;
             }
             "--pairs" => config.volume = ShuffleVolume::PairsPerMap(parse_num(value("--pairs")?)?),
             "--key-size" => config.key_size = parse_num(value("--key-size")?)? as usize,
             "--value-size" => config.value_size = parse_num(value("--value-size")?)? as usize,
             "--data-type" => config.data_type = value("--data-type")?.parse()?,
-            "--maps" => config.num_maps = parse_num(value("--maps")?)? as u32,
-            "--reduces" => config.num_reduces = parse_num(value("--reduces")?)? as u32,
+            "--maps" => config.num_maps = parse_u32("--maps", value("--maps")?)?,
+            "--reduces" => config.num_reduces = parse_u32("--reduces", value("--reduces")?)?,
             "--slaves" => config.slaves = parse_num(value("--slaves")?)? as usize,
             "--racks" => config.racks = parse_num(value("--racks")?)? as usize,
             "--oversubscription" => {
@@ -239,7 +239,9 @@ pub fn parse_args(args: &[String]) -> Result<Cli, Error> {
                 .faults
                 .node_slowdowns
                 .push(parse_slowdown(value("--slowdown")?)?),
-            "--max-attempts" => config.max_attempts = parse_num(value("--max-attempts")?)? as u32,
+            "--max-attempts" => {
+                config.max_attempts = parse_u32("--max-attempts", value("--max-attempts")?)?
+            }
             "--speculative" => config.speculative = true,
             "--timeline" => timeline = true,
             "-h" | "--help" => return Err(Error::Help(USAGE.to_string())),
@@ -261,6 +263,18 @@ fn parse_num(s: &str) -> Result<u64, String> {
     s.replace('_', "")
         .parse::<u64>()
         .map_err(|e| format!("bad number '{s}': {e}"))
+}
+
+fn parse_u32(flag: &str, s: &str) -> Result<u32, String> {
+    u32::try_from(parse_num(s)?).map_err(|_| format!("{flag} {s} exceeds {}", u32::MAX))
+}
+
+/// `n` units of `unit` as a total shuffle volume; a config error (exit 3)
+/// when the byte count overflows `u64`.
+fn total_bytes(flag: &str, n: u64, unit: ByteSize) -> Result<ShuffleVolume, Error> {
+    n.checked_mul(unit.as_bytes())
+        .map(|b| ShuffleVolume::TotalBytes(ByteSize::from_bytes(b)))
+        .ok_or_else(|| Error::config(format!("{flag} {n} overflows a 64-bit byte count")))
 }
 
 fn parse_prob(s: &str) -> Result<f64, String> {
@@ -400,6 +414,10 @@ mod tests {
             &["--monitor-interval", "often"],
             &["--backend", "quantum"],
             &["--backend"],
+            // Task counts are u32: a wider value is refused, not truncated.
+            &["--maps", "4294967297"],
+            &["--reduces", "4294967296"],
+            &["--max-attempts", "4294967297"],
         ] {
             match parse(bad) {
                 Err(Error::Usage(msg)) => assert!(!msg.is_empty(), "{bad:?}"),
@@ -411,6 +429,29 @@ mod tests {
         assert!(matches!(err, Error::Help(_)), "{err:?}");
         assert_eq!(err.exit_code(), 0);
         assert_eq!(parse(&["--maps"]).unwrap_err().exit_code(), 2);
+    }
+
+    #[test]
+    fn shuffle_volume_past_u64_bytes_is_a_config_error() {
+        for bad in [
+            &["--shuffle-gb", "17179869184"][..],
+            &["--shuffle-mb", "17592186044416"],
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(matches!(err, Error::Config(_)), "{bad:?}: {err:?}");
+            assert_eq!(err.exit_code(), 3);
+        }
+        // The largest volumes that fit are taken exactly.
+        let cli = parse(&["--shuffle-gb", "17179869183"]).unwrap();
+        assert_eq!(
+            cli.config.volume,
+            ShuffleVolume::TotalBytes(ByteSize::from_bytes(u64::MAX - (1 << 30) + 1))
+        );
+        let cli = parse(&["--shuffle-mb", "17592186044415"]).unwrap();
+        assert_eq!(
+            cli.config.volume,
+            ShuffleVolume::TotalBytes(ByteSize::from_bytes(u64::MAX - (1 << 20) + 1))
+        );
     }
 
     #[test]

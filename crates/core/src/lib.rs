@@ -35,7 +35,6 @@
 //! ```
 
 pub mod artifact;
-pub mod backend;
 pub mod bench;
 pub mod calib;
 pub mod cli;
@@ -49,7 +48,6 @@ pub mod store;
 pub mod sweep;
 
 pub use artifact::{ArtifactPaths, Artifacts, Panel};
-pub use backend::{backend_for, Backend};
 pub use bench::MicroBenchmark;
 pub use config::{BackendKind, BenchConfig, ShuffleVolume};
 pub use error::Error;

@@ -37,7 +37,7 @@
 //!   results* — the store trades a few duplicate cells for never serving
 //!   a stale one.
 //! * **Every semantic knob must reach the JSON.** Anything that can
-//!   change a result — including which [`crate::backend::Backend`]
+//!   change a result — including which backend ([`crate::runner`])
 //!   produced it — must appear in the encoding the moment it departs
 //!   from the default, so DES and analytic results for the same workload
 //!   live under distinct keys and can never shadow each other

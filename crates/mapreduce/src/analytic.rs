@@ -43,7 +43,7 @@ use crate::task::phase;
 /// Everything the closed-form evaluation needs. The reduce fractions are
 /// supplied by the caller because the benchmark definitions (MR-AVG /
 /// MR-RAND / MR-SKEW / MR-ZIPF) live above this crate; see
-/// `mrbench::backend::expected_reduce_fractions`.
+/// `mrbench::runner::expected_reduce_fractions`.
 #[derive(Debug)]
 pub struct AnalyticJob<'a> {
     /// Workload description (task counts, record geometry, conf).

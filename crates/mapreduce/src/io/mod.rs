@@ -1,6 +1,5 @@
 //! Hadoop I/O layer: `Writable` types, varints, and data-type selection.
 
-pub mod comparator;
 pub mod datatype;
 pub mod vint;
 pub mod writable;

@@ -8,8 +8,6 @@
 //! * [`ifile`] — the intermediate file format (vint framing, EOF marker,
 //!   CRC-32) whose byte counts drive all simulated I/O and network volume.
 //! * [`conf`] — `JobConf` with the `mapred-site.xml` knobs that matter.
-//! * [`formats`] — `NullInputFormat` / `NullOutputFormat` for stand-alone
-//!   operation.
 //! * [`partition`] — the `Partitioner` contract and `HashPartitioner`.
 //! * [`costs`] — the calibrated CPU cost model.
 //! * `task` (internal) — map and reduce task state machines
@@ -24,6 +22,11 @@
 //! * [`analytic`] — the closed-form (Herodotou-style) cost-model backend:
 //!   the same [`job::JobResult`] in O(maps + reduces) arithmetic instead
 //!   of an event-by-event replay; start at [`analytic::evaluate`].
+//!
+//! Stand-alone operation needs no input or output format types: each map
+//! synthesizes its pairs in memory (the paper's `NullInputFormat`), and a
+//! [`job::JobSpec::output_write_amplification`] of 0 discards reduce
+//! output (its `NullOutputFormat`).
 
 pub mod analytic;
 pub mod conf;
@@ -31,7 +34,6 @@ pub mod costs;
 pub mod counters;
 pub mod engine;
 pub mod faults;
-pub mod formats;
 pub mod ifile;
 pub mod io;
 pub mod job;

@@ -7,46 +7,17 @@
 //!
 //! ## Hot-path design
 //!
-//! The queue is allocation-free in steady state: handles are slots in a
-//! reusable slab (generation-tagged so a recycled slot cannot alias an
-//! old handle), cancellation is O(1) lazy deletion (the heap entry stays
-//! behind as a tombstone and is skipped on pop), and tombstones are
-//! compacted in bulk whenever they outnumber live entries — so the heap
-//! never grows past twice the live event count, no matter how
-//! cancellation-heavy the workload is.
+//! The queue is allocation-free in steady state: a binary heap of
+//! `(time, seq, payload)` entries whose storage is reused across pops.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Opaque handle identifying a scheduled event, usable for cancellation.
-///
-/// Handles are only meaningful for the queue that issued them; passing a
-/// handle to a different queue returns an arbitrary (but non-panicking)
-/// result.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn new(slot: u32, generation: u32) -> Self {
-        EventId(u64::from(generation) << 32 | u64::from(slot))
-    }
-
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
 struct Entry<E> {
     time: SimTime,
     seq: u64,
-    slot: u32,
-    generation: u32,
     payload: E,
 }
 
@@ -72,25 +43,11 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Compact only when tombstones outnumber live entries *and* the heap is
-/// big enough for the O(n) rebuild to pay for itself.
-const COMPACT_MIN_DEAD: usize = 64;
-
 /// A time-ordered queue of simulation events carrying payloads of type `E`.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     /// FIFO tie-break counter for same-timestamp events.
     next_seq: u64,
-    /// Per-slot generation. Odd = an event is scheduled in this slot;
-    /// even = free. Bumped on every transition, so a stale [`EventId`]
-    /// (fired or cancelled) never matches again.
-    slab: Vec<u32>,
-    /// Free slots available for reuse (LIFO, deterministic).
-    free: Vec<u32>,
-    /// Scheduled, uncancelled events.
-    live: usize,
-    /// Cancelled entries still sitting in the heap as tombstones.
-    dead: usize,
     /// Timestamp of the last popped event; pops must never go backwards.
     #[cfg(any(test, feature = "invariants"))]
     last_popped: Option<SimTime>,
@@ -99,8 +56,7 @@ pub struct EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.live)
-            .field("dead", &self.dead)
+            .field("len", &self.heap.len())
             .field("next_seq", &self.next_seq)
             .finish_non_exhaustive()
     }
@@ -118,113 +74,45 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// An empty queue with room for `cap` events before the heap or the
-    /// slab reallocate.
+    /// An empty queue with room for `cap` events before the heap
+    /// reallocates.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
-            slab: Vec::with_capacity(cap),
-            free: Vec::new(),
-            live: 0,
-            dead: 0,
             #[cfg(any(test, feature = "invariants"))]
             last_popped: None,
         }
     }
 
-    /// Schedule `payload` to fire at `time`. Returns a handle that can be
-    /// passed to [`EventQueue::cancel`].
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
+    /// Schedule `payload` to fire at `time`.
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                let s = self.slab.len() as u32;
-                self.slab.push(0);
-                s
-            }
-        };
-        // Free slots hold an even generation; bump to odd = scheduled.
-        let generation = self.slab[slot as usize].wrapping_add(1);
-        debug_assert!(generation % 2 == 1, "free slot had an odd generation");
-        self.slab[slot as usize] = generation;
-        self.heap.push(Entry {
-            time,
-            seq,
-            slot,
-            generation,
-            payload,
-        });
-        self.live += 1;
-        EventId::new(slot, generation)
+        self.heap.push(Entry { time, seq, payload });
     }
 
-    /// True if `id` is still scheduled (not fired, not cancelled).
-    fn is_pending(&self, id: EventId) -> bool {
-        self.slab
-            .get(id.slot() as usize)
-            .is_some_and(|&g| g == id.generation())
-    }
-
-    /// Release `id`'s slot for reuse, marking the handle stale.
-    fn retire(&mut self, id: EventId) {
-        self.slab[id.slot() as usize] = id.generation().wrapping_add(1);
-        self.free.push(id.slot());
-    }
-
-    /// Cancel a previously scheduled event. Returns `true` only when the
-    /// event was still pending; cancelling an already-fired or
-    /// already-cancelled event is a true no-op and returns `false`
-    /// (`len()` is unaffected and no bookkeeping is left behind).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.is_pending(id) {
-            return false;
-        }
-        self.retire(id);
-        self.live -= 1;
-        self.dead += 1;
-        // The heap entry remains as a tombstone; keep tombstones from
-        // ever dominating (bounded at half the heap).
-        if self.dead >= COMPACT_MIN_DEAD && self.dead * 2 > self.heap.len() {
-            self.compact();
-        }
-        true
-    }
-
-    /// Drop every tombstone from the heap in one O(n) rebuild.
-    fn compact(&mut self) {
-        let slab = &self.slab;
-        self.heap.retain(|e| slab[e.slot as usize] == e.generation);
-        self.dead = 0;
-    }
-
-    /// The timestamp of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_cancelled();
+    /// The timestamp of the next event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// Pop the next live event.
+    /// Pop the next event.
     ///
     /// With the `invariants` feature (always on under `cfg(test)`), pops
     /// are checked for time monotonicity: a pop earlier than the previous
     /// one means the heap ordering was corrupted (e.g. by a poisoned
-    /// timestamp) and panics with the offending event id.
+    /// timestamp) and panics with the offending event's sequence number.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.skip_cancelled();
         self.heap.pop().map(|e| {
-            self.retire(EventId::new(e.slot, e.generation));
-            self.live -= 1;
             #[cfg(any(test, feature = "invariants"))]
             {
                 if let Some(last) = self.last_popped {
                     assert!(
                         e.time >= last,
-                        "invariant violated: event {:?} pops at {:?}, before the previous \
+                        "invariant violated: event #{} pops at {:?}, before the previous \
                          pop at {last:?} — event-time ordering is corrupted",
-                        EventId::new(e.slot, e.generation),
+                        e.seq,
                         e.time,
                     );
                 }
@@ -234,30 +122,14 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Number of live (scheduled, uncancelled) events.
+    /// Number of scheduled events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
-    /// True if no live events remain.
+    /// True if no events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Tombstoned entries currently occupying heap space (bounded at half
-    /// the heap by compaction; exposed for tests and diagnostics).
-    pub fn tombstones(&self) -> usize {
-        self.dead
-    }
-
-    fn skip_cancelled(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.slab[top.slot as usize] == top.generation {
-                break;
-            }
-            self.heap.pop();
-            self.dead -= 1;
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -384,92 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(2), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(t(2)));
-        assert_eq!(q.pop(), Some((t(2), "b")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_mid_heap() {
-        let mut q = EventQueue::new();
-        q.schedule(t(1), 1);
-        let b = q.schedule(t(2), 2);
-        q.schedule(t(3), 3);
-        q.cancel(b);
-        assert_eq!(q.pop(), Some((t(1), 1)));
-        assert_eq!(q.pop(), Some((t(3), 3)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancel_after_fire_is_a_true_noop() {
-        // Regression: cancelling an id whose event already popped must
-        // return false, leave len() intact, and leave no tombstone that
-        // could swallow a later event.
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(2), "b");
-        assert_eq!(q.pop(), Some((t(1), "a")));
-        assert_eq!(q.len(), 1);
-        assert!(!q.cancel(a), "cancel after fire must return false");
-        assert_eq!(q.len(), 1, "cancel after fire must not change len()");
-        assert!(!q.is_empty());
-        assert_eq!(q.tombstones(), 0, "no tombstone may be left behind");
-        // A drain loop keyed on is_empty() still sees the pending event.
-        assert_eq!(q.pop(), Some((t(2), "b")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn recycled_slot_does_not_alias_old_handle() {
-        // The slot of a fired event is reused by the next schedule; the
-        // stale handle must not cancel the new occupant.
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        assert_eq!(q.pop(), Some((t(1), "a")));
-        let b = q.schedule(t(2), "b"); // reuses a's slot
-        assert!(!q.cancel(a), "stale handle must not hit the new event");
-        assert_eq!(q.len(), 1);
-        assert!(q.cancel(b));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn tombstones_stay_bounded_under_heavy_cancellation() {
-        let mut q = EventQueue::new();
-        let mut ids = Vec::new();
-        for i in 0..10_000u64 {
-            ids.push(q.schedule(t(i), i));
-        }
-        // Cancel 90% — compaction must keep dead entries at no more than
-        // half the heap (plus the pre-threshold allowance).
-        for (i, id) in ids.iter().enumerate() {
-            if i % 10 != 0 {
-                q.cancel(*id);
-            }
-        }
-        assert_eq!(q.len(), 1_000);
-        assert!(
-            q.tombstones() <= q.len().max(COMPACT_MIN_DEAD),
-            "tombstones {} must stay bounded by live {}",
-            q.tombstones(),
-            q.len()
-        );
-        let mut popped = 0;
-        while q.pop().is_some() {
-            popped += 1;
-        }
-        assert_eq!(popped, 1_000);
-    }
-
-    #[test]
     fn peek_does_not_consume() {
         let mut q = EventQueue::new();
         q.schedule(t(4), ());
@@ -511,91 +297,47 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    #[test]
-    fn cancellation_heavy_workload_is_deterministic() {
-        // A workload that cancels half its events (exercising lazy
-        // deletion on every peek/pop) must replay identically.
-        let run = || {
-            let mut q = EventQueue::new();
-            let mut ids = Vec::new();
-            for i in 0..200u64 {
-                ids.push(q.schedule(t(i % 7), i));
-            }
-            for id in ids.iter().step_by(2) {
-                q.cancel(*id);
-            }
-            let mut order = Vec::new();
-            while let Some((time, v)) = q.pop() {
-                order.push((time, v));
-            }
-            order
-        };
-        let a = run();
-        assert_eq!(a, run());
-        assert_eq!(a.len(), 100);
-        assert!(a.iter().all(|(_, v)| v % 2 == 1));
-    }
-
-    /// Randomized model check: a long seeded schedule/cancel/pop mix must
+    /// Randomized model check: a long seeded schedule/pop mix must
     /// behave exactly like a naive sorted-Vec queue, including FIFO order
-    /// among equal times, cancel return values, and cancel-after-fire
-    /// being a no-op. Exercises slot reuse, generation checks, and
-    /// tombstone compaction under irregular churn.
+    /// among equal times.
     #[test]
     fn randomized_ops_match_sorted_vec_model() {
         let mut rng = crate::rng::SplitMix64::new(0xeeee_0007);
         let mut q = EventQueue::with_capacity(8);
-        // Model: (time, seq, value, id); pop takes min (time, seq).
-        let mut model: Vec<(SimTime, u64, u64, EventId)> = Vec::new();
+        // Model: (time, seq, value); pop takes min (time, seq).
+        let mut model: Vec<(SimTime, u64, u64)> = Vec::new();
         let mut seq = 0u64;
-        let mut fired: Vec<EventId> = Vec::new();
         // Schedule relative to the last popped time, as a simulation
         // does — the queue asserts pops never run backwards.
         let mut now = 0u64;
         for step in 0..5_000u64 {
-            match rng.next_below(10) {
-                // Schedule (weight 5): scattered times with many ties.
-                0..=4 => {
-                    let time = SimTime::from_nanos(now + rng.next_below(50));
-                    let id = q.schedule(time, step);
-                    model.push((time, seq, step, id));
-                    seq += 1;
-                }
-                // Cancel a random live event (weight 2).
-                5 | 6 if !model.is_empty() => {
-                    let at = rng.next_below(model.len() as u64) as usize;
-                    let (_, _, _, id) = model.swap_remove(at);
-                    assert!(q.cancel(id), "live cancel must return true");
-                }
-                // Cancel something already fired or cancelled (weight 1).
-                7 if !fired.is_empty() => {
-                    let at = rng.next_below(fired.len() as u64) as usize;
-                    assert!(!q.cancel(fired[at]), "stale cancel must be a no-op");
-                }
-                // Pop (weight 2).
-                _ => {
-                    let want = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &(t, s, _, _))| (t, s))
-                        .map(|(i, _)| i);
-                    match want {
-                        Some(i) => {
-                            let (time, _, value, id) = model.swap_remove(i);
-                            assert_eq!(q.pop(), Some((time, value)));
-                            fired.push(id);
-                            now = time.as_nanos();
-                        }
-                        None => assert_eq!(q.pop(), None),
+            if rng.next_below(10) < 6 {
+                // Schedule: scattered times with many ties.
+                let time = SimTime::from_nanos(now + rng.next_below(50));
+                q.schedule(time, step);
+                model.push((time, seq, step));
+                seq += 1;
+            } else {
+                let want = model
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, &(t, s, _))| (t, s))
+                    .map(|(i, _)| i);
+                match want {
+                    Some(i) => {
+                        let (time, _, value) = model.swap_remove(i);
+                        assert_eq!(q.peek_time(), Some(time));
+                        assert_eq!(q.pop(), Some((time, value)));
+                        now = time.as_nanos();
                     }
+                    None => assert_eq!(q.pop(), None),
                 }
             }
             assert_eq!(q.len(), model.len(), "length diverged at step {step}");
         }
         // Drain: the full remaining order must match the model.
-        let mut rest: Vec<(SimTime, u64, u64, EventId)> = std::mem::take(&mut model);
-        rest.sort_by_key(|&(t, s, _, _)| (t, s));
-        for (time, _, value, _) in rest {
+        model.sort_by_key(|&(t, s, _)| (t, s));
+        for (time, _, value) in model {
             assert_eq!(q.pop(), Some((time, value)));
         }
         assert_eq!(q.pop(), None);

@@ -3,14 +3,13 @@
 //! The foundation of the `hadoop-mr-microbench` simulator stack:
 //!
 //! * [`time`] — nanosecond-resolution simulated clock types.
-//! * [`event`] — a deterministic, cancellable event queue with FIFO
-//!   tie-breaking.
+//! * [`event`] — a deterministic event queue with FIFO tie-breaking.
 //! * [`rng`] — reproducible random streams, including a bit-exact port of
 //!   `java.util.Random` (the paper's MR-RAND partitioner depends on its
 //!   semantics).
 //! * [`units`] — byte sizes and data rates with Hadoop's unit conventions.
-//! * [`stats`] — online statistics, histograms, time series, and rate
-//!   integration for resource-utilization reporting.
+//! * [`stats`] — time series and rate integration for
+//!   resource-utilization reporting.
 //! * [`json`] — a dependency-free JSON value model backing the
 //!   machine-readable benchmark artifacts.
 //! * [`order`] — total ordering for floats (`f64::total_cmp` wrappers),
@@ -31,11 +30,11 @@ pub mod time;
 pub mod trace;
 pub mod units;
 
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use json::Json;
 pub use order::{total_sort, TotalF64};
 pub use rng::{JavaRandom, SeedFactory, SplitMix64, Xoshiro256pp};
-pub use stats::{Histogram, OnlineStats, RateIntegrator, Sample, TimeSeries};
+pub use stats::{RateIntegrator, Sample, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Mark, PhaseAgg, PhaseBreakdown, Span, Trace};
 pub use units::{ByteSize, Rate, GIB, KIB, MIB};

@@ -59,12 +59,6 @@ impl SimTime {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// Milliseconds since the epoch, as a float.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MILLI as f64
-    }
-
     /// Time elapsed since `earlier`. Panics in debug builds if `earlier`
     /// is in the future.
     #[inline]
@@ -128,12 +122,6 @@ impl SimDuration {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// Milliseconds as a float.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MILLI as f64
-    }
-
     /// True if the span is zero.
     #[inline]
     pub const fn is_zero(self) -> bool {
@@ -144,12 +132,6 @@ impl SimDuration {
     #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiply by an integer factor, saturating.
-    #[inline]
-    pub fn saturating_mul(self, factor: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(factor))
     }
 }
 

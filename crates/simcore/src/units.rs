@@ -80,12 +80,6 @@ impl ByteSize {
     pub fn saturating_sub(self, other: ByteSize) -> ByteSize {
         ByteSize(self.0.saturating_sub(other.0))
     }
-
-    /// The time needed to move this many bytes at `rate`.
-    #[inline]
-    pub fn time_at(self, rate: Rate) -> SimDuration {
-        rate.time_for(self)
-    }
 }
 
 impl Add for ByteSize {

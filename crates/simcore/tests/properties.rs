@@ -30,33 +30,6 @@ fn event_queue_total_order() {
     }
 }
 
-/// Cancelling an arbitrary subset removes exactly that subset.
-#[test]
-fn event_queue_cancellation() {
-    for case in 0..64u64 {
-        let mut rng = SplitMix64::new(0xCA2CE1 + case);
-        let n = 1 + rng.next_below(100) as usize;
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..n)
-            .map(|i| q.schedule(SimTime::from_nanos(i as u64 % 7), i))
-            .collect();
-        let mut kept = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if rng.next_below(2) == 0 {
-                q.cancel(*id);
-            } else {
-                kept.push(i);
-            }
-        }
-        let mut popped: Vec<usize> = Vec::new();
-        while let Some((_, v)) = q.pop() {
-            popped.push(v);
-        }
-        popped.sort_unstable();
-        assert_eq!(popped, kept);
-    }
-}
-
 /// java.util.Random nextInt(bound) stays in range for any positive bound.
 #[test]
 fn java_random_bound_always_in_range() {

@@ -297,11 +297,6 @@ pub fn workspace_report(root: &Path) -> std::io::Result<LintReport> {
     Ok(lint_sources(&sources))
 }
 
-/// Lint the whole workspace rooted at `root` (diagnostics only).
-pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diag>> {
-    Ok(workspace_report(root)?.diags)
-}
-
 /// Render a full lint report as JSON: schema marker, rule inventory,
 /// diagnostics, and the allow inventory. Every array is pre-sorted, so
 /// two runs over the same tree are bit-identical.
@@ -342,28 +337,6 @@ pub fn report_to_json(report: &LintReport) -> String {
         "diagnostics": diag_items,
         "allow_count": report.allows.len(),
         "allows": allow_items,
-    };
-    doc.to_pretty()
-}
-
-/// Render diagnostics as JSON (an object with a `diagnostics` array and
-/// a `count`), via the workspace's own zero-dependency JSON layer.
-pub fn diags_to_json(diags: &[Diag]) -> String {
-    use simcore::json::Json;
-    let items: Vec<Json> = diags
-        .iter()
-        .map(|d| {
-            simcore::jobj! {
-                "file": d.file.clone(),
-                "line": u64::from(d.line),
-                "rule": d.rule,
-                "message": d.message.clone(),
-            }
-        })
-        .collect();
-    let doc = simcore::jobj! {
-        "count": diags.len(),
-        "diagnostics": items,
     };
     doc.to_pretty()
 }
@@ -528,7 +501,10 @@ impl Engine { pub fn step(&mut self) { helpers::tick(); } }
             rule: "no-wall-clock",
             message: "msg".into(),
         }];
-        let json = diags_to_json(&diags);
+        let json = report_to_json(&LintReport {
+            diags,
+            allows: Vec::new(),
+        });
         let doc = simcore::json::Json::parse(&json).expect("valid json");
         assert_eq!(doc.field_u64("count"), Ok(1));
         let arr = doc.field_arr("diagnostics").expect("array");

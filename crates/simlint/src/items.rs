@@ -10,11 +10,12 @@
 //! [`crate::analysis`] matches against the workspace's own definitions
 //! with documented over-approximation.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{ident_at, text_at, Tok, TokKind};
+use crate::rules::{wall_clock_sink, ENTROPY_SINKS, UNORDERED_SINKS};
 
 /// A determinism sink inside a function body: a token pattern that the
-/// leaf rules forbid, rediscovered here so the call-graph pass can
-/// report *reaching* one transitively.
+/// leaf rules forbid, matched with their own patterns (`crate::rules`) so
+/// the call-graph pass can report *reaching* one transitively.
 #[derive(Clone, Debug)]
 pub struct Sink {
     /// 1-based line of the sink.
@@ -68,48 +69,11 @@ pub struct FileItems {
     pub aliases: Vec<(String, String)>,
 }
 
-/// Wall-clock sink tokens (mirrors the `no-wall-clock` leaf rule).
-fn wall_clock_sink(toks: &[Tok], i: usize) -> Option<String> {
-    let id = ident_at(toks, i)?;
-    if (id == "Instant" || id == "SystemTime")
-        && text_at(toks, i + 1) == Some("::")
-        && ident_at(toks, i + 2) == Some("now")
-    {
-        return Some(format!("{id}::now"));
-    }
-    if id == "std" && text_at(toks, i + 1) == Some("::") && ident_at(toks, i + 2) == Some("time") {
-        return Some("std::time".into());
-    }
-    None
-}
-
-/// OS-entropy sink tokens (mirrors `no-os-entropy`).
-const ENTROPY_SINKS: &[&str] = &[
-    "thread_rng",
-    "from_entropy",
-    "RandomState",
-    "OsRng",
-    "getrandom",
-];
-
-/// Unordered-iteration sink tokens (mirrors `no-unordered-iter`).
-const UNORDERED_SINKS: &[&str] = &["HashMap", "HashSet"];
-
 /// Keywords that can directly precede `(` without being a call.
 const NON_CALL_KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "in", "fn", "move", "else", "unsafe", "as",
     "let", "mut", "ref", "pub", "where", "impl", "dyn", "use",
 ];
-
-fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
-    toks.get(i)
-        .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.as_str())
-}
-
-fn text_at(toks: &[Tok], i: usize) -> Option<&str> {
-    toks.get(i).map(|t| t.text.as_str())
-}
 
 /// What an opening brace is about to open.
 #[derive(Clone, Debug)]
@@ -303,7 +267,7 @@ fn record_call_or_sink(toks: &[Tok], i: usize, out: &mut FileItems, fn_idx: usiz
     if let Some(what) = wall_clock_sink(toks, i) {
         out.fns[fn_idx].sinks.push(Sink {
             line: t.line,
-            what,
+            what: what.to_string(),
             kind: "wall clock",
         });
     } else if ENTROPY_SINKS.contains(&id) {

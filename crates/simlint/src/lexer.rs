@@ -44,6 +44,18 @@ pub struct Comment {
     pub text: String,
 }
 
+/// The identifier at token index `i`, if that token is one.
+pub(crate) fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
+    toks.get(i)
+        .filter(|t| t.kind == TokKind::Ident)
+        .map(|t| t.text.as_str())
+}
+
+/// The text of the token at index `i`, if there is one.
+pub(crate) fn text_at(toks: &[Tok], i: usize) -> Option<&str> {
+    toks.get(i).map(|t| t.text.as_str())
+}
+
 /// Lex `src` into significant tokens plus the comment stream.
 pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
     let chars: Vec<char> = src.chars().collect();

@@ -9,7 +9,7 @@
 //! audit. The escape hatch *requires* a reason (see
 //! [`crate::driver::parse_allows`]).
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{ident_at, text_at, Tok, TokKind};
 
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,15 +115,35 @@ fn diag(out: &mut Vec<Diag>, file: &str, line: u32, rule: &'static str, message:
     });
 }
 
-fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
-    toks.get(i)
-        .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.as_str())
+// ---------------------------------------------------------------------
+// Sink patterns, shared by the leaf rules below and the call-graph
+// taint pass (`crate::items` records them per fn body).
+// ---------------------------------------------------------------------
+
+/// The wall-clock sink starting at token `i`, if any: `Instant::now`,
+/// `SystemTime::now`, or a `std::time` path.
+pub(crate) fn wall_clock_sink(toks: &[Tok], i: usize) -> Option<&'static str> {
+    let id = ident_at(toks, i)?;
+    let next = |name| text_at(toks, i + 1) == Some("::") && ident_at(toks, i + 2) == Some(name);
+    match id {
+        "Instant" if next("now") => Some("Instant::now"),
+        "SystemTime" if next("now") => Some("SystemTime::now"),
+        "std" if next("time") => Some("std::time"),
+        _ => None,
+    }
 }
 
-fn text_at(toks: &[Tok], i: usize) -> Option<&str> {
-    toks.get(i).map(|t| t.text.as_str())
-}
+/// Identifiers that draw OS entropy.
+pub(crate) const ENTROPY_SINKS: &[&str] = &[
+    "thread_rng",
+    "from_entropy",
+    "RandomState",
+    "OsRng",
+    "getrandom",
+];
+
+/// Identifiers of std's iteration-order-dependent hash collections.
+pub(crate) const UNORDERED_SINKS: &[&str] = &["HashMap", "HashSet"];
 
 /// `no-wall-clock`: `Instant::now`, `SystemTime::now`, and any `std::time`
 /// path. The simulator must read [`SimTime`](simcore::time::SimTime)
@@ -131,33 +151,14 @@ fn text_at(toks: &[Tok], i: usize) -> Option<&str> {
 /// time-dependent branches.
 fn no_wall_clock(file: &str, toks: &[Tok], out: &mut Vec<Diag>) {
     for i in 0..toks.len() {
-        let Some(id) = ident_at(toks, i) else {
-            continue;
+        let message = match wall_clock_sink(toks, i) {
+            None => continue,
+            Some("std::time") => {
+                "std::time is wall-clock machinery; simulated code must use simcore::time".into()
+            }
+            Some(what) => format!("{what}() reads the wall clock; simulated code must use SimTime"),
         };
-        if (id == "Instant" || id == "SystemTime")
-            && text_at(toks, i + 1) == Some("::")
-            && ident_at(toks, i + 2) == Some("now")
-        {
-            diag(
-                out,
-                file,
-                toks[i].line,
-                NO_WALL_CLOCK,
-                format!("{id}::now() reads the wall clock; simulated code must use SimTime"),
-            );
-        }
-        if id == "std"
-            && text_at(toks, i + 1) == Some("::")
-            && ident_at(toks, i + 2) == Some("time")
-        {
-            diag(
-                out,
-                file,
-                toks[i].line,
-                NO_WALL_CLOCK,
-                "std::time is wall-clock machinery; simulated code must use simcore::time".into(),
-            );
-        }
+        diag(out, file, toks[i].line, NO_WALL_CLOCK, message);
     }
 }
 
@@ -168,7 +169,7 @@ fn no_wall_clock(file: &str, toks: &[Tok], out: &mut Vec<Diag>) {
 /// is safe) — justify such uses with an allow directive.
 fn no_unordered_iter(file: &str, toks: &[Tok], out: &mut Vec<Diag>) {
     for t in toks {
-        if t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
+        if t.kind == TokKind::Ident && UNORDERED_SINKS.contains(&t.text.as_str()) {
             diag(
                 out,
                 file,
@@ -189,15 +190,8 @@ fn no_unordered_iter(file: &str, toks: &[Tok], out: &mut Vec<Diag>) {
 /// [`SeedFactory`](simcore::rng::SeedFactory) plan so a config+seed pair
 /// replays bit-identically.
 fn no_os_entropy(file: &str, toks: &[Tok], out: &mut Vec<Diag>) {
-    const BANNED: &[&str] = &[
-        "thread_rng",
-        "from_entropy",
-        "RandomState",
-        "OsRng",
-        "getrandom",
-    ];
     for t in toks {
-        if t.kind == TokKind::Ident && BANNED.contains(&t.text.as_str()) {
+        if t.kind == TokKind::Ident && ENTROPY_SINKS.contains(&t.text.as_str()) {
             diag(
                 out,
                 file,

@@ -402,21 +402,12 @@ impl FairshareSolver {
         &self.changed
     }
 
-    /// Sum of solved rates leaving `node`, added in arrival order — the
+    /// Sum of solved rates entering `node`, added in arrival order — the
     /// same order (and therefore the same bits) as summing over an
     /// id-ordered flow list.
-    pub fn egress_rate_sum(&self, node: usize) -> f64 {
-        self.resource_rate_sum(node)
-    }
-
-    /// Sum of solved rates entering `node`, in arrival order.
     pub fn ingress_rate_sum(&self, node: usize) -> f64 {
-        self.resource_rate_sum(self.n_nodes + node)
-    }
-
-    fn resource_rate_sum(&self, r: usize) -> f64 {
         let mut sum = 0.0f64;
-        for &s in &self.res_flows[r] {
+        for &s in &self.res_flows[self.n_nodes + node] {
             sum += self.rates_bps[s as usize];
         }
         sum

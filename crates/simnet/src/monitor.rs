@@ -10,13 +10,12 @@ use simcore::time::{SimDuration, SimTime};
 use crate::network::Network;
 use crate::topology::NodeId;
 
-/// Samples per-node receive/transmit throughput at a fixed interval.
+/// Samples per-node receive throughput at a fixed interval.
 #[derive(Debug)]
 pub struct NetworkMonitor {
     interval: SimDuration,
     next_sample: SimTime,
     rx: Vec<TimeSeries>,
-    tx: Vec<TimeSeries>,
 }
 
 impl NetworkMonitor {
@@ -27,7 +26,6 @@ impl NetworkMonitor {
             interval,
             next_sample: SimTime::ZERO + interval,
             rx: (0..n_nodes).map(|_| TimeSeries::new()).collect(),
-            tx: (0..n_nodes).map(|_| TimeSeries::new()).collect(),
         }
     }
 
@@ -44,9 +42,7 @@ impl NetworkMonitor {
             let dt = self.interval.as_secs_f64();
             for node in 0..self.rx.len() {
                 let rx_bytes = network.drain_rx_bytes(NodeId(node), at);
-                let tx_bytes = network.drain_tx_bytes(NodeId(node), at);
                 self.rx[node].push(at, rx_bytes / dt / 1e6);
-                self.tx[node].push(at, tx_bytes / dt / 1e6);
             }
             self.next_sample += self.interval;
         }
@@ -69,9 +65,7 @@ impl NetworkMonitor {
         let dt = end.since(window_start).as_secs_f64();
         for node in 0..self.rx.len() {
             let rx_bytes = network.drain_rx_bytes(NodeId(node), end);
-            let tx_bytes = network.drain_tx_bytes(NodeId(node), end);
             self.rx[node].push(end, rx_bytes / dt / 1e6);
-            self.tx[node].push(end, tx_bytes / dt / 1e6);
         }
         // The flushed window is consumed; the next whole interval starts
         // at `end`.
@@ -81,11 +75,6 @@ impl NetworkMonitor {
     /// Receive throughput series (MB/s) for `node`.
     pub fn rx_series(&self, node: NodeId) -> &TimeSeries {
         &self.rx[node.0]
-    }
-
-    /// Transmit throughput series (MB/s) for `node`.
-    pub fn tx_series(&self, node: NodeId) -> &TimeSeries {
-        &self.tx[node.0]
     }
 }
 
@@ -128,9 +117,6 @@ mod tests {
         assert!(series.len() >= 5);
         let peak = series.peak().unwrap();
         assert!((peak - 112.0).abs() < 2.0, "peak {peak}");
-        // Sender saw the same bytes leave.
-        let tx_peak = mon.tx_series(NodeId(0)).peak().unwrap();
-        assert!((tx_peak - 112.0).abs() < 2.0);
         // Node 0 received nothing.
         assert!(mon.rx_series(NodeId(0)).peak().unwrap() < 1.0);
     }
@@ -190,9 +176,6 @@ mod tests {
         assert!((after - sent).abs() / sent < 1e-9, "{after} vs {sent}");
         let last = *mon.rx_series(NodeId(1)).samples().last().unwrap();
         assert_eq!(last.time, end);
-        // tx side accounts for the same bytes.
-        let tx_total = integrated_bytes(mon.tx_series(NodeId(0)));
-        assert!((tx_total - sent).abs() / sent < 1e-9);
         // Flushing again at the same instant adds nothing.
         mon.flush(end, &mut net);
         assert_eq!(mon.rx_series(NodeId(1)).len(), len_before + 1);

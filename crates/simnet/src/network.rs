@@ -23,8 +23,8 @@
 //! that holds exactly the active non-loopback flows; its arrival order is
 //! flow-id order, so it freezes flows in the same sequence — and produces
 //! the same bits — as running the batch solver over the id-ordered flow
-//! list on every event, the way the engine originally did. Per-node
-//! monitor rates are re-summed only for nodes touched by a rate change,
+//! list on every event, the way the engine originally did. Per-node receive
+//! rates are re-summed only for receivers touched by a rate change,
 //! again in id order, keeping the drained byte counts bit-identical too.
 
 use std::collections::VecDeque;
@@ -95,7 +95,6 @@ pub struct Network {
     solver: FairshareSolver,
     next_id: u64,
     clock: SimTime,
-    node_tx: Vec<RateIntegrator>,
     node_rx: Vec<RateIntegrator>,
     loopback: Rate,
     /// Total payload bytes fully delivered, in exact integer bytes.
@@ -141,7 +140,6 @@ impl Network {
             solver,
             next_id: 0,
             clock: SimTime::ZERO,
-            node_tx: (0..n).map(|_| RateIntegrator::new(SimTime::ZERO)).collect(),
             node_rx: (0..n).map(|_| RateIntegrator::new(SimTime::ZERO)).collect(),
             loopback: Rate::from_mb_per_sec(LOOPBACK_RATE_MB_S),
             delivered: 0,
@@ -358,9 +356,6 @@ impl Network {
                 }
             }
         }
-        for ri in &mut self.node_tx {
-            ri.advance(now);
-        }
         for ri in &mut self.node_rx {
             ri.advance(now);
         }
@@ -400,12 +395,10 @@ impl Network {
                 bytes: f.total,
                 tag: f.tag,
             });
-            let id = f.id;
-            let (src, dst) = (f.src, f.dst);
+            let (id, dst) = (f.id, f.dst);
             if let Some(key) = f.key.take() {
                 self.solver.remove_flow(key);
                 removed += 1;
-                self.mark_dirty(src);
                 self.mark_dirty(dst);
             }
             let slots = &self.slots;
@@ -427,20 +420,10 @@ impl Network {
         Rate::from_bytes_per_sec(self.node_rx[node.0].rate().max(0.0))
     }
 
-    /// Instantaneous transmit rate at `node`.
-    pub fn tx_rate(&self, node: NodeId) -> Rate {
-        Rate::from_bytes_per_sec(self.node_tx[node.0].rate().max(0.0))
-    }
-
     /// Bytes received by `node` since the last drain (advances the
     /// integrator to `now`). Used by 1 Hz resource monitors.
     pub fn drain_rx_bytes(&mut self, node: NodeId, now: SimTime) -> f64 {
         self.node_rx[node.0].drain(now)
-    }
-
-    /// Bytes transmitted by `node` since the last drain.
-    pub fn drain_tx_bytes(&mut self, node: NodeId, now: SimTime) -> f64 {
-        self.node_tx[node.0].drain(now)
     }
 
     fn integrate_to(&mut self, now: SimTime) {
@@ -454,9 +437,6 @@ impl Network {
                     self.remaining[s] = (self.remaining[s] - self.rate_bps[s] * dt).max(0.0);
                 }
             }
-        }
-        for ri in &mut self.node_tx {
-            ri.advance(now);
         }
         for ri in &mut self.node_rx {
             ri.advance(now);
@@ -477,10 +457,11 @@ impl Network {
         }
     }
 
-    /// Re-solve fair shares and refresh the monitors of affected nodes.
+    /// Re-solve fair shares and refresh the receive monitors of affected
+    /// nodes.
     ///
     /// Only flows whose rate actually changed are touched, and only their
-    /// endpoints' monitor sums are recomputed — each sum in flow-id order,
+    /// receivers' monitor sums are recomputed — each sum in flow-id order,
     /// so the arithmetic matches a full id-ordered recompute bit for bit.
     fn resolve_rates(&mut self) {
         self.solver.solve();
@@ -491,14 +472,12 @@ impl Network {
             let (user, rate) = self.solver.changed()[i];
             let s = user as usize;
             self.rate_bps[s] = rate;
-            let (src, dst) = (self.slots[s].src, self.slots[s].dst);
-            self.mark_dirty(src);
+            let dst = self.slots[s].dst;
             self.mark_dirty(dst);
         }
         let now = self.clock;
         for i in 0..self.dirty_nodes.len() {
             let node = self.dirty_nodes[i] as usize;
-            self.node_tx[node].set_rate(now, self.solver.egress_rate_sum(node));
             self.node_rx[node].set_rate(now, self.solver.ingress_rate_sum(node));
         }
     }
@@ -589,7 +568,7 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].tag, 1);
         // Rebalanced: remaining flow now runs at the full ceiling.
-        let r = n.tx_rate(NodeId(0)).as_mb_per_sec();
+        let r = n.rx_rate(NodeId(2)).as_mb_per_sec();
         assert!((r - 545.0).abs() < 1.0, "rate after rebalance: {r}");
         n.run_to_idle();
         assert_eq!(n.active_flows(), 0);
@@ -606,7 +585,7 @@ mod tests {
             0,
         );
         // NIC monitors see nothing.
-        assert_eq!(n.tx_rate(NodeId(0)).as_mb_per_sec(), 0.0);
+        assert_eq!(n.rx_rate(NodeId(0)).as_mb_per_sec(), 0.0);
         let done = n.run_to_idle();
         assert_eq!(done.len(), 1);
         let t = n.now().as_secs_f64();
