@@ -5,9 +5,9 @@
 //! These benches guard the wall-clock cost of the pieces every figure
 //! reproduction exercises thousands of times: the max-min fair-share
 //! solver, the processor-sharing CPU model, the deterministic RNGs, the
-//! partitioners' bulk assignment, the IFile codec, the JSON layer that
-//! writes artifacts and serves store fragments, and a full end-to-end
-//! job. Run with `cargo bench -p mrbench-bench`.
+//! partitioners' bulk assignment, the JSON layer that writes artifacts
+//! and serves store fragments, and a full end-to-end job. Run with
+//! `cargo bench -p mrbench-bench`.
 
 // The one place wall-clock time is legitimate: this harness measures
 // real execution, not simulated time.
@@ -18,8 +18,6 @@ use std::time::Instant;
 
 use cluster::CpuSim;
 use mapreduce::engine::synthetic_key;
-use mapreduce::ifile::{IFileReader, IFileWriter};
-use mapreduce::io::vint;
 use mapreduce::partition::Partitioner;
 use mrbench::partitioners::{AvgPartitioner, RandPartitioner, SkewPartitioner};
 use mrbench::store::FRAGMENT_SCHEMA;
@@ -215,39 +213,6 @@ fn bench_partitioners() {
     });
 }
 
-fn bench_ifile() {
-    let key = vec![0xABu8; 100];
-    let value = vec![0xCDu8; 1000];
-    bench("ifile/write_1k_records", 1_000, || {
-        let mut w = IFileWriter::new();
-        for _ in 0..1000 {
-            w.append(black_box(&key), black_box(&value));
-        }
-        black_box(w.close());
-    });
-    let stream = {
-        let mut w = IFileWriter::new();
-        for _ in 0..1000 {
-            w.append(&key, &value);
-        }
-        w.close()
-    };
-    bench("ifile/read_1k_records", 1_000, || {
-        let mut r = IFileReader::new(black_box(&stream)).unwrap();
-        let mut n = 0u32;
-        while r.next().unwrap().is_some() {
-            n += 1;
-        }
-        black_box(n);
-    });
-    bench("ifile/vint_round_trip", 1_000_000, || {
-        let mut buf = Vec::with_capacity(16);
-        vint::write_vlong(&mut buf, black_box(123_456_789));
-        let mut pos = 0;
-        black_box(vint::read_vlong(&buf, &mut pos).unwrap());
-    });
-}
-
 fn bench_json() {
     // One paper-scale Fig. 2 cell (MR-AVG, 32 GB over IPoIB QDR) as the
     // store fragment `ResultStore::put` writes and `get` parses.
@@ -298,7 +263,6 @@ fn main() {
     bench_all_to_all();
     bench_rng();
     bench_partitioners();
-    bench_ifile();
     bench_json();
     bench_end_to_end();
 }

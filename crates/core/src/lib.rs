@@ -10,9 +10,11 @@
 //!
 //! Because no Hadoop cluster or InfiniBand fabric is available here, the
 //! suite runs over a faithful discrete-event simulation of the paper's
-//! two testbeds (see the `mapreduce`, `cluster`, and `simnet` crates);
-//! the data plane (Writable serialization, IFile framing, partitioners,
-//! `java.util.Random`) is real code, and only *time* is simulated.
+//! two testbeds (see the `mapreduce`, `cluster`, and `simnet` crates).
+//! The partitioners and `java.util.Random` are real code; records are
+//! never serialized, but every byte the simulator charges comes from
+//! byte-exact `Writable` and IFile framing formulas, and only *time* is
+//! simulated.
 //!
 //! ## Quick start
 //!
@@ -40,7 +42,6 @@ pub mod calib;
 pub mod cli;
 pub mod config;
 pub mod error;
-pub mod gen;
 pub mod partitioners;
 pub mod report;
 pub mod runner;
@@ -51,7 +52,6 @@ pub use artifact::{ArtifactPaths, Artifacts, Panel};
 pub use bench::MicroBenchmark;
 pub use config::{BackendKind, BenchConfig, ShuffleVolume};
 pub use error::Error;
-pub use gen::KvGenerator;
 pub use report::BenchReport;
 pub use runner::run;
 pub use store::{atomic_write, config_digest, ResultStore};

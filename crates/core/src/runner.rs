@@ -142,6 +142,23 @@ mod tests {
     }
 
     #[test]
+    fn unframeable_sizes_and_shuffle_overflow_are_config_errors() {
+        let mut huge_key = small(MicroBenchmark::Avg, Interconnect::GigE1);
+        huge_key.backend = BackendKind::Analytic;
+        huge_key.key_size = usize::MAX;
+        huge_key.value_size = 1;
+        let mut text_key = huge_key.clone();
+        text_key.data_type = mapreduce::io::DataType::Text;
+        text_key.key_size = 1 << 31;
+        let mut pairs = small(MicroBenchmark::Avg, Interconnect::GigE1);
+        pairs.volume = ShuffleVolume::PairsPerMap(u64::MAX);
+        for config in [huge_key, text_key, pairs] {
+            let err = run(&config).unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{err}");
+        }
+    }
+
+    #[test]
     fn all_three_benchmarks_run() {
         for bench in MicroBenchmark::ALL {
             let report = run(&small(bench, Interconnect::GigE1)).unwrap();

@@ -7,7 +7,6 @@ use mrbench::partitioners::{
     AvgFactory, AvgPartitioner, RandFactory, RandPartitioner, SkewFactory, SkewPartitioner,
     ZipfFactory,
 };
-use mrbench::{DataType, KvGenerator};
 use simcore::rng::SplitMix64;
 
 fn no_keys(_: u64, _: &mut Vec<u8>) {}
@@ -115,51 +114,5 @@ fn rand_reproducible_per_seed() {
             let dev = (*c as f64 - 6_250.0).abs() / 6_250.0;
             assert!(dev < 0.10, "counts {a:?}");
         }
-    }
-}
-
-/// The generator's serialized records always match the wire-length
-/// formula the simulator charges, for any geometry and both types.
-#[test]
-fn generator_wire_length_exact() {
-    let mut rng = SplitMix64::new(0x3174);
-    for _ in 0..128 {
-        let key = 1 + rng.next_below(4095) as usize;
-        let value = 1 + rng.next_below(4095) as usize;
-        let reducers = 1 + rng.next_below(31) as u32;
-        let ordinal = rng.next_below(1_000_000);
-        let dt = if rng.next_below(2) == 0 {
-            DataType::BytesWritable
-        } else {
-            DataType::Text
-        };
-        let gen = KvGenerator::new(key, value, reducers, dt);
-        let mut out = Vec::new();
-        gen.serialize_record(ordinal, &mut out);
-        assert_eq!(out.len(), gen.key_wire_len() + gen.value_wire_len());
-    }
-}
-
-/// Generated IFile streams always validate and parse back.
-#[test]
-fn generator_streams_round_trip() {
-    let mut rng = SplitMix64::new(0x121D);
-    for _ in 0..64 {
-        let key = 1 + rng.next_below(255) as usize;
-        let value = 1 + rng.next_below(255) as usize;
-        let n = rng.next_below(200);
-        let dt = if rng.next_below(2) == 0 {
-            DataType::BytesWritable
-        } else {
-            DataType::Text
-        };
-        let gen = KvGenerator::new(key, value, 4, dt);
-        let stream = gen.build_ifile(n);
-        let mut reader = mapreduce::ifile::IFileReader::new(&stream).expect("valid crc");
-        let mut count = 0u64;
-        while reader.next().expect("well-formed").is_some() {
-            count += 1;
-        }
-        assert_eq!(count, n);
     }
 }

@@ -432,8 +432,8 @@ impl<'a> Model<'a> {
         let pairs = spec.pairs_per_map;
         let records = self.n_maps * pairs;
         let payload = (spec.key_wire_len() + spec.value_wire_len()) as u64;
-        let seg_overhead = (ifile::EOF_MARKER_LEN + ifile::CHECKSUM_LEN) as u64;
-        let materialized = self.n_maps * (self.map_out_bytes + self.n_reduces * seg_overhead);
+        let materialized =
+            self.n_maps * (self.map_out_bytes + self.n_reduces * ifile::SEGMENT_OVERHEAD);
         let chunk_cap = conf.spill_threshold().as_bytes().max(1);
         let chunks = self.map_out_bytes.div_ceil(chunk_cap).max(1);
         let buffer_bytes =

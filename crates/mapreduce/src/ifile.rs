@@ -1,4 +1,4 @@
-//! IFile: Hadoop's intermediate (map-output) file format.
+//! IFile: Hadoop's intermediate (map-output) file format, as byte counts.
 //!
 //! Spill files and shuffle payloads are streams of
 //! `[vint keyLen][vint valueLen][key bytes][value bytes]` records,
@@ -6,191 +6,18 @@
 //! `IFileOutputStream` which appends a CRC-32 of everything written.
 //! The shuffle moves IFile bytes verbatim, so the exact framing overhead
 //! — which this module computes — is what the simulator charges to disks
-//! and NICs.
+//! and NICs. The simulator never serializes a record; the root
+//! `data_plane` test checks these formulas against a real codec.
 
-use crate::io::vint;
+use crate::io::vint::vint_size;
 
-/// The serialized EOF marker: `writeVInt(-1)` twice.
-pub const EOF_MARKER_LEN: usize = 2;
-/// Trailing CRC-32 added by `IFileOutputStream`.
-pub const CHECKSUM_LEN: usize = 4;
-
-/// Errors from reading an IFile stream.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum IFileError {
-    /// Stream ended prematurely.
-    Truncated,
-    /// Negative length that is not the EOF marker.
-    BadLength,
-    /// CRC mismatch.
-    BadChecksum,
-    /// Missing or malformed EOF marker.
-    BadEof,
-}
-
-impl std::fmt::Display for IFileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            IFileError::Truncated => "truncated IFile",
-            IFileError::BadLength => "invalid record length",
-            IFileError::BadChecksum => "checksum mismatch",
-            IFileError::BadEof => "missing EOF marker",
-        };
-        f.write_str(s)
-    }
-}
-
-impl std::error::Error for IFileError {}
-
-/// CRC-32 (IEEE 802.3, the polynomial `java.util.zip.CRC32` uses).
-pub fn crc32(data: &[u8]) -> u32 {
-    // Nibble-driven table: tiny, fast enough for test-sized payloads.
-    const TABLE: [u32; 16] = [
-        0x00000000, 0x1DB71064, 0x3B6E20C8, 0x26D930AC, 0x76DC4190, 0x6B6B51F4, 0x4DB26158,
-        0x5005713C, 0xEDB88320, 0xF00F9344, 0xD6D6A3E8, 0xCB61B38C, 0x9B64C2B0, 0x86D3D2D4,
-        0xA00AE278, 0xBDBDF21C,
-    ];
-    let mut crc: u32 = !0;
-    for &b in data {
-        crc = (crc >> 4) ^ TABLE[((crc ^ u32::from(b)) & 0xF) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (u32::from(b) >> 4)) & 0xF) as usize];
-    }
-    !crc
-}
-
-/// Writes records in IFile format into an in-memory buffer.
-#[derive(Debug)]
-pub struct IFileWriter {
-    buf: Vec<u8>,
-    records: u64,
-    closed: bool,
-}
-
-impl Default for IFileWriter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl IFileWriter {
-    /// An empty stream.
-    pub fn new() -> Self {
-        IFileWriter {
-            buf: Vec::new(),
-            records: 0,
-            closed: false,
-        }
-    }
-
-    /// Append one serialized key/value pair.
-    pub fn append(&mut self, key: &[u8], value: &[u8]) {
-        assert!(!self.closed, "append after close");
-        vint::write_vint(&mut self.buf, key.len() as i32);
-        vint::write_vint(&mut self.buf, value.len() as i32);
-        self.buf.extend_from_slice(key);
-        self.buf.extend_from_slice(value);
-        self.records += 1;
-    }
-
-    /// Records appended so far.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Bytes written so far (before EOF marker and checksum).
-    pub fn position(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Write the EOF marker and checksum, returning the finished stream.
-    pub fn close(mut self) -> Vec<u8> {
-        vint::write_vint(&mut self.buf, -1);
-        vint::write_vint(&mut self.buf, -1);
-        let crc = crc32(&self.buf);
-        self.buf.extend_from_slice(&crc.to_be_bytes());
-        self.closed = true;
-        self.buf
-    }
-}
-
-/// A borrowed `(key, value)` record as stored in the stream.
-pub type RawRecord<'a> = (&'a [u8], &'a [u8]);
-
-/// Reads records from an IFile stream produced by [`IFileWriter`].
-#[derive(Debug)]
-pub struct IFileReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    body_end: usize,
-}
-
-impl<'a> IFileReader<'a> {
-    /// Validate the checksum and position at the first record.
-    pub fn new(stream: &'a [u8]) -> Result<Self, IFileError> {
-        if stream.len() < CHECKSUM_LEN + EOF_MARKER_LEN {
-            return Err(IFileError::Truncated);
-        }
-        let body_end = stream.len() - CHECKSUM_LEN;
-        let expect = u32::from_be_bytes(stream[body_end..].try_into().unwrap());
-        if crc32(&stream[..body_end]) != expect {
-            return Err(IFileError::BadChecksum);
-        }
-        Ok(IFileReader {
-            buf: stream,
-            pos: 0,
-            body_end,
-        })
-    }
-
-    /// The next `(key, value)` pair, or `None` at the EOF marker.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<RawRecord<'a>>, IFileError> {
-        if self.pos >= self.body_end {
-            return Err(IFileError::BadEof);
-        }
-        let klen = vint::read_vint(&self.buf[..self.body_end], &mut self.pos)
-            .map_err(|_| IFileError::Truncated)?;
-        if klen == -1 {
-            let vlen = vint::read_vint(&self.buf[..self.body_end], &mut self.pos)
-                .map_err(|_| IFileError::Truncated)?;
-            if vlen != -1 {
-                return Err(IFileError::BadEof);
-            }
-            return Ok(None);
-        }
-        if klen < 0 {
-            return Err(IFileError::BadLength);
-        }
-        let vlen = vint::read_vint(&self.buf[..self.body_end], &mut self.pos)
-            .map_err(|_| IFileError::Truncated)?;
-        if vlen < 0 {
-            return Err(IFileError::BadLength);
-        }
-        let kend = self.pos + klen as usize;
-        let vend = kend + vlen as usize;
-        if vend > self.body_end {
-            return Err(IFileError::Truncated);
-        }
-        let key = &self.buf[self.pos..kend];
-        let value = &self.buf[kend..vend];
-        self.pos = vend;
-        Ok(Some((key, value)))
-    }
-}
-
-/// Exact IFile size of `records` fixed-size records plus stream overhead.
-///
-/// This is the formula the simulator uses to charge byte-exact I/O and
-/// network volume for the synthetic workloads (whose key/value sizes are
-/// constant within a run).
-pub fn stream_len(records: u64, key_len: usize, value_len: usize) -> u64 {
-    records * record_len(key_len, value_len) + (EOF_MARKER_LEN + CHECKSUM_LEN) as u64
-}
+/// Bytes every IFile segment carries beyond its records: the EOF marker
+/// (`writeVInt(-1)` twice, 2 bytes) and the trailing 4-byte CRC-32.
+pub const SEGMENT_OVERHEAD: u64 = 2 + 4;
 
 /// Exact IFile size of a single record.
 pub fn record_len(key_len: usize, value_len: usize) -> u64 {
-    (vint::vint_size(key_len as i32) + vint::vint_size(value_len as i32) + key_len + value_len)
-        as u64
+    (vint_size(key_len as i32) + vint_size(value_len as i32) + key_len + value_len) as u64
 }
 
 #[cfg(test)]
@@ -198,82 +25,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crc32_known_vectors() {
-        // Standard test vector: CRC32("123456789") = 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF43926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"a"), 0xE8B7BE43);
-    }
-
-    #[test]
-    fn write_read_round_trip() {
-        let mut w = IFileWriter::new();
-        let records: Vec<(Vec<u8>, Vec<u8>)> = (0..50)
-            .map(|i| (vec![i as u8; 10], vec![(i * 2) as u8; 100]))
-            .collect();
-        for (k, v) in &records {
-            w.append(k, v);
-        }
-        assert_eq!(w.records(), 50);
-        let stream = w.close();
-        let mut r = IFileReader::new(&stream).unwrap();
-        for (k, v) in &records {
-            let (rk, rv) = r.next().unwrap().expect("record");
-            assert_eq!(rk, &k[..]);
-            assert_eq!(rv, &v[..]);
-        }
-        assert!(r.next().unwrap().is_none());
-    }
-
-    #[test]
-    fn empty_stream_is_just_markers() {
-        let stream = IFileWriter::new().close();
-        assert_eq!(stream.len(), EOF_MARKER_LEN + CHECKSUM_LEN);
-        let mut r = IFileReader::new(&stream).unwrap();
-        assert!(r.next().unwrap().is_none());
-    }
-
-    #[test]
-    fn stream_len_formula_matches_real_stream() {
-        for (n, kl, vl) in [(0u64, 10, 100), (7, 1, 1), (20, 200, 1024), (3, 0, 0)] {
-            let mut w = IFileWriter::new();
-            for _ in 0..n {
-                w.append(&vec![0xAB; kl], &vec![0xCD; vl]);
-            }
-            let stream = w.close();
-            assert_eq!(
-                stream.len() as u64,
-                stream_len(n, kl, vl),
-                "n={n} kl={kl} vl={vl}"
-            );
-        }
-    }
-
-    #[test]
     fn record_len_includes_vint_headers() {
         // 1 KiB key + 1 KiB value: two 3-byte vints (1024 > 255).
         assert_eq!(record_len(1024, 1024), 3 + 3 + 2048);
         // Tiny records: 1-byte vints.
         assert_eq!(record_len(10, 100), 1 + 1 + 110);
-    }
-
-    #[test]
-    fn corruption_detected() {
-        let mut w = IFileWriter::new();
-        w.append(b"key", b"value");
-        let mut stream = w.close();
-        stream[2] ^= 0xFF;
-        assert!(matches!(
-            IFileReader::new(&stream),
-            Err(IFileError::BadChecksum)
-        ));
-    }
-
-    #[test]
-    fn truncated_stream_detected() {
-        let mut w = IFileWriter::new();
-        w.append(b"key", b"value");
-        let stream = w.close();
-        assert!(IFileReader::new(&stream[..3]).is_err());
     }
 }

@@ -1,11 +1,6 @@
-//! Hadoop I/O layer: `Writable` types, varints, and data-type selection.
+//! Hadoop I/O layer: data-type selection and vint sizes.
 
 pub mod datatype;
 pub mod vint;
-pub mod writable;
 
 pub use datatype::DataType;
-pub use writable::{
-    BooleanWritable, BytesWritable, DoubleWritable, FloatWritable, IntWritable, LongWritable,
-    NullWritable, Text, VLongWritable, WireError, Writable,
-};

@@ -1,110 +1,14 @@
-//! Hadoop's variable-length integer encoding.
+//! Encoded sizes of Hadoop's variable-length integers.
 //!
-//! A faithful port of `org.apache.hadoop.io.WritableUtils.writeVLong` /
-//! `readVLong`. Values in `[-112, 127]` occupy one byte; larger magnitudes
-//! are written as a length-tag byte followed by 1–8 big-endian payload
-//! bytes, with negatives stored one's-complemented. Intermediate (IFile)
-//! records frame their key/value lengths with this encoding, so the byte
-//! counts the simulator charges to disks and networks depend on it being
+//! `org.apache.hadoop.io.WritableUtils.writeVLong` stores values in
+//! `[-112, 127]` in one byte; larger magnitudes take a length-tag byte
+//! followed by 1–8 big-endian payload bytes, with negatives stored
+//! one's-complemented. IFile records frame their key/value lengths, and
+//! `Text` its byte length, with this encoding, so the byte counts the
+//! simulator charges to disks and networks depend on these sizes being
 //! exact.
 
-/// Error from decoding a vint stream.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum VIntError {
-    /// Stream ended inside a vint.
-    Truncated,
-}
-
-impl std::fmt::Display for VIntError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VIntError::Truncated => f.write_str("truncated vint"),
-        }
-    }
-}
-
-impl std::error::Error for VIntError {}
-
-/// Append the Hadoop vlong encoding of `i` to `out`.
-pub fn write_vlong(out: &mut Vec<u8>, i: i64) {
-    if (-112..=127).contains(&i) {
-        out.push(i as u8);
-        return;
-    }
-    let mut len: i32 = -112;
-    let mut value = i;
-    if value < 0 {
-        value ^= -1; // take one's complement
-        len = -120;
-    }
-    let mut tmp = value;
-    while tmp != 0 {
-        tmp >>= 8;
-        len -= 1;
-    }
-    out.push(len as u8);
-    let len = if len < -120 {
-        -(len + 120)
-    } else {
-        -(len + 112)
-    };
-    for idx in (1..=len).rev() {
-        let shift = (idx - 1) * 8;
-        out.push(((value >> shift) & 0xFF) as u8);
-    }
-}
-
-/// Append the vint encoding of `i` (same wire format as vlong).
-pub fn write_vint(out: &mut Vec<u8>, i: i32) {
-    write_vlong(out, i64::from(i));
-}
-
-/// Decode a vlong from `buf` starting at `*pos`, advancing `*pos`.
-pub fn read_vlong(buf: &[u8], pos: &mut usize) -> Result<i64, VIntError> {
-    let first = *buf.get(*pos).ok_or(VIntError::Truncated)? as i8;
-    *pos += 1;
-    let len = decoded_len(first);
-    if len == 1 {
-        return Ok(i64::from(first));
-    }
-    let n = len - 1;
-    let mut value: i64 = 0;
-    for _ in 0..n {
-        let b = *buf.get(*pos).ok_or(VIntError::Truncated)?;
-        *pos += 1;
-        value = (value << 8) | i64::from(b);
-    }
-    Ok(if is_negative(first) {
-        value ^ -1
-    } else {
-        value
-    })
-}
-
-/// Decode a vint (errors are impossible beyond truncation because Hadoop
-/// trusts the writer; mirror that behaviour).
-pub fn read_vint(buf: &[u8], pos: &mut usize) -> Result<i32, VIntError> {
-    Ok(read_vlong(buf, pos)? as i32)
-}
-
-/// Total encoded length (tag byte included) implied by the first byte, as
-/// `WritableUtils.decodeVIntSize`.
-pub fn decoded_len(first: i8) -> usize {
-    let v = i32::from(first);
-    if v >= -112 {
-        1
-    } else if v < -120 {
-        (-120 - v) as usize + 1
-    } else {
-        (-112 - v) as usize + 1
-    }
-}
-
-fn is_negative(first: i8) -> bool {
-    i32::from(first) < -120
-}
-
-/// The number of bytes `write_vlong` would emit for `i`, without writing.
+/// The number of bytes `writeVLong` emits for `i`.
 pub fn vlong_size(i: i64) -> usize {
     if (-112..=127).contains(&i) {
         return 1;
@@ -128,64 +32,6 @@ pub fn vint_size(i: i32) -> usize {
 mod tests {
     use super::*;
 
-    fn round_trip(v: i64) {
-        let mut buf = Vec::new();
-        write_vlong(&mut buf, v);
-        assert_eq!(buf.len(), vlong_size(v), "size mismatch for {v}");
-        let mut pos = 0;
-        assert_eq!(read_vlong(&buf, &mut pos).unwrap(), v);
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn single_byte_range() {
-        for v in -112..=127i64 {
-            let mut buf = Vec::new();
-            write_vlong(&mut buf, v);
-            assert_eq!(buf.len(), 1, "{v} should be one byte");
-            round_trip(v);
-        }
-    }
-
-    #[test]
-    fn known_hadoop_encodings() {
-        // Cross-checked against WritableUtils: 128 -> [-113, -128i8 as u8].
-        let mut buf = Vec::new();
-        write_vlong(&mut buf, 128);
-        assert_eq!(buf, vec![0x8F, 0x80]); // -113 = 0x8F
-        let mut buf = Vec::new();
-        write_vlong(&mut buf, 255);
-        assert_eq!(buf, vec![0x8F, 0xFF]);
-        let mut buf = Vec::new();
-        write_vlong(&mut buf, 256);
-        assert_eq!(buf, vec![0x8E, 0x01, 0x00]); // -114 = 0x8E
-        let mut buf = Vec::new();
-        write_vlong(&mut buf, -113);
-        assert_eq!(buf, vec![0x87, 0x70]); // -121 tag, payload 112
-    }
-
-    #[test]
-    fn boundaries_round_trip() {
-        for v in [
-            -113i64,
-            -112,
-            127,
-            128,
-            255,
-            256,
-            65535,
-            65536,
-            i64::from(i32::MAX),
-            i64::from(i32::MIN),
-            i64::MAX,
-            i64::MIN,
-            0,
-            -1,
-        ] {
-            round_trip(v);
-        }
-    }
-
     #[test]
     fn sizes_grow_with_magnitude() {
         assert_eq!(vlong_size(0), 1);
@@ -194,28 +40,5 @@ mod tests {
         assert_eq!(vlong_size(65536), 4);
         assert_eq!(vlong_size(i64::MAX), 9);
         assert_eq!(vlong_size(i64::MIN), 9);
-    }
-
-    #[test]
-    fn truncated_input_errors() {
-        let mut buf = Vec::new();
-        write_vlong(&mut buf, 1_000_000);
-        for cut in 0..buf.len() {
-            let mut pos = 0;
-            assert_eq!(
-                read_vlong(&buf[..cut], &mut pos),
-                Err(VIntError::Truncated),
-                "cut={cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn decoded_len_matches_writes() {
-        for v in [-1i64, 0, 1, -113, 128, 1 << 20, -(1 << 40), i64::MAX] {
-            let mut buf = Vec::new();
-            write_vlong(&mut buf, v);
-            assert_eq!(decoded_len(buf[0] as i8), buf.len(), "v={v}");
-        }
     }
 }

@@ -3,10 +3,11 @@
 //! A faithful model of the Hadoop MapReduce execution pipeline, decoupled
 //! from HDFS, as the paper's micro-benchmark suite requires:
 //!
-//! * [`io`] — `Writable` serialization (`BytesWritable`, `Text`,
-//!   primitives) with exact Hadoop wire formats.
-//! * [`ifile`] — the intermediate file format (vint framing, EOF marker,
-//!   CRC-32) whose byte counts drive all simulated I/O and network volume.
+//! * [`io`] — the data type (`BytesWritable` or `Text`) and the exact
+//!   serialized size of a key or value under Hadoop's wire formats.
+//! * [`ifile`] — the byte length of an intermediate-file record and
+//!   segment (vint framing, EOF marker, CRC-32), which drives all
+//!   simulated I/O and network volume. No record is ever serialized.
 //! * [`conf`] — `JobConf` with the `mapred-site.xml` knobs that matter.
 //! * [`partition`] — the `Partitioner` contract and `HashPartitioner`.
 //! * [`costs`] — the calibrated CPU cost model.

@@ -89,10 +89,9 @@ impl MapTask {
         env: &mut Env<'_>,
     ) -> MapTask {
         let rec_len = env.spec.record_ifile_len();
-        let seg_overhead = (ifile::EOF_MARKER_LEN + ifile::CHECKSUM_LEN) as u64;
         let partition_bytes: Vec<u64> = partition_records
             .iter()
-            .map(|&r| r * rec_len + seg_overhead)
+            .map(|&r| r * rec_len + ifile::SEGMENT_OVERHEAD)
             .collect();
         let out_bytes: u64 = partition_bytes.iter().sum();
         let records: u64 = partition_records.iter().sum();
