@@ -330,12 +330,6 @@ impl BenchConfig {
                 return Err(format!("fabric cap must be positive MB/s, got {cap}"));
             }
         }
-        if !(self.monitor_interval_s.is_finite() && self.monitor_interval_s > 0.0) {
-            return Err(format!(
-                "monitor interval must be positive seconds, got {}",
-                self.monitor_interval_s
-            ));
-        }
         // Fault-plan node indices must name real slaves (the engine asserts
         // this; surface it as a config error instead).
         for c in &self.faults.node_crashes {

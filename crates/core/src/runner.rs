@@ -69,7 +69,6 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, Error> {
                 node: &node,
                 topology: &topology,
                 reduce_fractions: expected_reduce_fractions(config),
-                monitor_interval_s: config.monitor_interval_s,
                 trace: config.trace,
             })
             .map_err(Error::Config)?
@@ -155,6 +154,18 @@ mod tests {
         for config in [huge_key, text_key, pairs] {
             let err = run(&config).unwrap_err();
             assert_eq!(err.exit_code(), 3, "{err}");
+        }
+    }
+
+    #[test]
+    fn sub_nanosecond_monitor_interval_is_a_config_error_on_both_backends() {
+        // 1e-12 s rounds to a 0 ns sampling interval.
+        for backend in [BackendKind::Des, BackendKind::Analytic] {
+            let mut c = small(MicroBenchmark::Avg, Interconnect::GigE1);
+            c.backend = backend;
+            c.monitor_interval_s = 1e-12;
+            let err = run(&c).unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{backend:?}: {err}");
         }
     }
 

@@ -56,8 +56,6 @@ pub struct AnalyticJob<'a> {
     /// length must equal `num_reduces`. Need not sum to exactly 1 — the
     /// evaluation normalizes — but every entry must be finite and >= 0.
     pub reduce_fractions: Vec<f64>,
-    /// Sampling interval for the synthesized utilization series, seconds.
-    pub monitor_interval_s: f64,
     /// Record phase spans and emit a [`simcore::trace::PhaseBreakdown`].
     pub trace: bool,
 }
@@ -85,12 +83,6 @@ pub fn evaluate(job: &AnalyticJob<'_>) -> Result<JobResult, String> {
     let frac_sum: f64 = job.reduce_fractions.iter().sum();
     if frac_sum <= 0.0 {
         return Err("reduce fractions must not all be zero".into());
-    }
-    if !(job.monitor_interval_s.is_finite() && job.monitor_interval_s > 0.0) {
-        return Err(format!(
-            "monitor interval must be positive seconds, got {}",
-            job.monitor_interval_s
-        ));
     }
     Ok(Model::new(job, frac_sum).solve())
 }
@@ -545,7 +537,7 @@ impl<'a> Model<'a> {
                 ),
                 (tl.shuffle_end_s, tl.job_end_s, tail_cpu_pct, 0.0),
             ];
-            let (c_ts, n_ts) = sample_windows(&windows, self.job.monitor_interval_s);
+            let (c_ts, n_ts) = sample_windows(&windows, self.job.spec.conf.monitor_interval_s);
             cpu.push(c_ts);
             net.push(n_ts);
         }
@@ -758,7 +750,6 @@ mod tests {
             node: &node,
             topology: &topo,
             reduce_fractions: frac,
-            monitor_interval_s: 1.0,
             trace: false,
         })
         .unwrap()
@@ -846,7 +837,6 @@ mod tests {
             node: &node,
             topology: &topo,
             reduce_fractions: uniform(8),
-            monitor_interval_s: 1.0,
             trace: true,
         })
         .unwrap();
@@ -865,12 +855,13 @@ mod tests {
         let node = NodeSpec::westmere();
         let topo = Topology::single_switch(2, Interconnect::GigE1);
         let mk = |frac: Vec<f64>, interval_s: f64| {
+            let mut spec = spec.clone();
+            spec.conf.monitor_interval_s = interval_s;
             evaluate(&AnalyticJob {
                 spec: &spec,
                 node: &node,
                 topology: &topo,
                 reduce_fractions: frac,
-                monitor_interval_s: interval_s,
                 trace: false,
             })
         };
@@ -897,7 +888,6 @@ mod tests {
                 node: &node,
                 topology: topo,
                 reduce_fractions: uniform(8),
-                monitor_interval_s: 1.0,
                 trace: false,
             })
             .unwrap()

@@ -7,6 +7,7 @@
 //! experiments imply (e.g. enough map slots for a single wave of 16 maps
 //! on 4 slaves).
 
+use simcore::time::SimDuration;
 use simcore::units::ByteSize;
 
 use crate::faults::FaultPlan;
@@ -219,9 +220,13 @@ impl JobConf {
                 return Err(format!("max_sim_time_s must be positive, got {horizon}"));
             }
         }
-        if !(self.monitor_interval_s.is_finite() && self.monitor_interval_s > 0.0) {
+        // The samplers tick in whole nanoseconds: an interval that rounds
+        // to 0 ns would never advance the sampling clock.
+        if !self.monitor_interval_s.is_finite()
+            || SimDuration::from_secs_f64(self.monitor_interval_s).is_zero()
+        {
             return Err(format!(
-                "monitor_interval_s must be positive, got {}",
+                "monitor interval must be positive seconds of at least 1 ns, got {}",
                 self.monitor_interval_s
             ));
         }
@@ -266,6 +271,9 @@ mod tests {
         c.reduce_slowstart = 1.5;
         assert!(c.validate().is_err());
         c.reduce_slowstart = 0.05;
+        c.monitor_interval_s = 4e-10; // rounds to a 0 ns sampling interval
+        assert!(c.validate().is_err());
+        c.monitor_interval_s = 6e-10;
         c.validate().unwrap();
     }
 

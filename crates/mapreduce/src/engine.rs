@@ -21,12 +21,13 @@
 //! Everything is deterministic: same [`JobSpec`] + seed (and the same
 //! [`crate::faults::FaultPlan`]) ⇒ identical result to the nanosecond.
 
-use cluster::{Cluster, NodeSpec};
+use cluster::{Cluster, CpuSim, NodeSpec};
 use simcore::event::{BudgetBreach, EventBudget, EventQueue};
 use simcore::rng::SeedFactory;
+use simcore::stats::IntervalSampler;
 use simcore::time::{SimDuration, SimTime};
 use simcore::trace::{Mark, Trace};
-use simnet::{Interconnect, Network, NetworkMonitor, ProtocolModel, Topology};
+use simnet::{Interconnect, Network, NodeId, ProtocolModel, Topology};
 
 use crate::conf::EngineKind;
 use crate::costs::CostModel;
@@ -138,9 +139,12 @@ pub struct Engine<'f> {
     shuffle_model: ShuffleModel,
     cluster: Cluster,
     net: Network,
-    net_monitor: NetworkMonitor,
-    /// Sampling period for both throughput monitors and the MonitorTick
-    /// control event (from `JobConf::monitor_interval_s`).
+    /// Per-slave CPU % (Fig. 7(a)), read through [`cpu_pct`].
+    cpu_monitor: IntervalSampler,
+    /// Per-slave receive MB/s (Fig. 7(b)), read through [`rx_mb_s`].
+    net_monitor: IntervalSampler,
+    /// Sampling period for both monitors and the MonitorTick control
+    /// event (from `JobConf::monitor_interval_s`).
     monitor_interval: SimDuration,
     registry: ShuffleRegistry,
     scheduler: Scheduler,
@@ -265,10 +269,10 @@ impl<'f> Engine<'f> {
         );
         cluster.disk.enable_page_cache(cache_mem);
         let monitor_interval = SimDuration::from_secs_f64(spec.conf.monitor_interval_s);
-        cluster.set_monitor_interval(monitor_interval);
         let protocol = *topology.protocol();
         let net = Network::new(topology);
-        let net_monitor = NetworkMonitor::new(n_slaves, monitor_interval);
+        let cpu_monitor = IntervalSampler::new(n_slaves, monitor_interval);
+        let net_monitor = IntervalSampler::new(n_slaves, monitor_interval);
         let registry = ShuffleRegistry::new(spec.conf.num_maps, n_slaves, node_spec.memory);
         let scheduler = Scheduler::new(&spec.conf, n_slaves, &node_spec);
         let n_tasks = (spec.conf.num_maps + spec.conf.num_reduces) as usize;
@@ -282,6 +286,7 @@ impl<'f> Engine<'f> {
             factory,
             cluster,
             net,
+            cpu_monitor,
             net_monitor,
             monitor_interval,
             registry,
@@ -397,10 +402,9 @@ impl<'f> Engine<'f> {
                         self.control.schedule(now + hb, Control::Heartbeat);
                     }
                     Control::MonitorTick => {
-                        self.cluster
-                            .cpu_monitor
-                            .maybe_sample(now, &mut self.cluster.cpu);
-                        self.net_monitor.maybe_sample(now, &mut self.net);
+                        self.cpu_monitor
+                            .maybe_sample(now, cpu_pct(&mut self.cluster.cpu));
+                        self.net_monitor.maybe_sample(now, rx_mb_s(&mut self.net));
                         self.control
                             .schedule(now + self.monitor_interval, Control::MonitorTick);
                     }
@@ -973,10 +977,9 @@ impl<'f> Engine<'f> {
         // core-seconds after the last whole-interval tick are not lost.
         // Flushed at the last simulated instant (`self.clock`), not at
         // `end`: the job-overhead pad moves no data.
-        self.cluster
-            .cpu_monitor
-            .flush(self.clock, &mut self.cluster.cpu);
-        self.net_monitor.flush(self.clock, &mut self.net);
+        self.cpu_monitor
+            .flush(self.clock, cpu_pct(&mut self.cluster.cpu));
+        self.net_monitor.flush(self.clock, rx_mb_s(&mut self.net));
 
         // Aborted jobs leave attempts mid-phase: close their open spans at
         // the last simulated instant so the trace and breakdown still
@@ -1033,14 +1036,6 @@ impl<'f> Engine<'f> {
         // reduces (by index), as the pre-attempt engine produced.
         tasks.sort_by_key(|t| (!t.is_map, t.index));
 
-        let n = self.cluster.n_slaves();
-        let cpu_series = (0..n)
-            .map(|i| self.cluster.cpu_monitor.series(i).clone())
-            .collect();
-        let net_rx_series = (0..n)
-            .map(|i| self.net_monitor.rx_series(simnet::NodeId(i)).clone())
-            .collect();
-
         JobResult {
             outcome: if self.budget_breach.is_some() {
                 JobOutcome::BudgetExceeded
@@ -1056,13 +1051,25 @@ impl<'f> Engine<'f> {
             shuffle_end,
             counters: self.counters,
             tasks,
-            cpu_series,
-            net_rx_series,
+            cpu_series: self.cpu_monitor.series().to_vec(),
+            net_rx_series: self.net_monitor.series().to_vec(),
             phases,
             sim_work: self.budget.events() + self.net.work_units(),
             trace,
         }
     }
+}
+
+/// The CPU monitor's reading: busy core-seconds over a sampling window
+/// as a percentage of the node's cores.
+fn cpu_pct(cpu: &mut CpuSim) -> impl FnMut(usize, SimTime, f64) -> f64 + '_ {
+    move |node, at, dt| cpu.drain_busy_core_seconds(node, at) / dt / cpu.cores(node) as f64 * 100.0
+}
+
+/// The network monitor's reading: bytes received over a sampling window,
+/// in MB/s.
+fn rx_mb_s(net: &mut Network) -> impl FnMut(usize, SimTime, f64) -> f64 + '_ {
+    move |node, at, dt| net.drain_rx_bytes(NodeId(node), at) / dt / 1e6
 }
 
 /// Serialized key payload of the `ordinal`-th record. The suite restricts

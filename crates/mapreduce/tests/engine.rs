@@ -185,6 +185,26 @@ fn monitors_capture_activity() {
         .filter_map(|s| s.peak())
         .fold(0.0f64, f64::max);
     assert!(peak_rx > 1.0, "peak rx {peak_rx} MB/s");
+    // Every remote shuffle byte shows up in some receive window: the
+    // MB/s readings integrate back to the bytes that crossed the network.
+    let rx_bytes: f64 = r
+        .net_rx_series
+        .iter()
+        .flat_map(|s| {
+            s.samples()
+                .iter()
+                .scan(simcore::time::SimTime::ZERO, |prev, x| {
+                    let window_s = x.time.since(*prev).as_secs_f64();
+                    *prev = x.time;
+                    Some(x.value * 1e6 * window_s)
+                })
+        })
+        .sum();
+    let remote = r.counters.remote_shuffle_bytes as f64;
+    assert!(
+        (rx_bytes - remote).abs() < 1e-6 * remote,
+        "{rx_bytes} B sampled vs {remote} B shuffled remotely"
+    );
 }
 
 #[test]

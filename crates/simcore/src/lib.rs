@@ -8,8 +8,8 @@
 //!   `java.util.Random` (the paper's MR-RAND partitioner depends on its
 //!   semantics).
 //! * [`units`] — byte sizes and data rates with Hadoop's unit conventions.
-//! * [`stats`] — time series and rate integration for
-//!   resource-utilization reporting.
+//! * [`stats`] — time series, rate integration and the interval
+//!   sampler behind the resource-utilization series (Fig. 7).
 //! * [`json`] — a dependency-free JSON value model backing the
 //!   machine-readable benchmark artifacts.
 //! * [`order`] — total ordering for floats (`f64::total_cmp` wrappers),
@@ -34,7 +34,7 @@ pub use event::EventQueue;
 pub use json::Json;
 pub use order::{total_sort, TotalF64};
 pub use rng::{JavaRandom, SeedFactory, SplitMix64, Xoshiro256pp};
-pub use stats::{RateIntegrator, Sample, TimeSeries};
+pub use stats::{IntervalSampler, RateIntegrator, Sample, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Mark, PhaseAgg, PhaseBreakdown, Span, Trace};
 pub use units::{ByteSize, Rate, GIB, KIB, MIB};

@@ -6,7 +6,7 @@
 //! paths.
 
 use crate::json::Json;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// One `(time, value)` sample.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -151,6 +151,75 @@ impl RateIntegrator {
     }
 }
 
+/// Samples one series per node at a fixed interval, `dstat`-style: the
+/// paper's Fig. 7 plots CPU % and network MB/s on a slave this way.
+///
+/// The reading comes from a closure `sample(node, at, window_s)` that
+/// drains what accrued on `node` up to `at` and returns it as a rate over
+/// a window of `window_s` seconds. The caller advances its source to the
+/// sampling instant first.
+#[derive(Debug)]
+pub struct IntervalSampler {
+    interval: SimDuration,
+    next_sample: SimTime,
+    series: Vec<TimeSeries>,
+}
+
+impl IntervalSampler {
+    /// Sample `n_nodes` series every `interval`.
+    pub fn new(n_nodes: usize, interval: SimDuration) -> Self {
+        assert!(!interval.is_zero(), "sampling interval must be positive");
+        IntervalSampler {
+            interval,
+            next_sample: SimTime::ZERO + interval,
+            series: vec![TimeSeries::new(); n_nodes],
+        }
+    }
+
+    /// Take every whole-interval sample due at or before `now`.
+    pub fn maybe_sample(
+        &mut self,
+        now: SimTime,
+        mut sample: impl FnMut(usize, SimTime, f64) -> f64,
+    ) {
+        while self.next_sample <= now {
+            let at = self.next_sample;
+            let dt = self.interval.as_secs_f64();
+            for (node, series) in self.series.iter_mut().enumerate() {
+                series.push(at, sample(node, at, dt));
+            }
+            self.next_sample += self.interval;
+        }
+    }
+
+    /// Emit the final, possibly partial, sampling window ending at `end`.
+    ///
+    /// `maybe_sample` only fires on whole-interval boundaries, so what
+    /// accrued between the last tick and `end` would otherwise be dropped.
+    /// The tail sample is the rate over the partial window, stamped at
+    /// `end`. Idempotent: a second flush at the same instant, or a flush
+    /// landing exactly on a tick, adds nothing.
+    pub fn flush(&mut self, end: SimTime, mut sample: impl FnMut(usize, SimTime, f64) -> f64) {
+        self.maybe_sample(end, &mut sample);
+        let window_start = self.next_sample - self.interval;
+        if end <= window_start {
+            return;
+        }
+        let dt = end.since(window_start).as_secs_f64();
+        for (node, series) in self.series.iter_mut().enumerate() {
+            series.push(end, sample(node, end, dt));
+        }
+        // The flushed window is consumed; the next whole interval starts
+        // at `end`.
+        self.next_sample = end + self.interval;
+    }
+
+    /// One series per node, in node order.
+    pub fn series(&self) -> &[TimeSeries] {
+        &self.series
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +249,114 @@ mod tests {
         assert_eq!(back.samples(), ts.samples());
         assert!(TimeSeries::from_json(&Json::parse("[[1]]").unwrap()).is_err());
         assert!(TimeSeries::from_json(&Json::parse("{}").unwrap()).is_err());
+    }
+
+    /// A sampler reading: (amount accrued in the window, window seconds).
+    type Reading = fn(f64, f64) -> f64;
+
+    /// The CPU sampler's reading: busy core-seconds as % of 4 cores.
+    fn cpu_pct(core_s: f64, dt: f64) -> f64 {
+        core_s / dt / 4.0 * 100.0
+    }
+
+    /// The network sampler's reading: bytes received as MB/s.
+    fn rx_mb_s(bytes: f64, dt: f64) -> f64 {
+        bytes / dt / 1e6
+    }
+
+    /// Sample one [`RateIntegrator`] source per node through `reading`.
+    fn from<'a>(
+        src: &'a mut [RateIntegrator],
+        reading: Reading,
+    ) -> impl FnMut(usize, SimTime, f64) -> f64 + 'a {
+        move |node, at, dt| reading(src[node].drain(at), dt)
+    }
+
+    #[test]
+    fn windows_average_the_source() {
+        // Node 1 keeps 2 of 4 cores busy for 2 s, then idles; node 0
+        // never works.
+        let mut src = vec![RateIntegrator::new(SimTime::ZERO); 2];
+        src[1].set_rate(SimTime::ZERO, 2.0);
+        let mut mon = IntervalSampler::new(2, SimDuration::from_secs(1));
+        mon.maybe_sample(SimTime::from_secs(1), from(&mut src, cpu_pct));
+        src[1].set_rate(SimTime::from_secs(2), 0.0);
+        // One call catches up every tick due by 4 s.
+        mon.maybe_sample(SimTime::from_nanos(4_500_000_000), from(&mut src, cpu_pct));
+        let values = |node: usize| -> Vec<f64> {
+            mon.series()[node]
+                .samples()
+                .iter()
+                .map(|s| s.value)
+                .collect()
+        };
+        assert_eq!(values(1), vec![50.0, 50.0, 0.0, 0.0]);
+        assert_eq!(values(0), vec![0.0; 4]);
+        let times: Vec<u64> = mon.series()[1]
+            .samples()
+            .iter()
+            .map(|s| s.time.as_nanos() / 1_000_000_000)
+            .collect();
+        assert_eq!(times, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn flush_captures_the_final_partial_window() {
+        // (source rate, busy until, reading, expected reading): one busy
+        // core of four until 2.5 s, and 560 MiB at 112 MB/s into node 1.
+        let cases: [(f64, u64, Reading, f64); 2] = [
+            (1.0, 2_500_000_000, cpu_pct, 25.0),
+            (112e6, 5_242_880_000, rx_mb_s, 112.0),
+        ];
+        for (rate, end_ns, reading, expect) in cases {
+            let end = SimTime::from_nanos(end_ns);
+            let mut src = vec![RateIntegrator::new(SimTime::ZERO); 2];
+            src[1].set_rate(SimTime::ZERO, rate);
+            let mut mon = IntervalSampler::new(2, SimDuration::from_secs(1));
+            mon.maybe_sample(end, from(&mut src, reading));
+            let whole = mon.series()[1].len();
+            assert_eq!(whole as u64, end_ns / 1_000_000_000);
+            src[1].set_rate(end, 0.0);
+            mon.flush(end, from(&mut src, reading));
+            let series = &mon.series()[1];
+            assert_eq!(series.len(), whole + 1, "flush adds the tail window");
+            assert_eq!(series.samples().last().unwrap().time, end);
+            // Every window, the partial one included, reads the source
+            // rate, and the series integrates back to all of the work:
+            // nothing accrued after the last tick is dropped.
+            let mut prev = SimTime::ZERO;
+            let mut integral = 0.0;
+            for s in series.samples() {
+                assert!((s.value - expect).abs() < 1e-9 * expect, "{s:?}");
+                integral += s.value * s.time.since(prev).as_secs_f64();
+                prev = s.time;
+            }
+            let total = expect * end.as_secs_f64();
+            assert!(
+                (integral - total).abs() < 1e-9 * total,
+                "{integral} vs {total}"
+            );
+            assert!(mon.series()[0].samples().iter().all(|s| s.value == 0.0));
+            // Flushing again at the same instant adds nothing.
+            mon.flush(end, from(&mut src, reading));
+            assert_eq!(mon.series()[1].len(), whole + 1);
+        }
+    }
+
+    #[test]
+    fn flush_on_a_tick_boundary_adds_no_sample() {
+        let mut src = vec![RateIntegrator::new(SimTime::ZERO)];
+        let mut mon = IntervalSampler::new(1, SimDuration::from_secs(1));
+        mon.maybe_sample(SimTime::from_secs(2), from(&mut src, rx_mb_s));
+        mon.flush(SimTime::from_secs(2), from(&mut src, rx_mb_s));
+        // Whole intervals at 1 s and 2 s only; no extra tail sample.
+        assert_eq!(mon.series()[0].len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_interval_rejected() {
+        let _ = IntervalSampler::new(1, SimDuration::ZERO);
     }
 
     #[test]

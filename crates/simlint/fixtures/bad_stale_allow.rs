@@ -1,7 +1,7 @@
 // Fixture: must trip `stale-allow` — nothing below still trips
-// `no-wall-clock`, so the directive is dead weight that hides future
-// violations at this site.
-// simlint: allow(no-wall-clock, leftover from a removed Instant call)
+// `total-float-order`, so the directive is dead weight that hides
+// future violations at this site.
+// simlint: allow(total-float-order, leftover from a removed partial_cmp sort)
 fn quiet() -> u64 {
     7
 }

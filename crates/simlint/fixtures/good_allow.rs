@@ -1,10 +1,12 @@
 // Fixture: must be clean — every hazard carries a justified allow.
-// simlint: allow(no-unordered-iter, keyed access only, never iterated)
-use std::collections::HashMap;
+fn sort_times(xs: &mut [f64]) {
+    // simlint: allow(total-float-order, inputs are checked finite above)
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+}
 
-struct Cache {
-    // simlint: allow(no-unordered-iter, membership checks only)
-    seen: HashMap<u64, u64>,
+fn seed() -> u64 {
+    // simlint: allow(no-os-entropy, seeds a throwaway test fixture only)
+    thread_rng().next_u64()
 }
 
 // simlint: allow(unit-suffix, dimensionless work units, not seconds)

@@ -4,13 +4,13 @@ struct Engine;
 
 impl Engine {
     pub fn step(&mut self) {
-        trace_wall();
+        trace_tag();
     }
 }
 
-fn trace_wall() -> u64 {
-    // simlint: allow(no-wall-clock, audited trace tap outside the sim clock) simlint: allow(determinism-taint, audited: tap never feeds sim state)
-    let t = Instant::now();
+fn trace_tag() -> u64 {
+    // simlint: allow(no-os-entropy, audited trace tag outside the seeded plan) simlint: allow(determinism-taint, audited: tag never feeds sim state)
+    let t = thread_rng();
     let _ = t;
     0
 }

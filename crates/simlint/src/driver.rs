@@ -253,15 +253,26 @@ pub fn check_file(root: &Path, file: &Path) -> std::io::Result<Vec<Diag>> {
 }
 
 /// Collect every `*.rs` under the deterministic crates' `src/` and
-/// `tests/` trees, sorted for deterministic diagnostic order.
+/// `tests/` trees, sorted for deterministic diagnostic order. A crate
+/// without a `src/` under `root` is a `NotFound` error: a root that is
+/// not this workspace's must not lint clean by scanning nothing.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     for krate in DETERMINISTIC_CRATES {
-        for sub in ["src", "tests"] {
-            let dir = root.join("crates").join(krate).join(sub);
-            if dir.is_dir() {
-                walk(&dir, &mut files)?;
-            }
+        let src = root.join("crates").join(krate).join("src");
+        if !src.is_dir() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!(
+                    "{} is missing; is --root the workspace root?",
+                    src.display()
+                ),
+            ));
+        }
+        walk(&src, &mut files)?;
+        let tests = src.with_file_name("tests");
+        if tests.is_dir() {
+            walk(&tests, &mut files)?;
         }
     }
     files.sort();
@@ -360,36 +371,34 @@ mod tests {
     #[test]
     fn allow_suppresses_same_and_next_line() {
         let src = "\
-// simlint: allow(no-unordered-iter, keyed access only, never iterated)
-use std::collections::HashMap;
+// simlint: allow(no-os-entropy, seeds a test fixture, never reaches sim state)
+let r = thread_rng();
 ";
         assert!(check_source("t.rs", src).is_empty());
-        let src =
-            "use std::collections::HashMap; // simlint: allow(no-unordered-iter, keyed only)\n";
+        let src = "let r = thread_rng(); // simlint: allow(no-os-entropy, fixture seed only)\n";
         assert!(check_source("t.rs", src).is_empty());
     }
 
     #[test]
     fn allow_does_not_leak_to_other_rules_or_lines() {
         let src = "\
-// simlint: allow(no-unordered-iter, justified)
-let t = Instant::now();
+// simlint: allow(no-os-entropy, justified)
+xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 ";
         let d = check_source("t.rs", src);
-        assert!(d.iter().any(|d| d.rule == "no-wall-clock"), "{d:?}");
-        assert!(d.iter().all(|d| d.rule != "no-unordered-iter"), "{d:?}");
+        assert!(d.iter().any(|d| d.rule == "total-float-order"), "{d:?}");
+        assert!(d.iter().all(|d| d.rule != "no-os-entropy"), "{d:?}");
         // The misdirected allow suppressed nothing, so it is stale.
         assert!(d.iter().any(|d| d.rule == STALE_ALLOW), "{d:?}");
 
         let src = "\
-// simlint: allow(no-unordered-iter, justified)
+// simlint: allow(no-os-entropy, justified)
 let a = 1;
-use std::collections::HashMap;
+let r = thread_rng();
 ";
         let d = check_source("t.rs", src);
         assert!(
-            d.iter()
-                .any(|d| d.rule == "no-unordered-iter" && d.line == 3),
+            d.iter().any(|d| d.rule == "no-os-entropy" && d.line == 3),
             "allow must only reach the next line: {d:?}"
         );
         assert!(d.iter().any(|d| d.rule == STALE_ALLOW), "{d:?}");
@@ -398,13 +407,13 @@ use std::collections::HashMap;
     #[test]
     fn stale_allow_fires_only_when_unused() {
         let live = "\
-// simlint: allow(no-wall-clock, fixture exercises the clock)
-let t = Instant::now();
+// simlint: allow(total-float-order, fixture exercises partial_cmp)
+xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 ";
         let d = check_source("t.rs", live);
         assert!(d.is_empty(), "a used allow is not stale: {d:?}");
 
-        let stale = "// simlint: allow(no-wall-clock, nothing here anymore)\nlet x = 1;\n";
+        let stale = "// simlint: allow(total-float-order, nothing here anymore)\nlet x = 1;\n";
         let d = check_source("t.rs", stale);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, STALE_ALLOW);
@@ -418,7 +427,7 @@ let t = Instant::now();
         // bypass suppression), so it is itself reported stale.
         let src = "\
 // simlint: allow(stale-allow, please)
-// simlint: allow(no-wall-clock, also stale)
+// simlint: allow(no-os-entropy, also stale)
 let x = 1;
 ";
         let d = check_source("t.rs", src);
@@ -431,7 +440,7 @@ let x = 1;
 
     #[test]
     fn allow_without_reason_is_a_diagnostic() {
-        let d = check_source("t.rs", "// simlint: allow(no-unordered-iter)\nlet x = 1;\n");
+        let d = check_source("t.rs", "// simlint: allow(no-os-entropy)\nlet x = 1;\n");
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, ALLOW_SYNTAX);
         assert!(d[0].message.contains("reason"));
@@ -478,8 +487,8 @@ impl Engine { pub fn step(&mut self) { helpers::tick(); } }
 
     #[test]
     fn diagnostics_are_globally_sorted() {
-        let a = "let t = Instant::now();\nlet u = Instant::now();\n";
-        let b = "use std::collections::HashMap;\n";
+        let a = "let r = thread_rng();\nlet s = thread_rng();\n";
+        let b = "xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n";
         // Present files out of order: output must still be path-sorted.
         let report = lint_sources(&[("z.rs".into(), a.into()), ("a.rs".into(), b.into())]);
         let keys: Vec<(String, u32)> = report
@@ -498,7 +507,7 @@ impl Engine { pub fn step(&mut self) { helpers::tick(); } }
         let diags = vec![Diag {
             file: "a.rs".into(),
             line: 3,
-            rule: "no-wall-clock",
+            rule: "no-os-entropy",
             message: "msg".into(),
         }];
         let json = report_to_json(&LintReport {
@@ -509,15 +518,15 @@ impl Engine { pub fn step(&mut self) { helpers::tick(); } }
         assert_eq!(doc.field_u64("count"), Ok(1));
         let arr = doc.field_arr("diagnostics").expect("array");
         assert_eq!(arr.len(), 1);
-        assert_eq!(arr[0].field_str("rule"), Ok("no-wall-clock"));
+        assert_eq!(arr[0].field_str("rule"), Ok("no-os-entropy"));
         assert_eq!(arr[0].field_u64("line"), Ok(3));
     }
 
     #[test]
     fn report_json_carries_schema_and_allow_inventory() {
         let src = "\
-// simlint: allow(no-unordered-iter, keyed access only)
-use std::collections::HashMap;
+// simlint: allow(no-os-entropy, fixture seed only)
+let r = thread_rng();
 ";
         let report = lint_sources(&[("t.rs".into(), src.into())]);
         let json = report_to_json(&report);
@@ -526,7 +535,7 @@ use std::collections::HashMap;
         assert_eq!(doc.field_u64("count"), Ok(0));
         assert_eq!(doc.field_u64("allow_count"), Ok(1));
         let allows = doc.field_arr("allows").expect("array");
-        assert_eq!(allows[0].field_str("rule"), Ok("no-unordered-iter"));
-        assert_eq!(allows[0].field_str("reason"), Ok("keyed access only"));
+        assert_eq!(allows[0].field_str("rule"), Ok("no-os-entropy"));
+        assert_eq!(allows[0].field_str("reason"), Ok("fixture seed only"));
     }
 }

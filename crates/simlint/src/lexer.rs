@@ -368,8 +368,7 @@ mod tests {
 
     #[test]
     fn comments_are_captured_with_lines() {
-        let src =
-            "let a = 1;\n// simlint: allow(no-unordered-iter, keyed access only)\nlet b = 2;\n";
+        let src = "let a = 1;\n// simlint: allow(no-os-entropy, fixture seed only)\nlet b = 2;\n";
         let (_, comments) = lex(src);
         assert_eq!(comments.len(), 1);
         assert_eq!(comments[0].line, 2);

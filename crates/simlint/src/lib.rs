@@ -2,15 +2,16 @@
 //!
 //! The benchmark suite's results are only meaningful if a config+seed
 //! pair reproduces bit-identical job times (that is what
-//! `baseline_digest` pins). `simlint` turns the hand-maintained
-//! conventions behind that guarantee into an enforced static pass over
-//! the deterministic crates (`simcore`, `simnet`, `cluster`,
-//! `mapreduce`, `core`):
+//! `baseline_digest` pins). Two static passes enforce the conventions
+//! behind that guarantee. clippy owns the std-level bans: the root
+//! `clippy.toml` disallows the wall clock (`Instant::{now, elapsed}`,
+//! `SystemTime::{now, elapsed}`) and std's randomly seeded hashing
+//! (`HashMap`, `HashSet`, `RandomState`), resolved by type. `simlint`
+//! checks what clippy cannot resolve or say, over the deterministic
+//! crates (`simcore`, `simnet`, `cluster`, `mapreduce`, `core`):
 //!
 //! | rule | forbids |
 //! |------|---------|
-//! | `no-wall-clock` | `Instant::now` / `SystemTime::now` / `std::time` |
-//! | `no-unordered-iter` | std `HashMap` / `HashSet` |
 //! | `no-os-entropy` | `thread_rng` / `from_entropy` / `RandomState` / `OsRng` |
 //! | `total-float-order` | `partial_cmp` calls (use `f64::total_cmp`) |
 //! | `unit-suffix` | raw-numeric time/byte/rate names without `_s`/`_bytes`/`_bps` |
@@ -24,7 +25,7 @@
 //! directive that *requires* a reason:
 //!
 //! ```text
-//! // simlint: allow(no-unordered-iter, keyed access only, never iterated)
+//! // simlint: allow(no-os-entropy, seeds a throwaway fixture, never sim state)
 //! ```
 //!
 //! The directive covers its own line and the next one; a missing reason
@@ -34,7 +35,7 @@
 //! The scanner is a hand-rolled token lexer ([`lexer`]) rather than a
 //! full AST: the workspace carries no external dependencies by design,
 //! so `syn` is not available. Token-level matching over-approximates
-//! (e.g. any `HashMap` mention trips `no-unordered-iter`), which is the
+//! (e.g. any `thread_rng` mention trips `no-os-entropy`), which is the
 //! intended posture — exceptions are written down and audited via the
 //! allow directive instead of inferred. On top of the tokens, [`items`]
 //! recovers fn/impl/use structure and [`analysis`] runs the

@@ -5,7 +5,8 @@
 //! cargo run -p simlint -- rules
 //! ```
 //!
-//! Exit codes: 0 = clean, 1 = diagnostics found, 2 = usage or I/O error.
+//! Exit codes: 0 = clean, 1 = diagnostics found, 2 = usage or I/O error
+//! (including a root that lacks a deterministic crate's `src/`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

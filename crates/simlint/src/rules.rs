@@ -2,12 +2,18 @@
 //!
 //! Every rule walks the token stream produced by [`crate::lexer`] and
 //! emits [`Diag`]s with `file:line` positions. Rules deliberately
-//! over-approximate: a `HashMap` that is only ever indexed by key cannot
-//! corrupt determinism, but proving that needs dataflow analysis, so the
-//! rule flags the type and the author writes an explicit
-//! `// simlint: allow(no-unordered-iter, <reason>)` that a reviewer can
+//! over-approximate: an entropy call that never feeds simulated state
+//! cannot corrupt determinism, but proving that needs dataflow analysis,
+//! so the rule flags the name and the author writes an explicit
+//! `// simlint: allow(no-os-entropy, <reason>)` that a reviewer can
 //! audit. The escape hatch *requires* a reason (see
 //! [`crate::driver::parse_allows`]).
+//!
+//! The std-level bans (`Instant::{now, elapsed}`,
+//! `SystemTime::{now, elapsed}`, `HashMap`, `HashSet`, `RandomState`)
+//! are clippy's: the root `clippy.toml` lists them and `cargo clippy -D
+//! warnings` checks them by type resolution, aliases and glob imports
+//! included. The sink table below still feeds the call-graph taint pass.
 
 use crate::lexer::{ident_at, text_at, Tok, TokKind};
 
@@ -24,10 +30,6 @@ pub struct Diag {
     pub message: String,
 }
 
-/// Rule: no wall-clock reads in simulated-time code.
-pub const NO_WALL_CLOCK: &str = "no-wall-clock";
-/// Rule: no iteration-order-dependent std hash collections.
-pub const NO_UNORDERED_ITER: &str = "no-unordered-iter";
 /// Rule: all randomness must flow from the seeded plan.
 pub const NO_OS_ENTROPY: &str = "no-os-entropy";
 /// Rule: float comparisons must use a total order.
@@ -48,14 +50,6 @@ pub const STALE_ALLOW: &str = "stale-allow";
 
 /// All rules with one-line summaries, for `simlint rules` and the docs.
 pub const RULES: &[(&str, &str)] = &[
-    (
-        NO_WALL_CLOCK,
-        "forbid Instant::now/SystemTime::now/std::time — simulated time only",
-    ),
-    (
-        NO_UNORDERED_ITER,
-        "forbid std HashMap/HashSet — iteration order is nondeterministic; use BTreeMap/BTreeSet or sorted keys",
-    ),
     (
         NO_OS_ENTROPY,
         "forbid thread_rng/from_entropy/RandomState/OsRng — all RNG flows from the seeded plan",
@@ -98,8 +92,6 @@ pub fn is_known_rule(rule: &str) -> bool {
 /// Run every rule over one file's token stream.
 pub fn check_tokens(file: &str, toks: &[Tok]) -> Vec<Diag> {
     let mut diags = Vec::new();
-    no_wall_clock(file, toks, &mut diags);
-    no_unordered_iter(file, toks, &mut diags);
     no_os_entropy(file, toks, &mut diags);
     total_float_order(file, toks, &mut diags);
     unit_suffix(file, toks, &mut diags);
@@ -116,8 +108,8 @@ fn diag(out: &mut Vec<Diag>, file: &str, line: u32, rule: &'static str, message:
 }
 
 // ---------------------------------------------------------------------
-// Sink patterns, shared by the leaf rules below and the call-graph
-// taint pass (`crate::items` records them per fn body).
+// Sink patterns of the call-graph taint pass (`crate::items` records
+// them per fn body); `no-os-entropy` also matches the entropy names.
 // ---------------------------------------------------------------------
 
 /// The wall-clock sink starting at token `i`, if any: `Instant::now`,
@@ -144,46 +136,6 @@ pub(crate) const ENTROPY_SINKS: &[&str] = &[
 
 /// Identifiers of std's iteration-order-dependent hash collections.
 pub(crate) const UNORDERED_SINKS: &[&str] = &["HashMap", "HashSet"];
-
-/// `no-wall-clock`: `Instant::now`, `SystemTime::now`, and any `std::time`
-/// path. The simulator must read [`SimTime`](simcore::time::SimTime)
-/// clocks only; wall-clock reads make run time observable and invite
-/// time-dependent branches.
-fn no_wall_clock(file: &str, toks: &[Tok], out: &mut Vec<Diag>) {
-    for i in 0..toks.len() {
-        let message = match wall_clock_sink(toks, i) {
-            None => continue,
-            Some("std::time") => {
-                "std::time is wall-clock machinery; simulated code must use simcore::time".into()
-            }
-            Some(what) => format!("{what}() reads the wall clock; simulated code must use SimTime"),
-        };
-        diag(out, file, toks[i].line, NO_WALL_CLOCK, message);
-    }
-}
-
-/// `no-unordered-iter`: any use of std's `HashMap`/`HashSet`. Iterating or
-/// draining them observes `RandomState` bucket order, which differs
-/// between processes; a single leaked iteration order silently breaks
-/// bit-identical replay. The rule over-approximates (keyed access alone
-/// is safe) — justify such uses with an allow directive.
-fn no_unordered_iter(file: &str, toks: &[Tok], out: &mut Vec<Diag>) {
-    for t in toks {
-        if t.kind == TokKind::Ident && UNORDERED_SINKS.contains(&t.text.as_str()) {
-            diag(
-                out,
-                file,
-                t.line,
-                NO_UNORDERED_ITER,
-                format!(
-                    "{} iteration order is nondeterministic; use BTreeMap/BTreeSet, keyed \
-                     indexing, or collect-and-sort before iterating",
-                    t.text
-                ),
-            );
-        }
-    }
-}
 
 /// `no-os-entropy`: OS randomness sources. Every random draw in the
 /// simulator must come from the seeded
@@ -493,21 +445,6 @@ mod tests {
 
     fn rules_of(diags: &[Diag]) -> Vec<&'static str> {
         diags.iter().map(|d| d.rule).collect()
-    }
-
-    #[test]
-    fn wall_clock_trips() {
-        let d = run("fn f() { let t = Instant::now(); }");
-        assert_eq!(rules_of(&d), vec![NO_WALL_CLOCK]);
-        let d = run("use std::time::Duration;");
-        assert!(rules_of(&d).contains(&NO_WALL_CLOCK));
-    }
-
-    #[test]
-    fn unordered_iter_trips_on_type_mention() {
-        let d = run("use std::collections::HashMap;\nstruct S { m: HashMap<u64, u32> }");
-        assert_eq!(d.iter().filter(|d| d.rule == NO_UNORDERED_ITER).count(), 2);
-        assert_eq!(d[0].line, 1);
     }
 
     #[test]

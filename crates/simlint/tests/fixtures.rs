@@ -52,8 +52,6 @@ fn assert_trips(name: &str, rule: &str) {
 
 #[test]
 fn every_rule_fixture_fails() {
-    assert_trips("bad_wall_clock.rs", "no-wall-clock");
-    assert_trips("bad_unordered_iter.rs", "no-unordered-iter");
     assert_trips("bad_os_entropy.rs", "no-os-entropy");
     assert_trips("bad_float_order.rs", "total-float-order");
     assert_trips("bad_unit_suffix.rs", "unit-suffix");
@@ -109,7 +107,7 @@ fn float_order_fixture_spares_the_trait_impl() {
 
 #[test]
 fn json_output_matches_schema() {
-    let out = check_fixture("bad_wall_clock.rs", true);
+    let out = check_fixture("bad_os_entropy.rs", true);
     assert_eq!(out.status.code(), Some(1));
     let doc = simcore::json::Json::parse(&String::from_utf8_lossy(&out.stdout))
         .expect("stdout is valid JSON");
@@ -217,8 +215,6 @@ fn rules_subcommand_lists_every_rule() {
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8_lossy(&out.stdout);
     for rule in [
-        "no-wall-clock",
-        "no-unordered-iter",
         "no-os-entropy",
         "total-float-order",
         "unit-suffix",
@@ -230,6 +226,7 @@ fn rules_subcommand_lists_every_rule() {
     ] {
         assert!(text.contains(rule), "missing {rule} in:\n{text}");
     }
+    assert_eq!(text.lines().count(), 8, "{text}");
 }
 
 #[test]
@@ -237,4 +234,70 @@ fn bad_usage_exits_2() {
     assert_eq!(run(&[]).status.code(), Some(2));
     assert_eq!(run(&["frobnicate"]).status.code(), Some(2));
     assert_eq!(run(&["check", "--root"]).status.code(), Some(2));
+}
+
+#[test]
+fn a_root_without_the_crates_exits_2() {
+    // A root that holds none of the deterministic crates must not lint
+    // clean by scanning nothing.
+    let empty = Path::new(env!("CARGO_TARGET_TMPDIR")).join("simlint-empty-root");
+    std::fs::create_dir_all(&empty).expect("temp dir");
+    let out = run(&["check", "--root", empty.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("missing"));
+
+    // A bare `check` from the benchmark's own workspace finds mrperf's
+    // `[workspace]` first, which holds no deterministic crate.
+    let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
+        .arg("check")
+        .current_dir(workspace_root().join("mrperf"))
+        .output()
+        .expect("simlint binary runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+}
+
+/// The `path = "..."` entries of one array table in `clippy.toml`.
+fn clippy_paths<'a>(toml: &'a str, table: &str) -> Vec<&'a str> {
+    let start = toml
+        .find(&format!("{table} = ["))
+        .unwrap_or_else(|| panic!("clippy.toml has no {table} table"));
+    let body = &toml[start..];
+    let body = &body[..body.find("\n]").expect("closed table")];
+    body.split("path = \"")
+        .skip(1)
+        .map(|rest| &rest[..rest.find('"').expect("closed string")])
+        .collect()
+}
+
+#[test]
+fn clippy_keeps_the_bans_simlint_handed_over() {
+    // simlint no longer matches wall-clock reads or std hash collections
+    // by token; clippy checks them by type. Dropping one of these entries
+    // (or the deny level) would silently drop that coverage.
+    let root = workspace_root();
+    let toml = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    let methods = clippy_paths(&toml, "disallowed-methods");
+    for path in [
+        "std::time::Instant::now",
+        "std::time::Instant::elapsed",
+        "std::time::SystemTime::now",
+        "std::time::SystemTime::elapsed",
+    ] {
+        assert!(methods.contains(&path), "{path} not in {methods:?}");
+    }
+    let types = clippy_paths(&toml, "disallowed-types");
+    for path in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::hash::RandomState",
+    ] {
+        assert!(types.contains(&path), "{path} not in {types:?}");
+    }
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("Cargo.toml");
+    for lint in [
+        "disallowed_methods = \"deny\"",
+        "disallowed_types = \"deny\"",
+    ] {
+        assert!(manifest.contains(lint), "root Cargo.toml must set {lint}");
+    }
 }

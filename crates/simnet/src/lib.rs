@@ -12,16 +12,13 @@
 //! * [`fairshare`] — the max-min fair allocation solver (progressive
 //!   filling).
 //! * [`network`] — the event-driven flow engine.
-//! * [`monitor`] — 1 Hz per-node throughput sampling (Fig. 7(b)).
 
 pub mod fairshare;
-pub mod monitor;
 pub mod network;
 pub mod protocol;
 pub mod topology;
 
 pub use fairshare::{FairshareSolver, FlowKey, FlowSpec, RackCaps};
-pub use monitor::NetworkMonitor;
 pub use network::{FlowCompletion, FlowId, Network};
 pub use protocol::{Interconnect, ProtocolModel};
 pub use topology::{NodeId, Topology};
