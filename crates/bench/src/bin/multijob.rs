@@ -1,11 +1,12 @@
 //! multijob — multi-job streams over a shared (optionally rack-aware)
 //! fabric.
 //!
-//! Drives [`mapreduce::multijob`]: a seeded Poisson job-arrival stream,
-//! N tenants competing for slots under Hadoop Fair-scheduler semantics,
-//! and every concurrent shuffle sharing one flow-level network. Writes a
-//! standalone `mrbench-multijob-v1` JSON artifact with per-tenant
-//! p50/p95/p99 job times.
+//! Drives [`mrbench::multijob`]: a seeded Poisson stream of MR-AVG jobs
+//! (Cluster A nodes, IPoIB QDR, the figures' engine model), N tenants
+//! competing for slots under Hadoop Fair-scheduler semantics, and every
+//! concurrent shuffle sharing one flow-level network. Writes a standalone
+//! `mrbench-multijob-v1` JSON artifact with per-tenant p50/p95/p99 job
+//! times.
 //!
 //! ```text
 //! cargo run --release -p mrbench-bench --bin multijob -- \
@@ -21,12 +22,11 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mapreduce::multijob::{self, ArrivalProcess, MultiJobSpec, TenantSpec};
-use mrbench::{atomic_write, Error};
+use mrbench::multijob::{self, ArrivalProcess, MultiJobSpec, TenantSpec};
+use mrbench::{atomic_write, BenchConfig, Error, Interconnect, MicroBenchmark};
 use simcore::jobj;
 use simcore::json::Json;
 use simcore::units::ByteSize;
-use simnet::{Interconnect, Topology};
 
 fn main() -> ExitCode {
     match real_main() {
@@ -46,8 +46,8 @@ fn real_main() -> Result<(), Error> {
     let mut oversubscription = 1.0f64;
     let mut jobs = 24usize;
     let mut tenants = 3usize;
-    let mut maps = 8usize;
-    let mut reduces = 4usize;
+    let mut maps = 8u32;
+    let mut reduces = 4u32;
     let mut shuffle_mb = 128u64;
     let mut mean_gap_s = 2.0f64;
     let mut seed = 42u64;
@@ -98,8 +98,19 @@ fn real_main() -> Result<(), Error> {
         shuffle_mb = shuffle_mb.min(64);
     }
 
+    let mut job = BenchConfig::cluster_a_default(
+        MicroBenchmark::Avg,
+        Interconnect::IpoibQdr,
+        mib(shuffle_mb)?,
+    );
+    job.slaves = slaves;
+    job.racks = racks;
+    job.oversubscription = oversubscription;
+    job.num_maps = maps;
+    job.num_reduces = reduces;
+    job.seed = seed;
     let spec = MultiJobSpec {
-        topology: topology(slaves, racks, oversubscription)?,
+        job,
         tenants: (0..tenants)
             .map(|t| TenantSpec {
                 name: format!("tenant-{t}"),
@@ -108,17 +119,10 @@ fn real_main() -> Result<(), Error> {
             .collect(),
         n_jobs: jobs,
         arrivals: ArrivalProcess::Poisson { mean_gap_s },
-        slots_per_node: 2,
-        maps_per_job: maps,
-        reduces_per_job: reduces,
-        shuffle_bytes_per_job: mib(shuffle_mb)?,
-        map_service_s: 1.0,
-        reduce_service_s: 0.5,
-        seed,
     };
 
     let start = Instant::now();
-    let result = multijob::run(&spec).map_err(Error::Config)?;
+    let result = multijob::run(&spec)?;
     let wall_s = start.elapsed().as_secs_f64();
 
     let mut doc = jobj! {
@@ -130,8 +134,8 @@ fn real_main() -> Result<(), Error> {
             "oversubscription": oversubscription,
             "jobs": jobs as u64,
             "tenants": tenants as u64,
-            "maps_per_job": maps as u64,
-            "reduces_per_job": reduces as u64,
+            "maps_per_job": maps,
+            "reduces_per_job": reduces,
             "shuffle_mb_per_job": shuffle_mb,
             "mean_gap_s": mean_gap_s,
             "seed": seed,
@@ -147,25 +151,6 @@ fn real_main() -> Result<(), Error> {
         result.jobs_completed, result.makespan_s, wall_s
     );
     Ok(())
-}
-
-/// The shared fabric. Checks what `Topology` asserts, so bad flags are a
-/// config error (exit 3) rather than a panic.
-fn topology(slaves: usize, racks: usize, oversubscription: f64) -> Result<Topology, Error> {
-    if slaves == 0 {
-        return Err(Error::config("need at least one slave"));
-    }
-    let flat = Topology::single_switch(slaves, Interconnect::IpoibQdr);
-    if !(racks > 1 || oversubscription > 1.0) {
-        return Ok(flat);
-    }
-    if !((1..=slaves).contains(&racks) && oversubscription.is_finite() && oversubscription >= 1.0) {
-        return Err(Error::config(format!(
-            "need 1 to {slaves} racks and a finite oversubscription >= 1.0, \
-             got {racks} racks at {oversubscription}"
-        )));
-    }
-    Ok(flat.with_racks(racks, oversubscription))
 }
 
 /// `MiB` mebibytes as a byte count, or a config error when that
@@ -187,28 +172,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bad_topology_flags_are_config_errors() {
-        for (slaves, racks, oversubscription) in [
-            (0, 1, 1.0),
-            (0, 4, 4.0),
-            (2, 5, 1.0),
-            (4, 0, 4.0),
-            (4, 2, f64::INFINITY),
-            (4, 2, f64::NAN),
-            (4, 2, 0.5),
-        ] {
-            let err = topology(slaves, racks, oversubscription).unwrap_err();
-            assert_eq!(
-                err.exit_code(),
-                3,
-                "{slaves}/{racks}/{oversubscription}: {err}"
-            );
-        }
-        assert_eq!(topology(8, 1, 1.0).unwrap().n_racks(), 1);
-        assert_eq!(topology(8, 4, 2.0).unwrap().n_racks(), 4);
-    }
 
     #[test]
     fn shuffle_mib_past_u64_bytes_is_a_config_error() {

@@ -39,3 +39,13 @@ fn shuffle_volumes_past_u64_bytes_exit_3() {
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
 }
+
+#[test]
+fn task_counts_past_the_attempt_slots_exit_3() {
+    // 10^12 jobs of 12 tasks cannot be numbered in the tags' 24-bit slot
+    // field; the stream is refused before anything is allocated.
+    let (code, stderr) = multijob(&["--jobs", "1000000000000", "--shuffle-mb", "1"]);
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(stderr.contains("attempt slots"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

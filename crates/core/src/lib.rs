@@ -42,6 +42,7 @@ pub mod calib;
 pub mod cli;
 pub mod config;
 pub mod error;
+pub mod multijob;
 pub mod partitioners;
 pub mod report;
 pub mod runner;

@@ -158,6 +158,22 @@ mod tests {
     }
 
     #[test]
+    fn spill_chunk_counts_past_the_tag_sequence_are_config_errors() {
+        // `mrbench --maps 1 --reduces 1 --slaves 1 --shuffle-gb 17179869183`:
+        // one map would number ~8.6e10 spill chunks in a 32-bit field.
+        for backend in [BackendKind::Des, BackendKind::Analytic] {
+            let mut c = small(MicroBenchmark::Avg, Interconnect::GigE1);
+            c.backend = backend;
+            c.slaves = 1;
+            c.num_maps = 1;
+            c.num_reduces = 1;
+            c.volume = ShuffleVolume::TotalBytes(ByteSize::from_bytes(17_179_869_183 << 30));
+            let err = run(&c).unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{backend:?}: {err}");
+        }
+    }
+
+    #[test]
     fn sub_nanosecond_monitor_interval_is_a_config_error_on_both_backends() {
         // 1e-12 s rounds to a 0 ns sampling interval.
         for backend in [BackendKind::Des, BackendKind::Analytic] {

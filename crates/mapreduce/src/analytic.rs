@@ -28,7 +28,6 @@ use cluster::NodeSpec;
 use simcore::stats::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
 use simcore::trace::{Span, Trace};
-use simcore::units::ByteSize;
 use simnet::Topology;
 
 use crate::conf::EngineKind;
@@ -37,6 +36,7 @@ use crate::counters::Counters;
 use crate::faults::JobOutcome;
 use crate::ifile;
 use crate::job::{JobResult, JobSpec, TaskTiming};
+use crate::schedule::{page_cache_budget, yarn_pool};
 use crate::shuffle::rdma::ShuffleModel;
 use crate::task::phase;
 
@@ -108,32 +108,12 @@ fn lanes_per_node(conf: &crate::conf::JobConf, node: &NodeSpec) -> (u32, u32) {
     match conf.engine {
         EngineKind::MRv1 => (conf.map_slots_per_node, conf.reduce_slots_per_node),
         EngineKind::Yarn => {
-            let by_mem = node.memory.as_bytes() / conf.container_memory.as_bytes().max(1);
-            let pool = (by_mem as u32).min(node.cores).max(1);
+            let pool = yarn_pool(conf, node);
             // Containers are shared; reducers occupy at most half the pool
             // while maps are still running (the scheduler's map priority).
             (pool, (pool / 2).max(1))
         }
     }
-}
-
-/// Page-cache budget per node, mirroring `Engine::with_topology`: node
-/// memory minus task-JVM reservations, floored at 2 GiB.
-fn cache_budget_bytes(conf: &crate::conf::JobConf, node: &NodeSpec) -> u64 {
-    let reserved = match conf.engine {
-        EngineKind::MRv1 => {
-            u64::from(conf.map_slots_per_node + conf.reduce_slots_per_node)
-                * ByteSize::from_gib(1).as_bytes()
-        }
-        EngineKind::Yarn => {
-            let (pool, _) = lanes_per_node(conf, node);
-            u64::from(pool) * conf.container_memory.as_bytes()
-        }
-    };
-    node.memory
-        .as_bytes()
-        .saturating_sub(reserved)
-        .max(ByteSize::from_gib(2).as_bytes())
 }
 
 /// The fraction of the sender-side protocol charge the engine bills (the
@@ -292,7 +272,7 @@ impl<'a> Model<'a> {
         // beyond its page cache re-read from disk before they can leave.
         let out_per_node = total / s;
         let send_s = out_per_node * (1.0 - 1.0 / s) / self.nic_bps;
-        let cache = cache_budget_bytes(conf, self.job.node) as f64;
+        let cache = page_cache_budget(conf, self.job.node).as_bytes() as f64;
         let uncached_s = (out_per_node - cache).max(0.0) / self.disk_read_bps;
         bottleneck_s = bottleneck_s.max(send_s).max(uncached_s);
 
@@ -726,6 +706,7 @@ fn sample_windows(windows: &[(f64, f64, f64, f64)], interval_s: f64) -> (TimeSer
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::units::ByteSize;
     use simnet::Interconnect;
 
     fn job_spec(pairs: u64, maps: u32, reduces: u32) -> JobSpec {

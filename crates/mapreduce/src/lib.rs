@@ -18,8 +18,8 @@
 //! * [`schedule`] — MRv1 slot and YARN container scheduling.
 //! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`])
 //!   and the job-level outcome types for fault tolerance.
-//! * [`engine`] — the deterministic event-loop driver; start at
-//!   [`engine::run_job`].
+//! * [`engine`] — the deterministic event-loop driver, for one job or a
+//!   stream of jobs on a shared cluster; start at [`engine::run_job`].
 //! * [`analytic`] — the closed-form (Herodotou-style) cost-model backend:
 //!   the same [`job::JobResult`] in O(maps + reduces) arithmetic instead
 //!   of an event-by-event replay; start at [`analytic::evaluate`].
@@ -38,7 +38,6 @@ pub mod faults;
 pub mod ifile;
 pub mod io;
 pub mod job;
-pub mod multijob;
 pub mod partition;
 pub mod schedule;
 pub mod shuffle;
@@ -48,9 +47,8 @@ pub use analytic::AnalyticJob;
 pub use conf::{EngineKind, JobConf, ShuffleEngineKind};
 pub use costs::CostModel;
 pub use counters::Counters;
-pub use engine::{run_job, Engine};
+pub use engine::{run_job, Engine, StreamJob};
 pub use faults::{FailureDiag, FaultPlan, JobOutcome, NodeCrash, NodeSlowdown};
 pub use io::DataType;
 pub use job::{JobResult, JobSpec, PartitionerFactory, TaskTiming};
-pub use multijob::{ArrivalProcess, MultiJobResult, MultiJobSpec, TenantReport, TenantSpec};
 pub use partition::{HashPartitioner, HashPartitionerFactory, Partitioner};

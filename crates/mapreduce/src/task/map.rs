@@ -314,7 +314,7 @@ impl MapTask {
         let raw = (env.spec.key_size + env.spec.value_size) as u64 * self.records();
         env.counters.map_output_bytes += raw;
         env.counters.map_output_materialized_bytes += self.out_bytes;
-        env.notes.push(Note::MapOutputReady(self.index));
+        env.notes.push(Note::MapOutputReady { slot: self.slot });
         env.notes.push(Note::TaskFinished { slot: self.slot });
     }
 

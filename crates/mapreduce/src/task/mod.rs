@@ -191,8 +191,19 @@ impl PhaseCursor {
 /// The sink tag: resource consumption with no follow-up event.
 pub(crate) const SINK_TAG: u64 = 0;
 
+/// Attempt slots a tag can name: the slot, plus one, fills the top 24
+/// bits (0 marks the sink).
+pub(crate) const SLOT_LIMIT: u64 = (1 << 24) - 1;
+
+/// Distinct sequence numbers a tag can carry in its low 32 bits.
+pub(crate) const SEQ_LIMIT: u64 = 1 << 32;
+
 /// Encode a correlation tag.
 pub(crate) fn tag(task: u32, stage: Stage, seq: u32) -> u64 {
+    debug_assert!(
+        u64::from(task) < SLOT_LIMIT,
+        "attempt slot {task} overflows the tag's 24-bit slot field"
+    );
     (u64::from(task) + 1) << 40 | u64::from(stage.to_u8()) << 32 | u64::from(seq)
 }
 
@@ -211,8 +222,9 @@ pub(crate) fn untag(t: u64) -> Option<(u32, Stage, u32)> {
 /// Out-of-band signals a task raises for the engine.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Note {
-    /// A map committed its output; reducers can fetch it.
-    MapOutputReady(u32),
+    /// The map attempt in `slot` committed its output; reducers can
+    /// fetch it.
+    MapOutputReady { slot: u32 },
     /// The attempt in `slot` finished; the scheduler can reuse its slot
     /// and any sibling (speculative) attempts must be killed.
     TaskFinished { slot: u32 },
@@ -266,7 +278,7 @@ mod tests {
 
     #[test]
     fn tag_round_trips() {
-        for task in [0u32, 1, 7, 4095] {
+        for task in [0u32, 1, 7, 4095, (SLOT_LIMIT - 1) as u32] {
             for stage in [Stage::Jvm, Stage::FetchNet, Stage::ReduceOutWrite] {
                 for seq in [0u32, 1, u32::MAX] {
                     let t = tag(task, stage, seq);

@@ -348,7 +348,7 @@ impl ReduceTask {
                 * f64::powi(2.0, (self.fetch_tries[m] - 1) as i32)
                 * env.shuffle_model.retry_backoff_scale;
             env.timers.schedule(
-                env.now + SimDuration::from_secs_f64(backoff),
+                env.now.saturating_add(SimDuration::from_secs_f64(backoff)),
                 tag(self.slot, Stage::FetchRetry, seq),
             );
             return;

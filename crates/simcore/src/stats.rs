@@ -214,6 +214,23 @@ impl IntervalSampler {
         self.next_sample = end + self.interval;
     }
 
+    /// The instant the next whole-interval sample is due.
+    pub fn next_sample(&self) -> SimTime {
+        self.next_sample
+    }
+
+    /// Drop, unsampled, every whole window that ends at or before `now`:
+    /// the source was idle through them. The grid keeps its phase.
+    pub fn skip_to(&mut self, now: SimTime) {
+        if self.next_sample <= now {
+            let step = self.interval.as_nanos();
+            let windows = now.since(self.next_sample).as_nanos() / step + 1;
+            self.next_sample = self
+                .next_sample
+                .saturating_add(SimDuration::from_nanos(windows.saturating_mul(step)));
+        }
+    }
+
     /// One series per node, in node order.
     pub fn series(&self) -> &[TimeSeries] {
         &self.series
@@ -351,6 +368,32 @@ mod tests {
         mon.flush(SimTime::from_secs(2), from(&mut src, rx_mb_s));
         // Whole intervals at 1 s and 2 s only; no extra tail sample.
         assert_eq!(mon.series()[0].len(), 2);
+    }
+
+    #[test]
+    fn skip_to_drops_idle_windows_and_keeps_the_grid() {
+        let mut src = vec![RateIntegrator::new(SimTime::ZERO)];
+        let mut mon = IntervalSampler::new(1, SimDuration::from_secs(1));
+        mon.maybe_sample(SimTime::from_secs(2), from(&mut src, rx_mb_s));
+        // Idle until 7.5 s: the windows ending at 3..=7 s are dropped.
+        mon.skip_to(SimTime::from_nanos(7_500_000_000));
+        assert_eq!(mon.next_sample(), SimTime::from_secs(8));
+        // A window ending exactly at the resume instant is dropped too,
+        // and skipping to a time before the next tick changes nothing.
+        mon.skip_to(SimTime::from_secs(8));
+        assert_eq!(mon.next_sample(), SimTime::from_secs(9));
+        mon.skip_to(SimTime::from_nanos(8_500_000_000));
+        assert_eq!(mon.next_sample(), SimTime::from_secs(9));
+        mon.maybe_sample(SimTime::from_secs(9), from(&mut src, rx_mb_s));
+        let times: Vec<u64> = mon.series()[0]
+            .samples()
+            .iter()
+            .map(|s| s.time.as_nanos() / 1_000_000_000)
+            .collect();
+        assert_eq!(times, vec![1, 2, 9]);
+        // Near the top of the clock the grid saturates instead of wrapping.
+        mon.skip_to(SimTime::MAX);
+        assert_eq!(mon.next_sample(), SimTime::MAX);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! * **`determinism-taint`** — builds a cross-crate call graph and
 //!   walks it from every sim-state mutator (methods of `Engine` and
-//!   `Network`, and everything in `multijob`). Any function those
+//!   `Network`, and everything in a `multijob` file such as
+//!   `crates/core/src/multijob.rs`). Any function those
 //!   mutators can transitively reach must not contain a wall-clock,
 //!   OS-entropy, or unordered-iteration sink; the diagnostic carries
 //!   the *full call chain*, not just the leaf.
@@ -52,7 +53,7 @@ pub struct ProgramFile<'a> {
 const ROOT_OWNERS: &[&str] = &["Engine", "Network"];
 
 /// Path fragments that root every fn in the file (the multi-tenant
-/// job-stream driver).
+/// job-stream driver, `crates/core/src/multijob.rs`).
 const ROOT_PATH_FRAGMENTS: &[&str] = &["multijob"];
 
 /// Run every semantic pass over the whole program.
@@ -628,7 +629,7 @@ fn never_called_from_sim() { let t = Instant::now(); }
     #[test]
     fn multijob_files_root_the_walk() {
         let src = "pub fn run() { helper(); }\nfn helper() { let t = SystemTime::now(); }";
-        let d = run(&[("crates/mapreduce/src/multijob.rs", src)]);
+        let d = run(&[("crates/core/src/multijob.rs", src)]);
         // Every fn in a multijob file is a root, so the nearest root
         // (`helper` itself) heads the chain.
         assert!(
