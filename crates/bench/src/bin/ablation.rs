@@ -95,11 +95,10 @@ fn run_variant(
 }
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::exit_code(real_main())
+    mrbench_bench::figure_main("ablation", real_main)
 }
 
-fn real_main() -> Result<(), mrbench::Error> {
-    let mut harness = Harness::from_env("ablation");
+fn real_main(mut harness: Harness) -> Result<(), mrbench::Error> {
     figure_header(
         "Ablation",
         "Fig. 2 anchor cell (MR-AVG, 16 GB, 16M/8R on 4 slaves) under model ablations",

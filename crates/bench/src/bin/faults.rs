@@ -24,11 +24,10 @@ fn base(bench: MicroBenchmark, shuffle: ByteSize) -> BenchConfig {
 }
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::exit_code(real_main())
+    mrbench_bench::figure_main("faults", real_main)
 }
 
-fn real_main() -> Result<(), mrbench::Error> {
-    let mut harness = Harness::from_env("faults");
+fn real_main(mut harness: Harness) -> Result<(), mrbench::Error> {
     figure_header(
         "Fault tolerance",
         "Recovery cost under injected failures (extension; 4 GB shuffle, IPoIB QDR)",

@@ -24,21 +24,28 @@ use std::time::Instant;
 
 use mrbench::multijob::{self, ArrivalProcess, MultiJobSpec, TenantSpec};
 use mrbench::{atomic_write, BenchConfig, Error, Interconnect, MicroBenchmark};
+use mrbench_bench::cli::{parse_f64, parse_num, parse_u32, total_bytes};
+use mrbench_bench::{exit_code, value};
 use simcore::jobj;
 use simcore::json::Json;
 use simcore::units::ByteSize;
 
+const USAGE: &str = "\
+usage: multijob [--quick] [--out PATH] [--slaves N] [--racks N]
+                [--oversubscription F] [--jobs N] [--tenants N]
+                [--maps N] [--reduces N] [--shuffle-mb MB]
+                [--mean-gap SECS] [--seed N] [-h, --help]
+Runs a seeded multi-tenant job stream over a shared
+rack-aware network and writes an mrbench-multijob-v1
+JSON artifact (default BENCH_multijob.json).
+";
+
 fn main() -> ExitCode {
-    match real_main() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("multijob: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    exit_code("multijob", USAGE, real_main(&args))
 }
 
-fn real_main() -> Result<(), Error> {
+fn real_main(args: &[String]) -> Result<ExitCode, Error> {
     let mut quick = false;
     let mut out = "BENCH_multijob.json".to_string();
     let mut slaves = 64usize;
@@ -52,45 +59,24 @@ fn real_main() -> Result<(), Error> {
     let mut mean_gap_s = 2.0f64;
     let mut seed = 42u64;
 
-    let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>, name: &str| -> Result<String, Error> {
-        args.next()
-            .ok_or_else(|| Error::usage(format!("{name} needs a value")))
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
+    let mut it = args.iter().peekable();
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        match flag {
             "--quick" => quick = true,
-            "--out" => out = value(&mut args, "--out")?,
-            "--slaves" => slaves = parse(&value(&mut args, "--slaves")?, "--slaves")?,
-            "--racks" => racks = parse(&value(&mut args, "--racks")?, "--racks")?,
-            "--oversubscription" => {
-                oversubscription = parse(
-                    &value(&mut args, "--oversubscription")?,
-                    "--oversubscription",
-                )?
-            }
-            "--jobs" => jobs = parse(&value(&mut args, "--jobs")?, "--jobs")?,
-            "--tenants" => tenants = parse(&value(&mut args, "--tenants")?, "--tenants")?,
-            "--maps" => maps = parse(&value(&mut args, "--maps")?, "--maps")?,
-            "--reduces" => reduces = parse(&value(&mut args, "--reduces")?, "--reduces")?,
-            "--shuffle-mb" => {
-                shuffle_mb = parse(&value(&mut args, "--shuffle-mb")?, "--shuffle-mb")?
-            }
-            "--mean-gap" => mean_gap_s = parse(&value(&mut args, "--mean-gap")?, "--mean-gap")?,
-            "--seed" => seed = parse(&value(&mut args, "--seed")?, "--seed")?,
-            "--help" | "-h" => {
-                println!(
-                    "multijob [--quick] [--out PATH] [--slaves N] [--racks N]\n\
-                     \x20        [--oversubscription F] [--jobs N] [--tenants N]\n\
-                     \x20        [--maps N] [--reduces N] [--shuffle-mb MB]\n\
-                     \x20        [--mean-gap SECS] [--seed N]\n\
-                     Runs a seeded multi-tenant job stream over a shared\n\
-                     rack-aware network and writes an mrbench-multijob-v1\n\
-                     JSON artifact (default BENCH_multijob.json)."
-                );
-                return Ok(());
-            }
-            other => return Err(Error::usage(format!("unknown flag {other}"))),
+            "--out" => out = value(&mut it, flag)?.to_string(),
+            "--slaves" => slaves = parse_num(value(&mut it, flag)?)? as usize,
+            "--racks" => racks = parse_num(value(&mut it, flag)?)? as usize,
+            "--oversubscription" => oversubscription = parse_f64(flag, value(&mut it, flag)?)?,
+            "--jobs" => jobs = parse_num(value(&mut it, flag)?)? as usize,
+            "--tenants" => tenants = parse_num(value(&mut it, flag)?)? as usize,
+            "--maps" => maps = parse_u32(flag, value(&mut it, flag)?)?,
+            "--reduces" => reduces = parse_u32(flag, value(&mut it, flag)?)?,
+            "--shuffle-mb" => shuffle_mb = parse_num(value(&mut it, flag)?)?,
+            "--mean-gap" => mean_gap_s = parse_f64(flag, value(&mut it, flag)?)?,
+            "--seed" => seed = parse_num(value(&mut it, flag)?)?,
+            "-h" | "--help" => return Err(Error::Help(USAGE.to_string())),
+            other => return Err(Error::usage(format!("unknown argument '{other}'"))),
         }
     }
     if quick {
@@ -101,7 +87,7 @@ fn real_main() -> Result<(), Error> {
     let mut job = BenchConfig::cluster_a_default(
         MicroBenchmark::Avg,
         Interconnect::IpoibQdr,
-        mib(shuffle_mb)?,
+        total_bytes("--shuffle-mb", shuffle_mb, ByteSize::from_mib(1))?,
     );
     job.slaves = slaves;
     job.racks = racks;
@@ -150,34 +136,5 @@ fn real_main() -> Result<(), Error> {
         "wrote {out} ({} jobs, makespan {:.1}s simulated, {:.2}s wall)",
         result.jobs_completed, result.makespan_s, wall_s
     );
-    Ok(())
-}
-
-/// `MiB` mebibytes as a byte count, or a config error when that
-/// overflows `u64`.
-fn mib(mb: u64) -> Result<ByteSize, Error> {
-    mb.checked_mul(ByteSize::from_mib(1).as_bytes())
-        .map(ByteSize::from_bytes)
-        .ok_or_else(|| Error::config(format!("--shuffle-mb {mb} overflows a 64-bit byte count")))
-}
-
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, Error>
-where
-    T::Err: std::fmt::Display,
-{
-    s.parse()
-        .map_err(|e| Error::usage(format!("bad {flag} value: {e}")))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shuffle_mib_past_u64_bytes_is_a_config_error() {
-        assert_eq!(mib(u64::MAX).unwrap_err().exit_code(), 3);
-        let top = u64::MAX >> 20;
-        assert_eq!(mib(top).unwrap().as_bytes(), top << 20);
-        assert_eq!(mib(top + 1).unwrap_err().exit_code(), 3);
-    }
+    Ok(ExitCode::SUCCESS)
 }

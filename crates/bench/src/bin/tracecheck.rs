@@ -1,16 +1,16 @@
 //! Validate Chrome trace-event files emitted by `--trace`.
 //!
-//! Accepts one or more trace files (single-run documents from
-//! `mrbench --trace` or combined multi-run documents from the figure
-//! binaries) and checks the structural invariants CI relies on:
+//! Accepts one or more trace files — the combined document every binary
+//! writes through `Harness::finish`, one process per run — and checks
+//! the structural invariants CI relies on:
 //!
 //! * the file parses as a JSON object with a `"traceEvents"` array;
 //! * every event carries a `"ph"`, a `"pid"` and a finite `"ts" >= 0`;
 //! * every complete (`"X"`) event has a finite `"dur" >= 0` and a task
 //!   label in `"args"`;
-//! * combined files list their run labels under `"runs"`, with exactly
-//!   one `process_name` metadata record per run and no event pointing
-//!   at a pid outside that list;
+//! * the run labels are listed under `"runs"`, with exactly one
+//!   `process_name` metadata record per run and no event pointing at a
+//!   pid outside that list;
 //! * the file contains at least one span (a trace with zero spans means
 //!   the producer never enabled tracing).
 //!
@@ -19,8 +19,10 @@
 //! parse or validate (the `mrbench::error` taxonomy).
 
 use std::path::Path;
+use std::process::ExitCode;
 
 use mrbench::Error;
+use mrbench_bench::exit_code;
 use simcore::json::Json;
 
 struct Check {
@@ -38,22 +40,13 @@ fn check_file(path: &str) -> Result<Check, Error> {
         .field_arr("traceEvents")
         .map_err(|e| Error::parse(path, e))?;
 
-    // Combined documents label their processes; single-run documents
-    // implicitly have one run under pid 0.
-    let runs = match doc.get("runs") {
-        Some(r) => {
-            let arr = r
-                .as_arr()
-                .ok_or_else(|| Error::parse(path, "\"runs\" is not an array"))?;
-            for (i, label) in arr.iter().enumerate() {
-                if label.as_str().is_none() {
-                    return Err(Error::parse(path, format!("runs[{i}] is not a string")));
-                }
-            }
-            arr.len()
+    let runs = doc.field_arr("runs").map_err(|e| Error::parse(path, e))?;
+    for (i, label) in runs.iter().enumerate() {
+        if label.as_str().is_none() {
+            return Err(Error::parse(path, format!("runs[{i}] is not a string")));
         }
-        None => 1,
-    };
+    }
+    let runs = runs.len();
 
     let mut spans = 0usize;
     let mut marks = 0usize;
@@ -118,18 +111,21 @@ fn check_file(path: &str) -> Result<Check, Error> {
     })
 }
 
-fn main() -> std::process::ExitCode {
-    mrbench_bench::exit_code(real_main())
+const USAGE: &str = "usage: tracecheck TRACE.json [TRACE.json ...]\n";
+
+fn main() -> ExitCode {
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    exit_code("tracecheck", USAGE, real_main(&paths))
 }
 
-fn real_main() -> Result<(), Error> {
-    let paths: Vec<String> = std::env::args().skip(1).collect();
-    if paths.is_empty() {
-        return Err(Error::usage(
-            "usage: tracecheck TRACE.json [TRACE.json ...]",
-        ));
+fn real_main(paths: &[String]) -> Result<ExitCode, Error> {
+    if paths.iter().any(|p| p == "-h" || p == "--help") {
+        return Err(Error::Help(USAGE.to_string()));
     }
-    for path in &paths {
+    if paths.is_empty() {
+        return Err(Error::usage("no trace file given"));
+    }
+    for path in paths {
         let c = check_file(path)?;
         println!(
             "{path}: ok — {} run(s), {} events ({} spans, {} marks), last activity at {:.3} s",
@@ -140,5 +136,5 @@ fn real_main() -> Result<(), Error> {
             c.last_ts_us / 1e6
         );
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }

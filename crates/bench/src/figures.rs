@@ -23,7 +23,7 @@ use simcore::units::ByteSize;
 use simnet::Interconnect::{self, GigE1, GigE10, IpoibFdr, IpoibQdr, RdmaFdr};
 
 use crate::{
-    ensure_within_budget, exit_code, figure_header, print_improvements, quick_sizes, run_grid,
+    ensure_within_budget, figure_header, figure_main, print_improvements, quick_sizes, run_grid,
     Harness, CLUSTER_A_NETWORKS, PAPER_GIB,
 };
 use Quantity::{Gain, Ratio, Read, Time};
@@ -178,7 +178,7 @@ pub(crate) fn within(paper: f64, measured: f64, tol: f64) -> bool {
 impl FigureSpec {
     /// The figure binary: run every panel, then check every claim.
     pub fn main(&self) -> ExitCode {
-        exit_code(self.run())
+        figure_main(self.name, |harness| self.run(harness))
     }
 
     /// The shuffle-size axis: the paper's, or its `--quick` stand-in.
@@ -205,8 +205,7 @@ impl FigureSpec {
         Ok(())
     }
 
-    fn run(&self) -> Result<(), Error> {
-        let mut harness = Harness::from_env(self.name);
+    fn run(&self, mut harness: Harness) -> Result<(), Error> {
         figure_header(self.figure, self.caption);
         let sizes = self.sizes(&harness);
         let mut sweeps = Vec::new();
@@ -308,11 +307,10 @@ static FIGURES: [&FigureSpec; 7] = [&FIG2, &FIG3, &FIG4, &FIG5, &FIG6, &FIG7, &F
 /// The `summary` binary: re-run each figure's headline cells at one size
 /// and print every claim as a paper-vs-measured Markdown table.
 pub fn summary() -> ExitCode {
-    exit_code(run_summary())
+    figure_main("summary", run_summary)
 }
 
-fn run_summary() -> Result<(), Error> {
-    let mut harness = Harness::from_env("summary");
+fn run_summary(mut harness: Harness) -> Result<(), Error> {
     let mut sweeps = Vec::new();
     for spec in FIGURES {
         let size = [harness.shuffle(ByteSize::from_gib(spec.summary_gib))];
@@ -909,7 +907,7 @@ mod tests {
         } else {
             vec![]
         };
-        Harness::parse("test", &args).unwrap()
+        Harness::parse("test", "usage", &args, crate::figure_flag).unwrap()
     }
 
     /// The cells a quantity reads.

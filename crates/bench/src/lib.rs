@@ -16,22 +16,21 @@
 //! cargo run --release -p mrbench-bench --bin fig2
 //! ```
 //!
-//! Every binary accepts the same flags:
+//! Every binary here but `multijob` and `tracecheck` runs on one
+//! [`Harness`], which parses the run-wide flags, runs the sweep and
+//! reports errors through [`exit_code`]:
 //!
 //! * `--json [PATH]` — write the run as a `mrbench-artifact-v1` JSON
 //!   document (default `BENCH_<name>.json`).
 //! * `--csv [PATH]` — write one CSV row per simulated run (default
 //!   `BENCH_<name>.csv`).
-//! * `--quick` — CI smoke mode: MiB-scale shuffle sizes so the binary
-//!   finishes in seconds; paper-scale shape checks are skipped.
+//! * `--trace [PATH]` — record phase spans and write one Chrome
+//!   trace-event document, one process per run (default
+//!   `BENCH_<name>_trace.json`).
 //! * `--resume [DIR]` — persist every finished sweep cell in a
 //!   content-addressed result store (default `BENCH_<name>.store`) and
 //!   skip cells already there, so a killed run restarted with the same
 //!   flags picks up where it left off.
-//! * `--deadline <SECS>` — wall-clock budget for the whole binary; when
-//!   it expires the current sweep stops at a cell boundary, the panels
-//!   finished so far are flushed as a valid partial artifact, and the
-//!   process exits 7 (pair with `--resume` to continue later).
 //! * `--max-events <N>` / `--max-sim-secs <S>` — per-run watchdog
 //!   budgets forwarded to every simulated job (exit 6 on breach).
 //! * `--backend <des|analytic>` — evaluation backend for every run: the
@@ -39,10 +38,24 @@
 //!   model (orders of magnitude faster; validated against the DES within
 //!   per-figure error bands — see EXPERIMENTS.md). Results cache under
 //!   backend-tagged digests, so `--resume` stores never mix the two.
+//! * `-h`, `--help` — print the binary's usage and exit 0.
 //!
-//! Exit codes follow `mrbench::error`: 0 success, 2 usage, 3 config,
-//! 4 I/O, 5 parse, 6 budget exceeded, 7 deadline.
+//! The figure binaries (fig2–fig8, `summary`, `faults`, `ablation`) add
+//! two flags of their own:
+//!
+//! * `--quick` — CI smoke mode: MiB-scale shuffle sizes so the binary
+//!   finishes in seconds; paper-scale shape checks are skipped.
+//! * `--deadline <SECS>` — wall-clock budget for the whole binary; when
+//!   it expires the current sweep stops at a cell boundary, the panels
+//!   finished so far are flushed as a valid partial artifact, and the
+//!   process exits 7 (pair with `--resume` to continue later).
+//!
+//! `mrbench` adds its config flags instead ([`cli`]).
+//!
+//! Exit codes follow `mrbench::error`: 0 success, 1 job failed,
+//! 2 usage, 3 config, 4 I/O, 5 parse, 6 budget exceeded, 7 deadline.
 
+pub mod cli;
 pub mod figures;
 
 use std::path::PathBuf;
@@ -53,15 +66,38 @@ use simcore::units::ByteSize;
 use simnet::Interconnect;
 
 use mrbench::{
-    ArtifactPaths, Artifacts, BenchConfig, BenchReport, Error, ResultStore, Sweep, SweepOptions,
+    Artifacts, BackendKind, BenchConfig, BenchReport, Error, ResultStore, Sweep, SweepOptions,
 };
 
-/// Shared command-line harness for the figure binaries: flag parsing,
-/// quick-mode size substitution, and artifact collection.
+use crate::cli::{parse_f64, parse_num};
+
+/// The arguments still to parse; a flag handler takes its value from
+/// here.
+pub type Args<'a> = std::iter::Peekable<std::slice::Iter<'a, String>>;
+
+/// The value that follows `flag`.
+pub fn value<'a>(it: &mut Args<'a>, flag: &str) -> Result<&'a str, Error> {
+    it.next()
+        .map(String::as_str)
+        .ok_or_else(|| Error::usage(format!("{flag} needs a value")))
+}
+
+/// An optional path value: the next argument, unless it is the next
+/// flag (any `-`-prefixed token, single-dash ones included).
+fn path_or(it: &mut Args<'_>, default: String) -> PathBuf {
+    PathBuf::from(it.next_if(|v| !v.starts_with('-')).unwrap_or(&default))
+}
+
+/// The command-line harness every sweep binary shares: the run-wide
+/// flags, quick-mode size substitution, the result store, the deadline
+/// and artifact collection.
 #[derive(Debug)]
 pub struct Harness {
     artifacts: Artifacts,
-    paths: ArtifactPaths,
+    /// JSON artifact destination from `--json [PATH]`.
+    json: Option<PathBuf>,
+    /// CSV artifact destination from `--csv [PATH]`.
+    csv: Option<PathBuf>,
     /// Chrome trace-event output requested via `--trace [PATH]`. When
     /// set, every run executes with phase tracing on and [`Harness::finish`]
     /// writes one combined trace file (one process per recorded run).
@@ -78,7 +114,7 @@ pub struct Harness {
     pub max_sim_secs: Option<f64>,
     /// Backend override from `--backend <des|analytic>`; `None` leaves
     /// each config's own selection (the DES default) in place.
-    pub backend: Option<mrbench::BackendKind>,
+    pub backend: Option<BackendKind>,
     /// The opened store ([`Harness::arm`]); `parse` leaves it closed so
     /// flag parsing stays side-effect free.
     store: Option<ResultStore>,
@@ -86,121 +122,130 @@ pub struct Harness {
     deadline_at: Option<Instant>,
 }
 
-impl Harness {
-    /// Parse the standard flags from the process arguments and arm the
-    /// store/deadline, exiting with a usage message on anything unknown.
-    pub fn from_env(name: &str) -> Harness {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let parsed = Harness::parse(name, &args).and_then(Harness::arm);
-        match parsed {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("error: {e}");
-                if matches!(e, Error::Usage(_)) {
-                    eprintln!(
-                        "usage: {name} [--quick] [--json [PATH]] [--csv [PATH]] [--trace [PATH]] \
-                         [--resume [DIR]] [--deadline SECS] [--max-events N] [--max-sim-secs S] \
-                         [--backend des|analytic]"
-                    );
-                }
-                std::process::exit(e.exit_code().into());
-            }
-        }
-    }
+/// The run-wide options of [`Harness::parse`], as usage text.
+pub fn run_wide_usage(name: &str) -> String {
+    format!(
+        "    --json [PATH]                  also write the runs as a JSON artifact
+                                   [default path: BENCH_{name}.json]
+    --csv [PATH]                   also write a CSV table, one row per run
+                                   [default path: BENCH_{name}.csv]
+    --trace [PATH]                 record per-task phase spans and write a
+                                   Chrome trace-event file (chrome://tracing,
+                                   Perfetto), one process per run
+                                   [default path: BENCH_{name}_trace.json]
+    --resume [DIR]                 cache finished sweep cells in a result
+                                   store and skip them on restart
+                                   [default dir: BENCH_{name}.store]
+    --max-events <N>               abort a run after N simulation events
+                                   (watchdog; exit code 6 on breach)
+    --max-sim-secs <S>             abort a run past S simulated seconds
+                                   (watchdog; exit code 6 on breach)
+    --backend <des|analytic>       evaluation backend: discrete-event
+                                   simulation or the closed-form analytic
+                                   cost model               [default: des]
+    -h, --help                     show this help
+"
+    )
+}
 
-    /// Flag parsing behind [`Harness::from_env`], separated for tests.
+/// Usage text of a figure binary.
+fn figure_usage(name: &str) -> String {
+    format!(
+        "\
+usage: {name} [OPTIONS]
+
+OPTIONS:
+    --quick                        MiB-scale shuffle sizes; paper-scale shape
+                                   checks skipped
+    --deadline <SECS>              wall-clock budget; on expiry flush a
+                                   partial artifact and exit 7
+{}",
+        run_wide_usage(name)
+    )
+}
+
+/// The figure binaries' own flags: `--quick` and `--deadline`.
+fn figure_flag(h: &mut Harness, flag: &str, it: &mut Args<'_>) -> Result<bool, Error> {
+    match flag {
+        "--quick" => h.quick = true,
+        "--deadline" => {
+            let v = value(it, flag)?;
+            let secs: f64 = v
+                .parse()
+                .map_err(|e| Error::usage(format!("bad --deadline value '{v}': {e}")))?;
+            if !secs.is_finite() || secs <= 0.0 {
+                return Err(Error::usage(format!(
+                    "--deadline must be a positive number of seconds, got '{v}'"
+                )));
+            }
+            if Duration::try_from_secs_f64(secs).is_err() {
+                return Err(Error::usage(format!("--deadline '{v}' is too large")));
+            }
+            h.deadline_secs = Some(secs);
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// A figure binary's `main`: parse the process arguments, arm the
+/// harness, run, and map the outcome to the exit code.
+pub fn figure_main(name: &str, run: impl FnOnce(Harness) -> Result<(), Error>) -> ExitCode {
+    let usage = figure_usage(name);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let result = Harness::parse(name, &usage, &args, figure_flag)
+        .and_then(Harness::arm)
+        .and_then(run);
+    exit_code(name, &usage, result.map(|()| ExitCode::SUCCESS))
+}
+
+impl Harness {
+    /// Parse `args` (without the program name). The run-wide flags and
+    /// `-h/--help` (as [`Error::Help`] with `usage`) are read here; any
+    /// other flag goes to `own`, which takes its value from the
+    /// iterator and returns `Ok(false)` for a flag it does not know.
     /// Pure: the result store is not opened and the deadline clock not
     /// started until [`Harness::arm`].
-    pub fn parse(name: &str, args: &[String]) -> Result<Harness, Error> {
-        let mut paths = ArtifactPaths::default();
-        let mut trace = None;
-        let mut quick = false;
-        let mut resume = None;
-        let mut deadline_secs = None;
-        let mut max_events = None;
-        let mut max_sim_secs = None;
-        let mut backend = None;
-        let mut it = args.iter().peekable();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--json" | "--csv" | "--trace" => {
-                    let kind = &arg[2..];
-                    // A following `-`-prefixed token (single- or
-                    // double-dash) is the next flag, never a path.
-                    let path = match it.peek() {
-                        Some(v) if !v.starts_with('-') => PathBuf::from(it.next().expect("peeked")),
-                        _ if kind == "trace" => PathBuf::from(format!("BENCH_{name}_trace.json")),
-                        _ => ArtifactPaths::default_for(name, kind),
-                    };
-                    match kind {
-                        "json" => paths.json = Some(path),
-                        "csv" => paths.csv = Some(path),
-                        _ => trace = Some(path),
-                    }
-                }
-                "--resume" => {
-                    resume = Some(match it.peek() {
-                        Some(v) if !v.starts_with('-') => PathBuf::from(it.next().expect("peeked")),
-                        _ => PathBuf::from(format!("BENCH_{name}.store")),
-                    });
-                }
-                "--deadline" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| Error::usage("--deadline needs a value in seconds"))?;
-                    let secs: f64 = v
-                        .parse()
-                        .map_err(|e| Error::usage(format!("bad --deadline value '{v}': {e}")))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err(Error::usage(format!(
-                            "--deadline must be a positive number of seconds, got '{v}'"
-                        )));
-                    }
-                    if Duration::try_from_secs_f64(secs).is_err() {
-                        return Err(Error::usage(format!("--deadline '{v}' is too large")));
-                    }
-                    deadline_secs = Some(secs);
-                }
-                "--max-events" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| Error::usage("--max-events needs a value"))?;
-                    max_events =
-                        Some(v.replace('_', "").parse::<u64>().map_err(|e| {
-                            Error::usage(format!("bad --max-events value '{v}': {e}"))
-                        })?);
-                }
-                "--max-sim-secs" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| Error::usage("--max-sim-secs needs a value"))?;
-                    max_sim_secs = Some(v.parse::<f64>().map_err(|e| {
-                        Error::usage(format!("bad --max-sim-secs value '{v}': {e}"))
-                    })?);
-                }
-                "--backend" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| Error::usage("--backend needs 'des' or 'analytic'"))?;
-                    backend = Some(v.parse::<mrbench::BackendKind>().map_err(Error::usage)?);
-                }
-                other => return Err(Error::usage(format!("unknown argument '{other}'"))),
-            }
-        }
-        Ok(Harness {
+    pub fn parse(
+        name: &str,
+        usage: &str,
+        args: &[String],
+        mut own: impl FnMut(&mut Harness, &str, &mut Args<'_>) -> Result<bool, Error>,
+    ) -> Result<Harness, Error> {
+        let mut h = Harness {
             artifacts: Artifacts::new(name),
-            paths,
-            trace,
-            quick,
-            resume,
-            deadline_secs,
-            max_events,
-            max_sim_secs,
-            backend,
+            json: None,
+            csv: None,
+            trace: None,
+            quick: false,
+            resume: None,
+            deadline_secs: None,
+            max_events: None,
+            max_sim_secs: None,
+            backend: None,
             store: None,
             deadline_at: None,
-        })
+        };
+        let mut it = args.iter().peekable();
+        while let Some(arg) = it.next() {
+            let flag = arg.as_str();
+            match flag {
+                "--json" => h.json = Some(path_or(&mut it, format!("BENCH_{name}.json"))),
+                "--csv" => h.csv = Some(path_or(&mut it, format!("BENCH_{name}.csv"))),
+                "--trace" => h.trace = Some(path_or(&mut it, format!("BENCH_{name}_trace.json"))),
+                "--resume" => h.resume = Some(path_or(&mut it, format!("BENCH_{name}.store"))),
+                "--max-events" => h.max_events = Some(parse_num(value(&mut it, flag)?)?),
+                "--max-sim-secs" => h.max_sim_secs = Some(parse_f64(flag, value(&mut it, flag)?)?),
+                "--backend" => h.backend = Some(value(&mut it, flag)?.parse()?),
+                "-h" | "--help" => return Err(Error::Help(usage.to_string())),
+                _ => {
+                    if !own(&mut h, flag, &mut it)? {
+                        return Err(Error::usage(format!("unknown argument '{flag}'")));
+                    }
+                }
+            }
+        }
+        Ok(h)
     }
 
     /// Open the result store and start the deadline clock. Separated
@@ -220,11 +265,11 @@ impl Harness {
     }
 
     /// Apply the harness's run-wide switches to a config: phase tracing
-    /// and the watchdog budgets. Figure binaries pass every config they
-    /// run through this (panels run via [`run_grid`] get it
-    /// automatically).
+    /// (on for `--trace`; a config may already ask for it), the watchdog
+    /// budgets and the backend. Binaries pass every config they run
+    /// through this (panels run via [`run_grid`] get it automatically).
     pub fn prep(&self, mut config: BenchConfig) -> BenchConfig {
-        config.trace = self.trace.is_some();
+        config.trace |= self.trace.is_some();
         config.max_events = self.max_events;
         config.max_sim_secs = self.max_sim_secs;
         if let Some(backend) = self.backend {
@@ -251,7 +296,7 @@ impl Harness {
         eprintln!("deadline expired: flushing partial artifact before exit");
         if let Err(e) = self
             .artifacts
-            .write(self.paths.json.as_deref(), self.paths.csv.as_deref())
+            .write(self.json.as_deref(), self.csv.as_deref())
         {
             eprintln!("error: {e}");
         }
@@ -283,10 +328,11 @@ impl Harness {
         self.artifacts.record_report(title, report.clone());
     }
 
-    /// Write the requested artifact files, if any. Call last in `main`.
+    /// Write the requested artifact and trace files, if any, and report
+    /// the result store's hits. Call last in `main`.
     pub fn finish(self) -> Result<(), Error> {
         self.artifacts
-            .write(self.paths.json.as_deref(), self.paths.csv.as_deref())?;
+            .write(self.json.as_deref(), self.csv.as_deref())?;
         if let Some(path) = &self.trace {
             self.artifacts.write_chrome_trace(path)?;
         }
@@ -311,14 +357,23 @@ fn wall_now() -> Instant {
     Instant::now()
 }
 
-/// Map a figure binary's result to its process exit code, printing the
-/// one-line error first. Keeps every `main` to
-/// `ExitCode::from(real_main())`-shaped plumbing.
-pub fn exit_code(result: Result<(), Error>) -> ExitCode {
+/// Map a binary's outcome to its process exit code. `--help` prints
+/// its usage to stdout and exits 0; any other error prints one line,
+/// `<name>: <error>`, to stderr (followed by `usage` after a usage
+/// error) and exits with the error's documented code.
+pub fn exit_code(name: &str, usage: &str, result: Result<ExitCode, Error>) -> ExitCode {
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(code) => code,
+        Err(Error::Help(text)) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("{name}: {e}");
+            if matches!(e, Error::Usage(_)) {
+                eprintln!();
+                eprint!("{usage}");
+            }
             ExitCode::from(e.exit_code())
         }
     }
@@ -423,74 +478,118 @@ mod tests {
         assert_eq!(sizes[3], ByteSize::from_gib(32));
     }
 
-    #[test]
-    fn harness_flags_parse() {
-        let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let h = Harness::parse("fig2", &s(&[])).unwrap();
-        assert!(!h.quick);
-        assert!(h.paths.is_empty());
-
-        let h = Harness::parse("fig2", &s(&["--quick", "--json"])).unwrap();
-        assert!(h.quick);
-        assert_eq!(h.paths.json, Some(PathBuf::from("BENCH_fig2.json")));
-        assert_eq!(h.paths.csv, None);
-
-        let h = Harness::parse("fig2", &s(&["--json", "out.json", "--csv"])).unwrap();
-        assert_eq!(h.paths.json, Some(PathBuf::from("out.json")));
-        assert_eq!(h.paths.csv, Some(PathBuf::from("BENCH_fig2.csv")));
-
-        assert!(Harness::parse("fig2", &s(&["--bogus"])).is_err());
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
     }
 
-    #[test]
-    fn trace_flag_parses_and_preps_configs() {
-        let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let h = Harness::parse("fig2", &s(&[])).unwrap();
-        assert!(h.trace.is_none());
+    /// A figure binary's harness.
+    fn figure(v: &[&str]) -> Result<Harness, Error> {
+        Harness::parse("fig2", "usage", &args(v), figure_flag)
+    }
 
-        // Bare flag: conventional default path; a following flag (even
-        // single-dash) is never swallowed as the path.
-        let h = Harness::parse("fig2", &s(&["--trace", "--quick"])).unwrap();
-        assert_eq!(h.trace, Some(PathBuf::from("BENCH_fig2_trace.json")));
-        assert!(h.quick);
+    /// `mrbench`'s harness and config flags.
+    fn mrbench(v: &[&str]) -> Result<(Harness, cli::Cli), Error> {
+        cli::parse(&args(v))
+    }
 
-        let h = Harness::parse("fig2", &s(&["--trace", "t.json", "--json"])).unwrap();
-        assert_eq!(h.trace, Some(PathBuf::from("t.json")));
-        assert_eq!(h.paths.json, Some(PathBuf::from("BENCH_fig2.json")));
-
-        // prep() turns tracing on exactly when --trace was given.
-        let config = mrbench::BenchConfig::cluster_a_default(
+    fn config() -> BenchConfig {
+        BenchConfig::cluster_a_default(
             mrbench::MicroBenchmark::Avg,
             Interconnect::GigE1,
             ByteSize::from_mib(64),
-        );
-        assert!(h.prep(config.clone()).trace);
-        let h = Harness::parse("fig2", &s(&[])).unwrap();
-        assert!(!h.prep(config).trace);
+        )
     }
 
     #[test]
-    fn robustness_flags_parse() {
-        let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        // Bare --resume falls back to the conventional store directory
-        // without swallowing a following flag.
-        let h = Harness::parse("fig2", &s(&["--resume", "--quick"])).unwrap();
+    fn output_flags_take_an_optional_path() {
+        let path = |p: &str| Some(PathBuf::from(p));
+        // No flags: no outputs.
+        let h = figure(&[]).unwrap();
+        assert!(!h.quick);
+        assert_eq!((&h.json, &h.csv), (&None, &None));
+        assert!(h.trace.is_none());
+        // Bare flags fall back to the binary's conventional paths.
+        let h = figure(&["--json", "--csv", "--trace"]).unwrap();
+        assert_eq!(h.json, path("BENCH_fig2.json"));
+        assert_eq!(h.csv, path("BENCH_fig2.csv"));
+        assert_eq!(h.trace, path("BENCH_fig2_trace.json"));
+        let (h, _) = mrbench(&["--json", "--csv", "--trace"]).unwrap();
+        assert_eq!(h.json, path("BENCH_mrbench.json"));
+        assert_eq!(h.csv, path("BENCH_mrbench.csv"));
+        assert_eq!(h.trace, path("BENCH_mrbench_trace.json"));
+        // Explicit paths are taken, and parsing continues after them.
+        let h = figure(&["--json", "out.json", "--csv", "--quick"]).unwrap();
+        assert_eq!(h.json, path("out.json"));
+        assert_eq!(h.csv, path("BENCH_fig2.csv"));
+        assert!(h.quick);
+        let (h, cli) = mrbench(&["--trace", "out/t.json", "--maps", "8"]).unwrap();
+        assert_eq!(h.trace, path("out/t.json"));
+        assert_eq!((&h.json, &h.csv), (&None, &None));
+        assert_eq!(cli.config.num_maps, 8);
+        // A following flag, a binary's own included, is not swallowed as
+        // a path; as the final token, a flag takes its default.
+        let (h, cli) = mrbench(&["--json", "--timeline", "--maps", "8", "--csv"]).unwrap();
+        assert_eq!(h.json, path("BENCH_mrbench.json"));
+        assert_eq!(h.csv, path("BENCH_mrbench.csv"));
+        assert!(cli.timeline);
+        assert_eq!(cli.config.num_maps, 8);
+        let h = figure(&["--trace", "--quick"]).unwrap();
+        assert_eq!(h.trace, path("BENCH_fig2_trace.json"));
+        assert!(h.quick);
+        // Regression: a single-dash flag such as `-h` was once swallowed
+        // as an output path.
+        for v in [
+            &["--json", "-h"][..],
+            &["--trace", "-h"],
+            &["--resume", "-h"],
+        ] {
+            assert!(matches!(figure(v), Err(Error::Help(_))), "{v:?}");
+            assert!(matches!(mrbench(v), Err(Error::Help(_))), "{v:?}");
+        }
+        assert!(figure(&["--bogus"]).is_err());
+    }
+
+    #[test]
+    fn trace_flag_and_timeline_turn_tracing_on() {
+        let (h, cli) = mrbench(&[]).unwrap();
+        assert!(!h.prep(cli.config).trace);
+        assert!(!figure(&[]).unwrap().prep(config()).trace);
+        // prep() turns tracing on exactly when --trace was given...
+        let (h, cli) = mrbench(&["--trace"]).unwrap();
+        assert!(!cli.config.trace);
+        assert!(h.prep(cli.config).trace);
+        assert!(figure(&["--trace"]).unwrap().prep(config()).trace);
+        // ...or when the config asks for it: mrbench's timeline is
+        // rebuilt from the span stream, so it traces without --trace.
+        let (h, cli) = mrbench(&["--timeline"]).unwrap();
+        assert!(h.trace.is_none());
+        assert!(h.prep(cli.config).trace);
+    }
+
+    #[test]
+    fn budget_and_resume_flags() {
+        let h = figure(&[]).unwrap();
+        assert_eq!((h.max_events, h.max_sim_secs), (None, None));
+        assert!(h.resume.is_none());
+        // Bare --resume falls back to the binary's conventional store
+        // directory without swallowing a following flag.
+        let h = figure(&["--resume", "--quick"]).unwrap();
         assert_eq!(h.resume, Some(PathBuf::from("BENCH_fig2.store")));
         assert!(h.quick);
+        let (h, cli) = mrbench(&["--resume", "--compare"]).unwrap();
+        assert_eq!(h.resume, Some(PathBuf::from("BENCH_mrbench.store")));
+        assert!(cli.compare);
 
-        let h = Harness::parse(
-            "fig2",
-            &s(&[
-                "--resume",
-                "d",
-                "--deadline",
-                "30",
-                "--max-events",
-                "1_000",
-                "--max-sim-secs",
-                "2.5",
-            ]),
-        )
+        let h = figure(&[
+            "--resume",
+            "d",
+            "--deadline",
+            "30",
+            "--max-events",
+            "1_000",
+            "--max-sim-secs",
+            "2.5",
+        ])
         .unwrap();
         assert_eq!(h.resume, Some(PathBuf::from("d")));
         assert_eq!(h.deadline_secs, Some(30.0));
@@ -500,14 +599,13 @@ mod tests {
         assert!(h.store().is_none());
         assert!(!h.deadline_expired());
         // prep() forwards the watchdog budgets onto every config.
-        let config = mrbench::BenchConfig::cluster_a_default(
-            mrbench::MicroBenchmark::Avg,
-            Interconnect::GigE1,
-            ByteSize::from_mib(64),
-        );
-        let p = h.prep(config);
+        let p = h.prep(config());
         assert_eq!(p.max_events, Some(1_000));
         assert_eq!(p.max_sim_secs, Some(2.5));
+        p.validate().unwrap();
+        let (h, cli) = mrbench(&["--resume", "out/store", "--max-events", "50_000"]).unwrap();
+        assert_eq!(h.resume, Some(PathBuf::from("out/store")));
+        assert_eq!(h.prep(cli.config).max_events, Some(50_000));
 
         for bad in [
             &["--deadline"][..],
@@ -516,61 +614,48 @@ mod tests {
             &["--deadline", "0"],
             &["--deadline", "1e300"],
             &["--max-events", "many"],
+            &["--max-events"],
             &["--max-sim-secs", "soon"],
         ] {
-            let err = Harness::parse("fig2", &s(bad)).unwrap_err();
+            let err = figure(bad).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad:?}: {err}");
         }
     }
 
     #[test]
-    fn backend_flag_parses_and_preps_configs() {
-        let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let config = || {
-            mrbench::BenchConfig::cluster_a_default(
-                mrbench::MicroBenchmark::Avg,
-                Interconnect::GigE1,
-                ByteSize::from_mib(64),
-            )
-        };
-
+    fn backend_flag() {
         // Default: no override, configs keep their own (DES) selection.
-        let h = Harness::parse("fig2", &s(&[])).unwrap();
+        let h = figure(&[]).unwrap();
         assert!(h.backend.is_none());
-        assert_eq!(h.prep(config()).backend, mrbench::BackendKind::Des);
+        assert_eq!(h.prep(config()).backend, BackendKind::Des);
 
-        let h = Harness::parse("fig2", &s(&["--backend", "analytic", "--quick"])).unwrap();
-        assert_eq!(h.backend, Some(mrbench::BackendKind::Analytic));
+        let h = figure(&["--backend", "analytic", "--quick"]).unwrap();
+        assert_eq!(h.backend, Some(BackendKind::Analytic));
         assert!(h.quick);
-        assert_eq!(h.prep(config()).backend, mrbench::BackendKind::Analytic);
+        assert_eq!(h.prep(config()).backend, BackendKind::Analytic);
+        let (h, cli) = mrbench(&["--backend", "analytic"]).unwrap();
+        assert_eq!(h.prep(cli.config).backend, BackendKind::Analytic);
 
-        let h = Harness::parse("fig2", &s(&["--backend", "des"])).unwrap();
-        assert_eq!(h.prep(config()).backend, mrbench::BackendKind::Des);
+        let h = figure(&["--backend", "des"]).unwrap();
+        assert_eq!(h.prep(config()).backend, BackendKind::Des);
 
         for bad in [&["--backend"][..], &["--backend", "quantum"]] {
-            let err = Harness::parse("fig2", &s(bad)).unwrap_err();
+            let err = figure(bad).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad:?}: {err}");
         }
     }
 
     #[test]
     fn armed_deadline_in_the_past_reads_expired() {
-        let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         // A microscopic deadline expires by the time we poll it; a
         // generous one does not.
-        let h = Harness::parse("fig2", &s(&["--deadline", "0.000001"]))
-            .unwrap()
-            .arm()
-            .unwrap();
+        let h = figure(&["--deadline", "0.000001"]).unwrap().arm().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(h.deadline_expired());
-        let h = Harness::parse("fig2", &s(&["--deadline", "3600"]))
-            .unwrap()
-            .arm()
-            .unwrap();
+        let h = figure(&["--deadline", "3600"]).unwrap().arm().unwrap();
         assert!(!h.deadline_expired());
         // A deadline past the clock's range is a usage error, not a panic.
-        let err = Harness::parse("fig2", &s(&["--deadline", "1e19"]))
+        let err = figure(&["--deadline", "1e19"])
             .and_then(Harness::arm)
             .unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");

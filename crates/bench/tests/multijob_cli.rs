@@ -1,5 +1,6 @@
 //! `multijob` rejects streams it cannot simulate with a config error
-//! (exit 3) and a message, never a panic or a silently wrapped result.
+//! (exit 3) and a one-line message, never a panic or a silently wrapped
+//! result.
 
 use std::process::Command;
 
@@ -12,10 +13,13 @@ fn multijob(args: &[&str]) -> (Option<i32>, String) {
         .arg(&out)
         .output()
         .expect("multijob runs");
-    (
-        run.status.code(),
-        String::from_utf8_lossy(&run.stderr).into_owned(),
-    )
+    let stderr = String::from_utf8_lossy(&run.stderr).into_owned();
+    if run.status.code() == Some(3) {
+        // The binary names itself once: the library's messages carry no
+        // prefix of their own.
+        assert_eq!(stderr.matches("multijob:").count(), 1, "{stderr}");
+    }
+    (run.status.code(), stderr)
 }
 
 #[test]

@@ -22,7 +22,7 @@
 //! Everything round-trips: [`Artifacts::from_json`] rebuilds the full
 //! report types, down to nanosecond job times and utilization samples.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use simcore::jobj;
 use simcore::json::Json;
@@ -276,28 +276,6 @@ impl Artifacts {
     }
 }
 
-/// Output paths requested via `--json [PATH]` / `--csv [PATH]`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ArtifactPaths {
-    /// JSON artifact destination.
-    pub json: Option<PathBuf>,
-    /// CSV artifact destination.
-    pub csv: Option<PathBuf>,
-}
-
-impl ArtifactPaths {
-    /// True when neither output was requested.
-    pub fn is_empty(&self) -> bool {
-        self.json.is_none() && self.csv.is_none()
-    }
-
-    /// Default path (`BENCH_<name>.json` / `BENCH_<name>.csv`) for
-    /// flags given without a value.
-    pub fn default_for(name: &str, kind: &str) -> PathBuf {
-        PathBuf::from(format!("BENCH_{name}.{kind}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,7 +297,7 @@ mod tests {
     fn artifact_round_trips_and_tabulates() {
         let sizes = [ByteSize::from_mib(64)];
         let ics = [Interconnect::GigE1, Interconnect::RdmaFdr];
-        let sweep = Sweep::run_grid_serial(&sizes, &ics, tiny).unwrap();
+        let sweep = Sweep::run_grid(&sizes, &ics, tiny).unwrap();
         let single = run(&tiny(ByteSize::from_mib(64), Interconnect::GigE1)).unwrap();
 
         let mut art = Artifacts::new("unit");
@@ -464,14 +442,5 @@ mod tests {
         let back = Artifacts::load(&path).unwrap();
         assert_eq!(back.to_json().to_pretty(), art.to_json().to_pretty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn default_paths_follow_convention() {
-        assert_eq!(
-            ArtifactPaths::default_for("fig2", "json"),
-            PathBuf::from("BENCH_fig2.json")
-        );
-        assert!(ArtifactPaths::default().is_empty());
     }
 }

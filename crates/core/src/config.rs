@@ -19,7 +19,7 @@ use simnet::Interconnect;
 use crate::bench::MicroBenchmark;
 
 /// Stable artifact token for an interconnect; the inverse of
-/// [`crate::cli::parse_network`].
+/// [`parse_network`].
 pub(crate) fn interconnect_token(ic: Interconnect) -> &'static str {
     match ic {
         Interconnect::GigE1 => "1gige",
@@ -27,6 +27,19 @@ pub(crate) fn interconnect_token(ic: Interconnect) -> &'static str {
         Interconnect::IpoibQdr => "ipoib-qdr",
         Interconnect::IpoibFdr => "ipoib-fdr",
         Interconnect::RdmaFdr => "rdma-fdr",
+    }
+}
+
+/// Parse an interconnect name as the command line and the artifacts
+/// spell them.
+pub fn parse_network(s: &str) -> Result<Interconnect, String> {
+    match s.to_ascii_lowercase().replace('_', "-").as_str() {
+        "1gige" | "gige" | "1g" => Ok(Interconnect::GigE1),
+        "10gige" | "10g" => Ok(Interconnect::GigE10),
+        "ipoib-qdr" | "ipoib" | "qdr" => Ok(Interconnect::IpoibQdr),
+        "ipoib-fdr" | "fdr" => Ok(Interconnect::IpoibFdr),
+        "rdma" | "rdma-fdr" | "ib" => Ok(Interconnect::RdmaFdr),
+        other => Err(format!("unknown network: {other}")),
     }
 }
 
@@ -451,7 +464,7 @@ impl BenchConfig {
                 "b" => ClusterPreset::ClusterB,
                 other => return Err(format!("unknown cluster '{other}'")),
             },
-            interconnect: crate::cli::parse_network(json.field_str("interconnect")?)?,
+            interconnect: parse_network(json.field_str("interconnect")?)?,
             engine: match json.field_str("engine")? {
                 "mrv1" => EngineKind::MRv1,
                 "yarn" => EngineKind::Yarn,
@@ -508,6 +521,17 @@ impl BenchConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn network_aliases() {
+        assert_eq!(parse_network("1g").unwrap(), Interconnect::GigE1);
+        assert_eq!(parse_network("QDR").unwrap(), Interconnect::IpoibQdr);
+        assert_eq!(parse_network("ib").unwrap(), Interconnect::RdmaFdr);
+        for ic in Interconnect::ALL {
+            assert_eq!(parse_network(interconnect_token(ic)).unwrap(), ic);
+        }
+        assert!(parse_network("carrier-pigeon").is_err());
+    }
 
     #[test]
     fn cluster_a_default_matches_paper() {

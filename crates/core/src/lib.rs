@@ -39,7 +39,6 @@
 pub mod artifact;
 pub mod bench;
 pub mod calib;
-pub mod cli;
 pub mod config;
 pub mod error;
 pub mod multijob;
@@ -49,7 +48,7 @@ pub mod runner;
 pub mod store;
 pub mod sweep;
 
-pub use artifact::{ArtifactPaths, Artifacts, Panel};
+pub use artifact::{Artifacts, Panel};
 pub use bench::MicroBenchmark;
 pub use config::{BackendKind, BenchConfig, ShuffleVolume};
 pub use error::Error;

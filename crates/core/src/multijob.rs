@@ -60,18 +60,18 @@ impl MultiJobSpec {
     /// Reject a stream the engine cannot run, with a readable message.
     pub fn validate(&self) -> Result<(), String> {
         if self.tenants.is_empty() {
-            return Err("multijob: need at least one tenant".into());
+            return Err("need at least one tenant".into());
         }
         for t in &self.tenants {
             if !(t.weight.is_finite() && t.weight > 0.0) {
                 return Err(format!(
-                    "multijob: tenant {} weight must be finite and positive, got {}",
+                    "tenant {} weight must be finite and positive, got {}",
                     t.name, t.weight
                 ));
             }
         }
         if self.n_jobs == 0 {
-            return Err("multijob: need at least one job".into());
+            return Err("need at least one job".into());
         }
         let job = &self.job;
         job.validate()?;
@@ -89,7 +89,7 @@ impl MultiJobSpec {
             (job.backend != BackendKind::Des, "the analytic backend"),
         ];
         if let Some((_, what)) = refused.iter().find(|(on, _)| *on) {
-            return Err(format!("multijob: streams cannot model {what}"));
+            return Err(format!("streams cannot model {what}"));
         }
         let tasks = u64::from(job.num_maps) + u64::from(job.num_reduces);
         if (self.n_jobs as u64)
@@ -97,7 +97,7 @@ impl MultiJobSpec {
             .is_none_or(|t| t > ATTEMPT_SLOTS)
         {
             return Err(format!(
-                "multijob: {} jobs of {tasks} tasks overflow the engine's {ATTEMPT_SLOTS} \
+                "{} jobs of {tasks} tasks overflow the engine's {ATTEMPT_SLOTS} \
                  attempt slots",
                 self.n_jobs
             ));
@@ -113,14 +113,14 @@ impl MultiJobSpec {
             .is_none()
         {
             return Err(format!(
-                "multijob: {} jobs of {records} shuffle bytes overflow a 64-bit byte count",
+                "{} jobs of {records} shuffle bytes overflow a 64-bit byte count",
                 self.n_jobs
             ));
         }
         match &self.arrivals {
             ArrivalProcess::Poisson { mean_gap_s } => {
                 if !(mean_gap_s.is_finite() && *mean_gap_s >= 0.0) {
-                    return Err("multijob: Poisson mean gap must be finite and >= 0".into());
+                    return Err("Poisson mean gap must be finite and >= 0".into());
                 }
             }
             ArrivalProcess::Trace(offsets) => {
@@ -128,10 +128,7 @@ impl MultiJobSpec {
                     .iter()
                     .try_fold(0.0, |prev, &o| (o.is_finite() && o >= prev).then_some(o));
                 if offsets.is_empty() || ordered.is_none() {
-                    return Err(
-                        "multijob: arrival trace must be non-empty, finite and non-decreasing"
-                            .into(),
-                    );
+                    return Err("arrival trace must be non-empty, finite and non-decreasing".into());
                 }
             }
         }
@@ -255,9 +252,7 @@ fn arrival_times(spec: &MultiJobSpec) -> Result<Vec<SimTime>, Error> {
             Some(SimTime::ZERO.saturating_add(SimDuration::from_secs_f64(s)))
                 .filter(|&t| t < SimTime::MAX)
                 .ok_or_else(|| {
-                    Error::config(
-                        "multijob: arrivals run past the simulated clock's range (~584 years)",
-                    )
+                    Error::config("arrivals run past the simulated clock's range (~584 years)")
                 })
         })
         .collect()
@@ -297,7 +292,7 @@ pub fn run(spec: &MultiJobSpec) -> Result<MultiJobResult, Error> {
         if let Some(d) = &r.failure {
             // Streams refuse fault plans: a job fails only when the run
             // passes the simulated clock's range.
-            return Err(Error::Config(format!("multijob: job {j}: {}", d.reason)));
+            return Err(Error::Config(format!("job {j}: {}", d.reason)));
         }
         job_times[j % spec.tenants.len()].push(r.job_time_secs());
         makespan = makespan.max(arrival.since(SimTime::ZERO) + r.job_time);

@@ -165,7 +165,7 @@ impl Sweep {
         let interconnects = json
             .field_arr("interconnects")?
             .iter()
-            .map(|ic| crate::cli::parse_network(ic.as_str().ok_or("bad interconnect")?))
+            .map(|ic| crate::config::parse_network(ic.as_str().ok_or("bad interconnect")?))
             .collect::<Result<Vec<_>, _>>()?;
         let cells = json
             .field_arr("cells")?
@@ -177,7 +177,7 @@ impl Sweep {
                 (|| -> Result<SweepCell, String> {
                     Ok(SweepCell {
                         shuffle: ByteSize::from_bytes(c.field_u64("shuffle_bytes")?),
-                        interconnect: crate::cli::parse_network(c.field_str("interconnect")?)?,
+                        interconnect: crate::config::parse_network(c.field_str("interconnect")?)?,
                         report: BenchReport::from_json(c.req("report")?)?,
                     })
                 })()

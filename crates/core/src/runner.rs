@@ -158,18 +158,27 @@ mod tests {
     }
 
     #[test]
-    fn spill_chunk_counts_past_the_tag_sequence_are_config_errors() {
-        // `mrbench --maps 1 --reduces 1 --slaves 1 --shuffle-gb 17179869183`:
-        // one map would number ~8.6e10 spill chunks in a 32-bit field.
+    fn tag_field_overflows_are_config_errors() {
         for backend in [BackendKind::Des, BackendKind::Analytic] {
-            let mut c = small(MicroBenchmark::Avg, Interconnect::GigE1);
-            c.backend = backend;
-            c.slaves = 1;
-            c.num_maps = 1;
-            c.num_reduces = 1;
-            c.volume = ShuffleVolume::TotalBytes(ByteSize::from_bytes(17_179_869_183 << 30));
-            let err = run(&c).unwrap_err();
-            assert_eq!(err.exit_code(), 3, "{backend:?}: {err}");
+            // `mrbench --maps 1 --reduces 1 --slaves 1 --shuffle-gb
+            // 17179869183`: one map would number ~8.6e10 spill chunks in a
+            // 32-bit field.
+            let mut chunks = small(MicroBenchmark::Avg, Interconnect::GigE1);
+            chunks.slaves = 1;
+            chunks.num_maps = 1;
+            chunks.num_reduces = 1;
+            chunks.volume = ShuffleVolume::TotalBytes(ByteSize::from_bytes(17_179_869_183 << 30));
+            // `mrbench --maps 16777215 --reduces 1 --pairs 1 --slaves 1`:
+            // one more task than the 24-bit attempt-slot field numbers,
+            // refused before the engine allocates a slot.
+            let mut slots = chunks.clone();
+            slots.num_maps = 16_777_215;
+            slots.volume = ShuffleVolume::PairsPerMap(1);
+            for mut c in [chunks, slots] {
+                c.backend = backend;
+                let err = run(&c).unwrap_err();
+                assert_eq!(err.exit_code(), 3, "{backend:?}: {err}");
+            }
         }
     }
 

@@ -4,8 +4,8 @@
 //! [`Sweep::run_grid`] farms cells out across OS threads. Each cell is
 //! an independent simulation — it builds its own engine, RNG streams,
 //! and monitors from the config seed — so parallel execution produces
-//! **bit-identical** per-cell results to the serial path
-//! ([`Sweep::run_grid_serial`]), in the same row-major order. The
+//! **bit-identical** per-cell results to running the cells one after
+//! another, in the same row-major order (pinned by a test). The
 //! thread count comes from the `MRBENCH_THREADS` environment variable
 //! when set, else from [`std::thread::available_parallelism`].
 
@@ -108,10 +108,9 @@ impl Sweep {
     /// config for one (size, interconnect) pair, letting callers fix
     /// every other parameter.
     ///
-    /// Cells land in row-major order and each is bit-identical to what
-    /// [`Sweep::run_grid_serial`] produces: a cell simulation is a pure
-    /// function of its config, sharing no mutable state with its
-    /// neighbours.
+    /// Cells land in row-major order and each is bit-identical to a
+    /// serial run of its config: a cell simulation is a pure function of
+    /// its config, sharing no mutable state with its neighbours.
     pub fn run_grid(
         sizes: &[ByteSize],
         interconnects: &[Interconnect],
@@ -202,31 +201,6 @@ impl Sweep {
         })
     }
 
-    /// Run the grid on the calling thread, one cell at a time. The
-    /// reference semantics for [`Sweep::run_grid`].
-    pub fn run_grid_serial(
-        sizes: &[ByteSize],
-        interconnects: &[Interconnect],
-        make: impl Fn(ByteSize, Interconnect) -> BenchConfig,
-    ) -> Result<Sweep, Error> {
-        let mut cells = Vec::with_capacity(sizes.len() * interconnects.len());
-        for &shuffle in sizes {
-            for &ic in interconnects {
-                let report = run(&make(shuffle, ic))?;
-                cells.push(SweepCell {
-                    shuffle,
-                    interconnect: ic,
-                    report,
-                });
-            }
-        }
-        Ok(Sweep {
-            sizes: sizes.to_vec(),
-            interconnects: interconnects.to_vec(),
-            cells,
-        })
-    }
-
     /// The cell at (`shuffle`, `ic`), located by row-major index — O(grid
     /// edge), not O(cells), so `table()` stays linear in the cell count.
     pub fn cell(&self, shuffle: ByteSize, ic: Interconnect) -> Option<&SweepCell> {
@@ -304,6 +278,31 @@ mod tests {
         c
     }
 
+    /// The reference semantics for [`Sweep::run_grid`]: the grid on the
+    /// calling thread, one cell at a time, in row-major order.
+    fn run_grid_serial(
+        sizes: &[ByteSize],
+        interconnects: &[Interconnect],
+        make: impl Fn(ByteSize, Interconnect) -> BenchConfig,
+    ) -> Result<Sweep, Error> {
+        let mut cells = Vec::with_capacity(sizes.len() * interconnects.len());
+        for &shuffle in sizes {
+            for &ic in interconnects {
+                let report = run(&make(shuffle, ic))?;
+                cells.push(SweepCell {
+                    shuffle,
+                    interconnect: ic,
+                    report,
+                });
+            }
+        }
+        Ok(Sweep {
+            sizes: sizes.to_vec(),
+            interconnects: interconnects.to_vec(),
+            cells,
+        })
+    }
+
     #[test]
     fn grid_runs_and_tabulates() {
         let sizes = [ByteSize::from_mib(128), ByteSize::from_mib(256)];
@@ -333,7 +332,7 @@ mod tests {
     fn parallel_grid_is_bit_identical_to_serial() {
         let sizes = [ByteSize::from_mib(64), ByteSize::from_mib(128)];
         let ics = [Interconnect::GigE1, Interconnect::IpoibQdr];
-        let serial = Sweep::run_grid_serial(&sizes, &ics, tiny).unwrap();
+        let serial = run_grid_serial(&sizes, &ics, tiny).unwrap();
         let opts = SweepOptions {
             threads: 4,
             ..SweepOptions::default()
@@ -358,7 +357,7 @@ mod tests {
     fn failed_cells_yield_none_not_division_by_zero() {
         let sizes = [ByteSize::from_mib(64)];
         let ics = [Interconnect::GigE1, Interconnect::IpoibQdr];
-        let sweep = Sweep::run_grid_serial(&sizes, &ics, |shuffle, ic| {
+        let sweep = run_grid_serial(&sizes, &ics, |shuffle, ic| {
             let mut c = tiny(shuffle, ic);
             if ic == Interconnect::GigE1 {
                 // Every attempt dies: the 1GigE cell aborts.

@@ -116,6 +116,17 @@ impl JobSpec {
     /// Validate spec consistency.
     pub fn validate(&self) -> Result<(), String> {
         self.conf.validate()?;
+        // Every task's first attempt takes an attempt slot, which a
+        // correlation tag numbers in 24 bits.
+        let tasks = u64::from(self.conf.num_maps) + u64::from(self.conf.num_reduces);
+        if tasks > crate::task::SLOT_LIMIT {
+            return Err(format!(
+                "{} maps + {} reduces overflow the engine's {} attempt slots",
+                self.conf.num_maps,
+                self.conf.num_reduces,
+                crate::task::SLOT_LIMIT
+            ));
+        }
         if self.pairs_per_map == 0 {
             return Err("pairs_per_map must be at least 1".into());
         }
@@ -409,6 +420,21 @@ impl JobResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn task_count_is_bounded_by_the_attempt_slots() {
+        let slots = crate::task::SLOT_LIMIT as u32;
+        let mut spec = JobSpec {
+            pairs_per_map: 1,
+            ..JobSpec::default()
+        };
+        spec.conf.num_maps = slots - 1;
+        spec.conf.num_reduces = 1;
+        spec.validate().unwrap();
+        spec.conf.num_maps = slots;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("attempt slots"), "{err}");
+    }
 
     #[test]
     fn record_len_uses_data_type_framing() {

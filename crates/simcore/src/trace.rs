@@ -9,9 +9,10 @@
 //! The recorder is deliberately dumb: the engine pushes spans as phases
 //! end, and all analysis happens after the fact. Two consumers exist:
 //!
-//! * [`Trace::to_chrome_json`] — the Chrome trace-event format, loadable
+//! * [`Trace::chrome_events`] — the Chrome trace-event format, loadable
 //!   in `chrome://tracing` or <https://ui.perfetto.dev>. Each execution
-//!   slot becomes one track (`tid`), grouped per run (`pid`).
+//!   slot becomes one track (`tid`), grouped per run (`pid`); the caller
+//!   combines runs into one document.
 //! * [`Trace::breakdown`] — a [`PhaseBreakdown`]: per-phase busy and
 //!   *exclusive* wall-clock time plus overlap/idle accounting, computed by
 //!   a boundary sweep so that
@@ -169,16 +170,6 @@ impl Trace {
     /// All recorded marks, in recording order.
     pub fn marks(&self) -> &[Mark] {
         &self.marks
-    }
-
-    /// Chrome trace-event document for a single run (`pid` 0).
-    pub fn to_chrome_json(&self) -> Json {
-        let mut events = Vec::new();
-        self.chrome_events(0, "job", &mut events);
-        jobj! {
-            "displayTimeUnit": "ms",
-            "traceEvents": Json::Arr(events),
-        }
     }
 
     /// Append this trace's Chrome events under process id `pid` with
@@ -544,8 +535,8 @@ mod tests {
             Mark::NO_LANE,
             SimTime::from_nanos(2_000),
         );
-        let doc = t.to_chrome_json();
-        let events = doc.field_arr("traceEvents").unwrap();
+        let mut events = Vec::new();
+        t.chrome_events(0, "job", &mut events);
         // process_name + thread_name + 1 span + 2 marks.
         assert_eq!(events.len(), 5);
         let span_ev = events
@@ -563,7 +554,8 @@ mod tests {
             .unwrap();
         assert_eq!(crash.field_str("s").unwrap(), "p");
         assert!(crash.get("tid").is_none());
-        // Whole document survives a parse round-trip.
+        // Every event survives a parse round-trip.
+        let doc = Json::Arr(events);
         let back = Json::parse(&doc.to_compact()).unwrap();
         assert_eq!(back.to_compact(), doc.to_compact());
     }
