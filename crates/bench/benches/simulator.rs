@@ -203,13 +203,22 @@ fn bench_partitioners() {
     // The engine's own key closure at the paper's 1 KiB keys, so a bulk
     // path that synthesized keys would be timed doing so.
     let mut engine_keys = |ordinal: u64, buf: &mut Vec<u8>| synthetic_key(ordinal, 8, 1024, buf);
-    bench("partition/rand_bulk_100k", 100, || {
+    // 8 reducers is the MRv1 figures' shape, 16 the YARN one; both run
+    // the power-of-two draw kernels. MR-RAND's 6-reducer row times the
+    // per-record loop `nextInt`'s rejection keeps for other bounds.
+    for (suffix, n_reducers) in [("", 8), ("_16r", 16)] {
+        bench(&format!("partition/rand_bulk_100k{suffix}"), 100, || {
+            let mut p = RandPartitioner::new(7);
+            black_box(p.assign_counts(100_000, n_reducers, &mut engine_keys));
+        });
+        bench(&format!("partition/skew_bulk_100k{suffix}"), 100, || {
+            let mut p = SkewPartitioner::new(7);
+            black_box(p.assign_counts(100_000, n_reducers, &mut engine_keys));
+        });
+    }
+    bench("partition/rand_bulk_100k_6r", 100, || {
         let mut p = RandPartitioner::new(7);
-        black_box(p.assign_counts(100_000, 8, &mut engine_keys));
-    });
-    bench("partition/skew_bulk_100k", 100, || {
-        let mut p = SkewPartitioner::new(7);
-        black_box(p.assign_counts(100_000, 8, &mut engine_keys));
+        black_box(p.assign_counts(100_000, 6, &mut engine_keys));
     });
 }
 

@@ -65,7 +65,8 @@ OPTIONS:
     --rdma-shuffle                 use the RDMA (MRoIB) shuffle engine
     --zipf-exponent <S>            exponent for --bench zipf  [default: 1.0]
     --seed <N>                     master seed
-    --timeline                     print the per-task timeline
+    --timeline                     print the per-task timeline (not with
+                                   --compare)
 {}
 FAULT INJECTION:
     --fail-prob <P>                per-attempt task failure probability (maps
@@ -97,6 +98,11 @@ pub fn parse(args: &[String]) -> Result<(Harness, Cli), Error> {
         timeline: false,
     };
     let harness = Harness::parse("mrbench", &usage(), args, |_, flag, it| cli.flag(flag, it))?;
+    if cli.compare && cli.timeline {
+        return Err(Error::usage(
+            "--timeline prints the timeline of a single run; it cannot be combined with --compare",
+        ));
+    }
     // The timeline is rebuilt from the span stream.
     cli.config.trace = cli.timeline;
     Ok((harness, cli))
@@ -332,6 +338,8 @@ mod tests {
             &["--maps", "4294967297"],
             &["--reduces", "4294967296"],
             &["--max-attempts", "4294967297"],
+            // The timeline is a single run's.
+            &["--compare", "--timeline"],
         ] {
             match parse(bad) {
                 Err(Error::Usage(msg)) => assert!(!msg.is_empty(), "{bad:?}"),

@@ -338,9 +338,13 @@ impl Harness {
         }
         if let Some(store) = &self.store {
             let (hits, misses, rejected) = store.stats();
+            let bypassed = match store.bypassed() {
+                0 => String::new(),
+                n => format!(", {n} traced cell(s) run without the store (it keeps no traces)"),
+            };
             eprintln!(
                 "resume: {hits} cell(s) served from {}, {misses} run fresh, \
-                 {rejected} rejected fragment(s)",
+                 {rejected} rejected fragment(s){bypassed}",
                 store.dir().display()
             );
         }

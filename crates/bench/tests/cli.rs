@@ -149,3 +149,49 @@ fn another_binarys_flag_is_a_usage_error() {
         assert!(stderr.contains("usage:"), "{stderr}");
     }
 }
+
+#[test]
+fn compare_with_timeline_is_a_usage_error() {
+    let out = run("mrbench", &["--compare", "--timeline"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("mrbench: --timeline prints the timeline of a single run"),
+        "{stderr}"
+    );
+}
+
+/// A traced sweep runs every cell past the store, which keeps no traces;
+/// the `resume:` line counts those cells instead of reading as if none ran.
+#[test]
+fn resume_line_counts_traced_cells_that_bypass_the_store() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("traced-resume");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (store, trace) = (dir.join("store"), dir.join("trace.json"));
+    let sweep = [
+        "--compare",
+        "--shuffle-mb",
+        "16",
+        "--maps",
+        "4",
+        "--reduces",
+        "2",
+    ];
+    let out = bin("mrbench")
+        .args(sweep)
+        .args(["--slaves", "2", "--trace"])
+        .arg(&trace)
+        .arg("--resume")
+        .arg(&store)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("0 cell(s) served from")
+            && stderr.contains("0 run fresh")
+            && stderr.contains(", 5 traced cell(s) run without the store"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

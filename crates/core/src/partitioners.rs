@@ -13,9 +13,11 @@
 //!   randomly. The pattern is the same on every run, so comparisons
 //!   across networks stay fair.
 
+use std::hint::select_unpredictable;
+
 use mapreduce::job::PartitionerFactory;
 use mapreduce::partition::Partitioner;
-use simcore::rng::JavaRandom;
+use simcore::rng::{JavaJump, JavaRandom};
 
 /// Per-reducer counts of `n_records` reducer choices made by `pick`: the
 /// bulk path of the partitioners that never read the key. It builds no
@@ -26,6 +28,223 @@ fn count_picks(n_records: u64, n_reducers: u32, mut pick: impl FnMut() -> u32) -
     let mut counts = vec![0u64; n_reducers as usize];
     for _ in 0..n_records {
         counts[pick() as usize] += 1;
+    }
+    counts
+}
+
+// The draw kernels. For a power-of-two bound, `nextInt(2^k)` is the top k
+// bits of its draw's state and never rejects, so a record's reducer, and
+// how many draws it takes, are functions of the states alone. The kernels
+// walk the state sequence in interleaved lanes stepped by `JavaJump`s,
+// with states held high (`state << 16`) so a draw's top bits are one
+// shift, and tally each lane into its own table: a count does not depend
+// on the order it was tallied in. `nextInt`'s rejection loop makes every
+// other bound take a data-dependent number of draws; those keep the
+// per-record loop, which stays the reference for both.
+
+/// Largest reducer count the kernels run for. They tally each record
+/// under its draw's top byte, one 256-counter table per lane, and fold the
+/// bytes onto reducers at the end; past it the per-record loop runs.
+const KERNEL_MAX_REDUCERS: u32 = 1 << 8;
+
+/// `log2(n_reducers)` when the kernels apply to `nextInt(n_reducers)`.
+fn kernel_log2(n_reducers: u32) -> Option<u32> {
+    (n_reducers.is_power_of_two() && n_reducers <= KERNEL_MAX_REDUCERS)
+        .then(|| n_reducers.trailing_zeros())
+}
+
+/// The top byte of the draw that left the generator in `high`.
+/// `nextInt(2^k)` for `k <= 8` is its top `k` bits: `(2^k * next(31)) >>
+/// 31`, with `next(31) = high >> 33`.
+#[inline(always)]
+fn top_byte(high: u64) -> usize {
+    (high >> 56) as usize
+}
+
+/// Adds each top-byte count in `bytes` to its reducer out of `2^log2`.
+fn fold_bytes(counts: &mut [u64], bytes: &[u64], log2: u32) {
+    for (byte, &count) in bytes.iter().enumerate() {
+        counts[byte >> (8 - log2)] += count;
+    }
+}
+
+/// Interleaved lanes of the MR-RAND kernel.
+const RAND_LANES: usize = 8;
+
+/// MR-RAND's counts for `nextInt(2^log2)` per record. Record `i` is draw
+/// `i + 1`; lane `l` takes records `l, l + 8, l + 16, ...`, stepping by
+/// the 8-draw jump, and the last `n_records % 8` records are the lanes'
+/// next states.
+fn rand_counts_pow2(rng: &mut JavaRandom, n_records: u64, log2: u32) -> Vec<u64> {
+    const STEP: JavaJump = JavaJump::new(RAND_LANES as u64);
+    let start = rng.state() << 16;
+    let mut lanes: [u64; RAND_LANES] =
+        std::array::from_fn(|l| JavaJump::new(l as u64 + 1).apply_high(start));
+    let mut tables = [[0u64; 256]; RAND_LANES];
+    for _ in 0..n_records / RAND_LANES as u64 {
+        for (table, x) in tables.iter_mut().zip(&mut lanes) {
+            table[top_byte(*x)] += 1;
+            *x = STEP.apply_high(*x);
+        }
+    }
+    let tail = (n_records % RAND_LANES as u64) as usize;
+    for (table, &x) in tables.iter_mut().zip(&lanes).take(tail) {
+        table[top_byte(x)] += 1;
+    }
+    rng.skip(n_records);
+    let mut counts = vec![0u64; 1 << log2];
+    for table in &tables {
+        fold_bytes(&mut counts, table, log2);
+    }
+    counts
+}
+
+/// Interleaved lanes of the MR-SKEW kernel. A lane's step is a chain of
+/// about seven cycles (multiply, add, shift, compare, select); four lanes
+/// cover it, and more spill registers.
+const SKEW_LANES: usize = 4;
+
+/// Fewer records than this are left to the per-record loop: a lane
+/// round's set-up and fix-ups would cost more than they save.
+const SKEW_ROUND_MIN: u64 = 64 * SKEW_LANES as u64;
+
+/// One lane's MR-SKEW tallies: codes `0..8` count [`skew_pick`]'s
+/// eighths, code `8 + b` a random pick whose draw has top byte `b`.
+type SkewTable = [u64; 8 + 256];
+
+/// One MR-SKEW record, [`skew_pick`]'s draws for a power-of-two bound,
+/// from the high state `y` of its first draw: its tally code and the
+/// state of the next record's first draw. The record takes three draws
+/// when the top three bits of the first are `111`, else two. Its third
+/// draw and the next record's first are two and three draws past `y`
+/// either way, so both come from `y` in parallel and a select, not a
+/// branch, picks: the third draw comes in one record in eight, at random.
+#[inline(always)]
+fn skew_record(y: u64) -> (usize, u64) {
+    const J2: JavaJump = JavaJump::new(2);
+    const J3: JavaJump = JavaJump::new(3);
+    let (y2, y3) = (J2.apply_high(y), J3.apply_high(y));
+    let eighth = (y >> 61) as usize;
+    let third = eighth == 7;
+    (
+        select_unpredictable(third, 8 + top_byte(y2), eighth),
+        select_unpredictable(third, y3, y2),
+    )
+}
+
+/// Draws taken by a record tallied under `code`: three for a random pick.
+#[inline(always)]
+fn skew_draws(code: usize) -> u64 {
+    2 + u64::from(code >= 8)
+}
+
+/// Third draws tallied in `table`.
+fn third_draws(table: &SkewTable) -> u64 {
+    table[8..].iter().sum()
+}
+
+/// MR-SKEW's counts for a power-of-two bound.
+///
+/// A record starting at draw position `p` ends at `p + 2` or `p + 3`, so
+/// the records form a parse of the draw sequence that only the first
+/// record's position pins down. Each round splits the next `2 * left`
+/// draws into [`SKEW_LANES`] segments; at most `left` records start
+/// there, as a record takes at least two draws. Lane `l` parses its
+/// segment from its first position, a guess of where a record starts,
+/// and tallies the records starting in the segment; lane 0's guess is
+/// right. Then, segment by segment, the true parse arriving from the
+/// previous segment is walked beside the guessed one, replacing guessed
+/// records with true ones until both reach a common position, from where
+/// they coincide, or the segment's end. Two parses of this sequence meet
+/// within a few records, so the fix-ups are short. The last records, fewer
+/// than [`SKEW_ROUND_MIN`], run [`skew_pick`].
+fn skew_counts_pow2(rng: &mut JavaRandom, n_records: u64, log2: u32) -> Vec<u64> {
+    const L: usize = SKEW_LANES;
+    // The LCG's period is 2^48, so this jump steps one draw back.
+    const BACK: JavaJump = JavaJump::new((1 << 48) - 1);
+    let mut tables: [SkewTable; L] = [[0; 8 + 256]; L];
+    // The first draw of the next record not yet tallied.
+    let mut y = JavaJump::new(1).apply_high(rng.state() << 16);
+    let mut left = n_records;
+    while left >= SKEW_ROUND_MIN {
+        let span = 2 * left;
+        let seg = span / L as u64;
+        let starts: [u64; L] = std::array::from_fn(|l| l as u64 * seg);
+        let ends: [u64; L] =
+            std::array::from_fn(|l| if l + 1 < L { starts[l] + seg } else { span });
+        let start_ys = starts.map(|p| JavaJump::new(p).apply_high(y));
+        let thirds_before = tables.each_ref().map(third_draws);
+        let (mut lanes, mut pos, mut records) = (start_ys, starts, [0u64; L]);
+        // Steps in chunks no lane can overrun, as a record takes at most
+        // three draws; positions are read off the tables between chunks.
+        loop {
+            let k = (0..L)
+                .map(|l| ends[l].saturating_sub(pos[l]).div_ceil(3))
+                .min()
+                .unwrap_or(0);
+            if k == 0 {
+                break;
+            }
+            for _ in 0..k {
+                for (table, y) in tables.iter_mut().zip(&mut lanes) {
+                    let (code, next) = skew_record(*y);
+                    table[code] += 1;
+                    *y = next;
+                }
+            }
+            records = records.map(|r| r + k);
+            pos = std::array::from_fn(|l| {
+                starts[l] + 2 * records[l] + third_draws(&tables[l]) - thirds_before[l]
+            });
+        }
+        for l in 0..L {
+            while pos[l] < ends[l] {
+                let (code, next) = skew_record(lanes[l]);
+                tables[l][code] += 1;
+                (pos[l], lanes[l]) = (pos[l] + skew_draws(code), next);
+                records[l] += 1;
+            }
+        }
+        let mut round: u64 = records.iter().sum();
+        // The true parse enters segment `l` at draw `t`, first draw `ty`.
+        let (mut t, mut ty) = (pos[0], lanes[0]);
+        for l in 1..L {
+            let (mut s, mut sy) = (starts[l], start_ys[l]);
+            loop {
+                if s == t {
+                    (t, ty) = (pos[l], lanes[l]);
+                    break;
+                }
+                if s >= ends[l] && t >= ends[l] {
+                    break;
+                }
+                if s < t {
+                    let (code, next) = skew_record(sy);
+                    tables[l][code] -= 1;
+                    round -= 1;
+                    (s, sy) = (s + skew_draws(code), next);
+                } else {
+                    let (code, next) = skew_record(ty);
+                    tables[l][code] += 1;
+                    round += 1;
+                    (t, ty) = (t + skew_draws(code), next);
+                }
+            }
+        }
+        left -= round;
+        y = ty;
+    }
+    rng.set_state(BACK.apply_high(y) >> 16);
+    let n_reducers = 1u32 << log2;
+    let mut counts = vec![0u64; n_reducers as usize];
+    for _ in 0..left {
+        counts[skew_pick(rng, n_reducers) as usize] += 1;
+    }
+    for table in &tables {
+        for (&head, &count) in SKEW_HEADS.iter().zip(table) {
+            counts[head.min(n_reducers - 1) as usize] += count;
+        }
+        fold_bytes(&mut counts, &table[8..], log2);
     }
     counts
 }
@@ -79,11 +298,18 @@ impl Partitioner for RandPartitioner {
         n_reducers: u32,
         _key_of: &mut dyn FnMut(u64, &mut Vec<u8>),
     ) -> Vec<u64> {
-        count_picks(n_records, n_reducers, || {
-            self.rng.next_int_bound(n_reducers as i32) as u32
-        })
+        match kernel_log2(n_reducers) {
+            Some(log2) => rand_counts_pow2(&mut self.rng, n_records, log2),
+            None => count_picks(n_records, n_reducers, || {
+                self.rng.next_int_bound(n_reducers as i32) as u32
+            }),
+        }
     }
 }
+
+/// MR-SKEW's head reducer for each of `u`'s eighths below 7/8, before
+/// clamping to the last reducer; see [`skew_pick`].
+const SKEW_HEADS: [u32; 7] = [0, 0, 0, 0, 1, 1, 2];
 
 /// MR-SKEW's reducer for one record: `u = nextDouble()` picks reducer 0
 /// below 0.5, 1 below 0.75 and 2 below 0.875 (clamped to the last
@@ -96,10 +322,9 @@ impl Partitioner for RandPartitioner {
 /// discarded. A table lookup replaces the three unpredictable branches.
 #[inline]
 fn skew_pick(rng: &mut JavaRandom, n_reducers: u32) -> u32 {
-    const HEAD_BY_EIGHTH: [u32; 7] = [0, 0, 0, 0, 1, 1, 2];
     let eighth = (rng.next(26) >> 23) as usize;
     rng.next(27);
-    match HEAD_BY_EIGHTH.get(eighth) {
+    match SKEW_HEADS.get(eighth) {
         Some(&head) => head.min(n_reducers - 1),
         None => rng.next_int_bound(n_reducers as i32) as u32,
     }
@@ -131,9 +356,12 @@ impl Partitioner for SkewPartitioner {
         n_reducers: u32,
         _key_of: &mut dyn FnMut(u64, &mut Vec<u8>),
     ) -> Vec<u64> {
-        count_picks(n_records, n_reducers, || {
-            skew_pick(&mut self.rng, n_reducers)
-        })
+        match kernel_log2(n_reducers) {
+            Some(log2) => skew_counts_pow2(&mut self.rng, n_records, log2),
+            None => count_picks(n_records, n_reducers, || {
+                skew_pick(&mut self.rng, n_reducers)
+            }),
+        }
     }
 }
 

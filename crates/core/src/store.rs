@@ -125,6 +125,7 @@ pub struct ResultStore {
     hits: AtomicU64,
     misses: AtomicU64,
     rejected: AtomicU64,
+    bypassed: AtomicU64,
 }
 
 impl ResultStore {
@@ -137,6 +138,7 @@ impl ResultStore {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            bypassed: AtomicU64::new(0),
         })
     }
 
@@ -201,6 +203,18 @@ impl ResultStore {
             self.misses.load(Ordering::Relaxed),
             self.rejected.load(Ordering::Relaxed),
         )
+    }
+
+    /// Count a cell that ran without consulting the store: a traced cell,
+    /// whose span stream a fragment would not keep.
+    pub fn note_bypass(&self) {
+        self.bypassed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Cells counted by [`ResultStore::note_bypass`]; [`ResultStore::stats`]
+    /// counts only the cells the store was asked about.
+    pub fn bypassed(&self) -> u64 {
+        self.bypassed.load(Ordering::Relaxed)
     }
 }
 

@@ -50,11 +50,16 @@ impl std::fmt::Debug for SweepOptions<'_> {
 
 /// Run one cell, going through the store when one is configured. Traced
 /// configs bypass the cache: fragments do not persist span streams, so a
-/// cache hit would silently drop the trace the caller asked for.
+/// cache hit would silently drop the trace the caller asked for. The
+/// store counts them, so its report can say why it served nothing.
 fn run_cell(config: &BenchConfig, store: Option<&ResultStore>) -> Result<BenchReport, Error> {
     let digest = match store {
-        Some(_) if !config.trace => Some(config_digest(config)),
-        _ => None,
+        Some(store) if config.trace => {
+            store.note_bypass();
+            None
+        }
+        Some(_) => Some(config_digest(config)),
+        None => None,
     };
     if let (Some(store), Some(d)) = (store, &digest) {
         if let Some(report) = store.get(d) {

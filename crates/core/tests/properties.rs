@@ -7,7 +7,7 @@ use mrbench::partitioners::{
     AvgFactory, AvgPartitioner, RandFactory, RandPartitioner, SkewFactory, SkewPartitioner,
     ZipfFactory,
 };
-use simcore::rng::SplitMix64;
+use simcore::rng::{JavaRandom, SplitMix64};
 
 fn no_keys(_: u64, _: &mut Vec<u8>) {}
 
@@ -31,12 +31,48 @@ fn partitioners_conserve_mass() {
     }
 }
 
+/// `factory`'s `assign_counts` against its per-record `partition` loop:
+/// the same counts, and the same next draws after them.
+fn assert_bulk_equals_loop(
+    factory: &dyn PartitionerFactory,
+    seed: u64,
+    n_records: u64,
+    n_reducers: u32,
+) {
+    let mut bulk = factory.create(0, seed);
+    let mut serial = factory.create(0, seed);
+    let counts = bulk.assign_counts(n_records, n_reducers, &mut no_keys);
+    let mut looped = vec![0u64; n_reducers as usize];
+    for i in 0..n_records {
+        looped[serial.partition(&[], i, n_reducers) as usize] += 1;
+    }
+    let case = format!(
+        "{} seed={seed} n_records={n_records} n_reducers={n_reducers}",
+        factory.name()
+    );
+    assert_eq!(counts, looped, "{case}");
+    for i in n_records..n_records + 3 {
+        assert_eq!(
+            bulk.partition(&[], i, n_reducers),
+            serial.partition(&[], i, n_reducers),
+            "next draw after {case}"
+        );
+    }
+}
+
 /// Every partitioner's `assign_counts` equals its per-record `partition`
 /// loop exactly, and leaves its generator where the loop leaves it: the
 /// closed form (MR-AVG) and the key-free bulk paths (MR-RAND, MR-SKEW,
 /// MR-ZIPF) against the reference they must reproduce. Record counts
 /// include the empty and one-record maps; reducer counts cover 1..=64,
 /// powers of two (no `nextInt` rejection) and the rest.
+///
+/// MR-RAND and MR-SKEW run draw kernels for power-of-two bounds up to
+/// 256, so those get record counts around the kernels' boundaries too:
+/// either side of MR-RAND's 8-lane steps, odd counts for MR-SKEW's
+/// two-or-three-draw records, a count past 100 000 for several MR-SKEW
+/// lane rounds, and 512 reducers, past the kernels, on the per-record
+/// loop.
 #[test]
 fn bulk_assign_counts_equals_per_record_loop() {
     let factories: [&dyn PartitionerFactory; 4] = [
@@ -50,28 +86,42 @@ fn bulk_assign_counts_equals_per_record_loop() {
         for n_reducers in 1..=64u32 {
             let sizes = [0, 1, 2, 1 + rng.next_below(999), 1 + rng.next_below(9_999)];
             for n_records in sizes {
-                let seed = rng.next_u64();
-                let mut bulk = factory.create(0, seed);
-                let mut serial = factory.create(0, seed);
-                let counts = bulk.assign_counts(n_records, n_reducers, &mut no_keys);
-                let mut looped = vec![0u64; n_reducers as usize];
-                for i in 0..n_records {
-                    looped[serial.partition(&[], i, n_reducers) as usize] += 1;
-                }
-                let case = format!(
-                    "{} n_records={n_records} n_reducers={n_reducers}",
-                    factory.name()
-                );
-                assert_eq!(counts, looped, "{case}");
-                for i in n_records..n_records + 3 {
-                    assert_eq!(
-                        bulk.partition(&[], i, n_reducers),
-                        serial.partition(&[], i, n_reducers),
-                        "next draw after {case}"
-                    );
-                }
+                assert_bulk_equals_loop(factory, rng.next_u64(), n_records, n_reducers);
             }
         }
+    }
+    let k = 1_250;
+    let boundaries = [7, 8, 9, 8 * k - 1, 8 * k, 8 * k + 1, 100_003];
+    for factory in [&RandFactory as &dyn PartitionerFactory, &SkewFactory] {
+        for n_reducers in [1, 2, 8, 16, 256, 512] {
+            for n_records in boundaries {
+                assert_bulk_equals_loop(factory, rng.next_u64(), n_records, n_reducers);
+            }
+        }
+    }
+}
+
+/// The MR-SKEW kernel hands the generator back at the state after the
+/// last record's last draw; here that record takes the third draw, so
+/// stopping one draw short shows in the next draws.
+#[test]
+fn skew_bulk_ends_after_a_last_third_draw() {
+    let (seed, n_records) = (1, 100_001);
+    let mut rng = JavaRandom::new(seed as i64);
+    let mut last_took_third = false;
+    for _ in 0..n_records {
+        last_took_third = rng.next(26) >> 23 == 7;
+        rng.next(27);
+        if last_took_third {
+            rng.next(31);
+        }
+    }
+    assert!(
+        last_took_third,
+        "seed {seed} no longer ends on a third draw"
+    );
+    for n_reducers in [8, 16] {
+        assert_bulk_equals_loop(&SkewFactory, seed, n_records, n_reducers);
     }
 }
 

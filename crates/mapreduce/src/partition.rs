@@ -8,11 +8,13 @@
 //! [`Partitioner::partition`] once per record — exactly the per-record
 //! code path Hadoop runs.
 //!
-//! A partitioner may override the bulk entry point (a closed form for
-//! round-robin, a key-free draw loop for the partitioners that never read
-//! the key), but the override must be bit-identical to the per-record
-//! loop, which stays the reference: the same counts, and the partitioner
-//! left in the state the loop would leave it in.
+//! A partitioner may override the bulk entry point: a closed form for
+//! round-robin, or for the partitioners that never read the key, a
+//! key-free draw loop, or draw kernels that walk the generator's state
+//! sequence in interleaved lanes by jump-ahead and tally the counts in
+//! any order. The override must be bit-identical to the per-record loop,
+//! which stays the reference: the same counts, and the partitioner left
+//! in the state the loop would leave it in.
 
 /// Assigns each intermediate record to a reduce partition.
 pub trait Partitioner {

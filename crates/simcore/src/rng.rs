@@ -129,6 +129,63 @@ const JAVA_MULTIPLIER: i64 = 0x5DEECE66D;
 const JAVA_ADDEND: i64 = 0xB;
 const JAVA_MASK: i64 = (1 << 48) - 1;
 
+/// `k` steps of [`JavaRandom`]'s LCG as one affine map of the 48-bit
+/// state, `state -> mul * state + add (mod 2^48)`.
+///
+/// One step is affine, so any number of steps is too; the map for `k` is
+/// built by squaring in `O(log k)`. A kernel can then walk several
+/// interleaved lanes of the draw sequence, each stepping by the same
+/// jump, instead of one serial chain.
+///
+/// Wrapping `u64` arithmetic is exact in its low 48 bits. `apply` takes
+/// the 48-bit state and masks its result; `apply_high` takes the state
+/// held in the top 48 bits of a `u64` (`state << 16`), where no mask is
+/// needed and `next(bits)` is `high >> (64 - bits)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JavaJump {
+    mul: u64,
+    add: u64,
+}
+
+impl JavaJump {
+    /// The map that advances the state `k` draws. The LCG's period is
+    /// 2^48, so `new(k)` equals `new(k % 2^48)`.
+    pub const fn new(k: u64) -> Self {
+        const MASK: u64 = JAVA_MASK as u64;
+        // `step` is the map for 2^i steps; fold it in for each set bit.
+        let (mut mul, mut add) = (1u64, 0u64);
+        let (mut step_mul, mut step_add) = (JAVA_MULTIPLIER as u64, JAVA_ADDEND as u64);
+        let mut k = k;
+        while k > 0 {
+            if k & 1 == 1 {
+                mul = mul.wrapping_mul(step_mul);
+                add = add.wrapping_mul(step_mul).wrapping_add(step_add);
+            }
+            step_add = step_add.wrapping_mul(step_mul).wrapping_add(step_add);
+            step_mul = step_mul.wrapping_mul(step_mul);
+            k >>= 1;
+        }
+        JavaJump {
+            mul: mul & MASK,
+            add: add & MASK,
+        }
+    }
+
+    /// The 48-bit state `k` draws after `state`; bits of `state` above
+    /// the 48th are ignored.
+    #[inline]
+    pub const fn apply(self, state: u64) -> u64 {
+        self.mul.wrapping_mul(state).wrapping_add(self.add) & JAVA_MASK as u64
+    }
+
+    /// The same jump on a state held high (`state << 16`): the result is
+    /// high too, with its low 16 bits zero.
+    #[inline]
+    pub const fn apply_high(self, high: u64) -> u64 {
+        self.mul.wrapping_mul(high).wrapping_add(self.add << 16)
+    }
+}
+
 /// Bit-exact reimplementation of `java.util.Random`.
 ///
 /// The MR-RAND partitioner in the paper calls
@@ -160,6 +217,25 @@ impl JavaRandom {
             .wrapping_add(JAVA_ADDEND)
             & JAVA_MASK;
         ((self.seed as u64) >> (48 - bits)) as i32
+    }
+
+    /// The 48-bit state: the `seed` field of `java.util.Random`.
+    pub fn state(&self) -> u64 {
+        self.seed as u64
+    }
+
+    /// Set the 48-bit state; bits above the 48th are ignored. With
+    /// [`JavaRandom::state`] and [`JavaJump`], a kernel can take the state
+    /// out, walk the draw sequence its own way and hand back where it
+    /// ends.
+    pub fn set_state(&mut self, state: u64) {
+        self.seed = (state & JAVA_MASK as u64) as i64;
+    }
+
+    /// Advance the state `k` draws at once, exactly as `k` calls to
+    /// `next` would.
+    pub fn skip(&mut self, k: u64) {
+        self.set_state(JavaJump::new(k).apply(self.state()));
     }
 
     /// Equivalent to `nextInt()`.
@@ -308,6 +384,61 @@ mod tests {
             assert_eq!(a.next_double().to_bits(), d.to_bits());
         }
         assert_eq!(a.next_int(), b.next_int());
+    }
+
+    #[test]
+    fn skip_equals_repeated_next() {
+        let mut seeds = SplitMix64::new(0x5C1F);
+        let long: Vec<u64> = (0..3)
+            .map(|_| 71 + seeds.next_below(1_000_000 - 70))
+            .collect();
+        for k in (0..=70).chain(long) {
+            let seed = seeds.next_u64() as i64;
+            let mut stepped = JavaRandom::new(seed);
+            for _ in 0..k {
+                stepped.next(32);
+            }
+            let mut skipped = JavaRandom::new(seed);
+            skipped.skip(k);
+            assert_eq!(skipped.state(), stepped.state(), "k = {k}");
+            assert_eq!(skipped.next_int(), stepped.next_int(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn skips_compose() {
+        let mut seeds = SplitMix64::new(0xC0DE);
+        for _ in 0..64 {
+            let (a, b) = (seeds.next_u64() >> 17, seeds.next_below(1 << 20));
+            let seed = seeds.next_u64() as i64;
+            let mut twice = JavaRandom::new(seed);
+            twice.skip(a);
+            twice.skip(b);
+            let mut once = JavaRandom::new(seed);
+            once.skip(a + b);
+            assert_eq!(twice.state(), once.state(), "a = {a}, b = {b}");
+        }
+    }
+
+    #[test]
+    fn skipping_the_full_period_is_the_identity() {
+        assert_eq!(JavaJump::new(1 << 48), JavaJump::new(0));
+        assert_eq!(JavaJump::new((1 << 48) + 5), JavaJump::new(5));
+        let mut r = JavaRandom::new(2014);
+        let before = r.state();
+        r.skip(1 << 48);
+        assert_eq!(r.state(), before);
+    }
+
+    #[test]
+    fn high_form_tracks_the_low_form() {
+        let jump = JavaJump::new(8);
+        let (mut low, mut high) = (0x1234_5678_9ABCu64, 0x1234_5678_9ABCu64 << 16);
+        for _ in 0..1000 {
+            low = jump.apply(low);
+            high = jump.apply_high(high);
+            assert_eq!(high, low << 16);
+        }
     }
 
     #[test]
