@@ -3,95 +3,34 @@
 //! DESIGN.md calls out the mechanisms that proved load-bearing for
 //! reproducing the paper (OS page cache, protocol CPU asymmetry, the
 //! RDMA pipeline factors, `io.sort.mb` tuning, slot counts). This binary
-//! re-runs the Fig. 2 anchor cell (MR-AVG, 16 GB, Cluster A) with each
-//! mechanism removed or changed, over 1 GigE and IPoIB QDR, and reports
-//! the job time and the network sensitivity each variant produces.
+//! re-runs the Fig. 2 anchor cell (MR-AVG, 16 GB, Cluster A) under each
+//! [`Ablation`] — the config field that removes one mechanism or resets
+//! one tuning — over 1 GigE and IPoIB QDR, and reports the job time and
+//! the network sensitivity each variant produces.
 
-use mapreduce::conf::ShuffleEngineKind;
-use mapreduce::engine::Engine;
-use mapreduce::shuffle::rdma::ShuffleModel;
-use mrbench::{BenchConfig, BenchReport, MicroBenchmark};
+use mrbench::{Ablation, BenchConfig, MicroBenchmark, ShuffleVolume};
 use mrbench_bench::{figure_header, Harness};
 use simcore::units::ByteSize;
 use simnet::Interconnect;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Variant {
-    Baseline,
-    NoPageCache,
-    NoProtocolCpu,
-    DefaultSortMb,
-    TwoMapSlots,
-    NoMergeOverlap,
-}
-
-impl Variant {
-    const ALL: [Variant; 6] = [
-        Variant::Baseline,
-        Variant::NoPageCache,
-        Variant::NoProtocolCpu,
-        Variant::DefaultSortMb,
-        Variant::TwoMapSlots,
-        Variant::NoMergeOverlap,
-    ];
-
-    fn label(self) -> &'static str {
-        match self {
-            Variant::Baseline => "baseline (as calibrated)",
-            Variant::NoPageCache => "no OS page cache",
-            Variant::NoProtocolCpu => "no protocol CPU charge",
-            Variant::DefaultSortMb => "io.sort.mb = 100 (stock)",
-            Variant::TwoMapSlots => "2 map slots (stock)",
-            Variant::NoMergeOverlap => "no shuffle/merge overlap",
-        }
+fn label(a: Ablation) -> &'static str {
+    match a {
+        Ablation::Baseline => "baseline (as calibrated)",
+        Ablation::NoPageCache => "no OS page cache",
+        Ablation::NoProtocolCpu => "no protocol CPU charge",
+        Ablation::DefaultSortMb => "io.sort.mb = 100 (stock)",
+        Ablation::TwoMapSlots => "2 map slots (stock)",
+        Ablation::NoMergeOverlap => "no shuffle/merge overlap",
     }
 }
 
-fn run_variant(
-    harness: &Harness,
-    variant: Variant,
-    ic: Interconnect,
-    shuffle: ByteSize,
-) -> BenchReport {
-    let mut config = harness.prep(BenchConfig::cluster_a_default(
-        MicroBenchmark::Avg,
-        ic,
-        shuffle,
-    ));
-    let mut spec = config.job_spec();
-    match variant {
-        Variant::DefaultSortMb => spec.conf.io_sort_mb = ByteSize::from_mib(100),
-        Variant::TwoMapSlots => spec.conf.map_slots_per_node = 2,
-        _ => {}
-    }
-    config.volume = mrbench::ShuffleVolume::PairsPerMap(spec.pairs_per_map);
-    let factory = config.benchmark.factory();
-    let mut engine = Engine::new(
-        spec,
-        factory.as_ref(),
-        config.node_spec(),
-        config.slaves,
-        config.interconnect,
-    );
-    match variant {
-        Variant::NoPageCache => engine.disable_page_cache(),
-        Variant::NoProtocolCpu => {
-            let mut m = ShuffleModel::for_kind(ShuffleEngineKind::Tcp);
-            m.charges_protocol_cpu = false;
-            engine.set_shuffle_model(m);
-        }
-        Variant::NoMergeOverlap => {
-            let mut m = ShuffleModel::for_kind(ShuffleEngineKind::Tcp);
-            m.merge_overlap = 0.0;
-            engine.set_shuffle_model(m);
-        }
-        _ => {}
-    }
-    if config.trace {
-        engine.enable_tracing();
-    }
-    let result = engine.run();
-    BenchReport { config, result }
+/// The anchor cell under `ablation`. The artifacts record its volume as
+/// pairs per map, the form the engine runs.
+fn config(ablation: Ablation, ic: Interconnect, shuffle: ByteSize) -> BenchConfig {
+    let mut c = BenchConfig::cluster_a_default(MicroBenchmark::Avg, ic, shuffle);
+    c.volume = ShuffleVolume::PairsPerMap(c.job_spec().pairs_per_map);
+    c.ablation = Some(ablation);
+    c
 }
 
 fn main() -> std::process::ExitCode {
@@ -104,26 +43,31 @@ fn real_main(mut harness: Harness) -> Result<(), mrbench::Error> {
         "Fig. 2 anchor cell (MR-AVG, 16 GB, 16M/8R on 4 slaves) under model ablations",
     );
     let shuffle = harness.shuffle(ByteSize::from_gib(16));
+    let networks = [Interconnect::GigE1, Interconnect::IpoibQdr];
+    let reports = harness.run(
+        Ablation::ALL
+            .into_iter()
+            .flat_map(|a| networks.map(|ic| config(a, ic, shuffle))),
+    )?;
 
     println!(
         "{:>28} {:>12} {:>14} {:>16}",
         "variant", "1GigE (s)", "IPoIB (s)", "IPoIB gain (%)"
     );
     let mut baseline_gain = None;
-    for variant in Variant::ALL {
-        let slow_report = run_variant(&harness, variant, Interconnect::GigE1, shuffle);
-        let fast_report = run_variant(&harness, variant, Interconnect::IpoibQdr, shuffle);
-        harness.record_report(&format!("{} — 1GigE", variant.label()), &slow_report);
-        harness.record_report(&format!("{} — IPoIB QDR", variant.label()), &fast_report);
+    for (variant, pair) in Ablation::ALL.into_iter().zip(reports.chunks(2)) {
+        let (slow_report, fast_report) = (&pair[0], &pair[1]);
+        harness.record_report(&format!("{} — 1GigE", label(variant)), slow_report);
+        harness.record_report(&format!("{} — IPoIB QDR", label(variant)), fast_report);
         let slow = slow_report.job_time_secs();
         let fast = fast_report.job_time_secs();
         let gain = (slow - fast) / slow * 100.0;
-        if variant == Variant::Baseline {
+        if variant == Ablation::Baseline {
             baseline_gain = Some(gain);
         }
         println!(
             "{:>28} {:>12.1} {:>14.1} {:>15.1}%",
-            variant.label(),
+            label(variant),
             slow,
             fast,
             gain

@@ -13,7 +13,7 @@
 //! 3. **Straggler vs speculative execution** — one slowed node with and
 //!    without speculative backups.
 
-use mrbench::{run, BenchConfig, MicroBenchmark};
+use mrbench::{BenchConfig, MicroBenchmark};
 use mrbench_bench::figures::Verdict;
 use mrbench_bench::{figure_header, Harness};
 use simcore::units::ByteSize;
@@ -34,9 +34,18 @@ fn real_main(mut harness: Harness) -> Result<(), mrbench::Error> {
     );
     let shuffle = harness.shuffle(ByteSize::from_gib(4));
 
-    // Panel 1: failure probability x data distribution.
+    // Panel 1: failure probability x data distribution, one cell per
+    // (p, benchmark) in row-major order.
     let probs = [0.0, 0.05, 0.1, 0.2];
     let benches = [MicroBenchmark::Avg, MicroBenchmark::Skew];
+    let grid = harness.run(probs.iter().flat_map(|&p| {
+        benches.map(|b| {
+            let mut c = base(b, shuffle);
+            c.faults.map_failure_prob = p;
+            c.faults.reduce_failure_prob = p;
+            c
+        })
+    }))?;
     println!("per-attempt task failure probability sweep:");
     print!("{:>8}", "p");
     for b in benches {
@@ -45,27 +54,17 @@ fn real_main(mut harness: Harness) -> Result<(), mrbench::Error> {
     println!();
     // times[bench][prob]
     let mut times = [[f64::NAN; 4]; 2];
-    for (pi, &p) in probs.iter().enumerate() {
+    for ((pi, &p), row) in probs.iter().enumerate().zip(grid.chunks(benches.len())) {
         print!("{:>8.2}", p);
-        for (bi, b) in benches.into_iter().enumerate() {
-            let mut c = base(b, shuffle);
-            c.faults.map_failure_prob = p;
-            c.faults.reduce_failure_prob = p;
-            let r = run(&harness.prep(c))?;
-            harness.record_report(&format!("fault sweep p={p} {b}"), &r);
-            if r.result.succeeded() {
+        for ((bi, b), r) in benches.into_iter().enumerate().zip(row) {
+            harness.record_report(&format!("fault sweep p={p} {b}"), r);
+            let time = if r.result.succeeded() {
                 times[bi][pi] = r.job_time_secs();
-                print!(
-                    "{:>14.1}{:>16}",
-                    r.job_time_secs(),
-                    r.result.counters.failed_task_attempts
-                );
+                format!("{:.1}", r.job_time_secs())
             } else {
-                print!(
-                    "{:>14}{:>16}",
-                    "FAILED", r.result.counters.failed_task_attempts
-                );
-            }
+                "FAILED".into()
+            };
+            print!("{time:>14}{:>16}", r.result.counters.failed_task_attempts);
         }
         println!();
     }
@@ -106,9 +105,10 @@ fn real_main(mut harness: Harness) -> Result<(), mrbench::Error> {
     // Panel 2: node crash late in the job — ~90% into the clean run, when
     // the node's map outputs are committed and mid-shuffle, so the loss
     // forces map re-execution. The fraction (rather than a fixed t)
-    // keeps the crash mid-job under --quick too.
-    let clean = run(&harness.prep(base(MicroBenchmark::Avg, shuffle)))?;
-    mrbench_bench::ensure_within_budget(&clean)?;
+    // keeps the crash mid-job under --quick too. The clean run is panel
+    // 1's fault-free MR-AVG cell: the same config.
+    let clean = &grid[0];
+    mrbench_bench::ensure_within_budget(clean)?;
     // Quick runs are shuffle-dominated with little tail; crash mid-shuffle
     // there so the lost node still holds work.
     let crash_frac = if harness.quick { 0.6 } else { 0.9 };
@@ -119,8 +119,8 @@ fn real_main(mut harness: Harness) -> Result<(), mrbench::Error> {
         node: 1,
         at_secs: crash_at,
     });
-    let crashed = run(&harness.prep(c))?;
-    harness.record_report("node crash — clean baseline", &clean);
+    let crashed = harness.run([c])?.swap_remove(0);
+    harness.record_report("node crash — clean baseline", clean);
     harness.record_report("node crash — slave 1 lost mid-job", &crashed);
     println!("  clean   {:>8.1} s", clean.job_time_secs());
     println!(
@@ -142,12 +142,12 @@ fn real_main(mut harness: Harness) -> Result<(), mrbench::Error> {
             factor: 3.0,
         });
         c.speculative = speculative;
-        run(&harness.prep(c))
+        c
     };
-    let off = straggler(false)?;
-    let on = straggler(true)?;
-    harness.record_report("straggler — speculation off", &off);
-    harness.record_report("straggler — speculation on", &on);
+    let pair = harness.run([false, true].map(straggler))?;
+    let (off, on) = (&pair[0], &pair[1]);
+    harness.record_report("straggler — speculation off", off);
+    harness.record_report("straggler — speculation on", on);
     println!("  speculation off {:>8.1} s", off.job_time_secs());
     println!(
         "  speculation on  {:>8.1} s   backups launched: {}   backups won: {}",

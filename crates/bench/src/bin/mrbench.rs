@@ -1,7 +1,8 @@
 //! `mrbench` — the micro-benchmark suite's command-line front end.
 //!
 //! Run `mrbench --help` for the options; parsing lives in
-//! [`mrbench_bench::cli`] and the run-wide flags in
+//! [`mrbench_bench::cli`], and the run-wide flags and the run itself
+//! (a one-cell list, or a grid under `--compare`) in
 //! [`mrbench_bench::Harness`], which every sweep binary shares.
 //!
 //! Exit codes follow the taxonomy in [`mrbench::error`]: 0 success, 1
@@ -9,7 +10,7 @@
 
 use std::process::ExitCode;
 
-use mrbench::{run, Error, Interconnect, ShuffleEngineKind, ShuffleVolume};
+use mrbench::{Error, Interconnect, ShuffleEngineKind, ShuffleVolume};
 use mrbench_bench::cli::{self, Cli};
 use mrbench_bench::{ensure_within_budget, exit_code, run_grid, Harness};
 
@@ -26,7 +27,7 @@ fn real_main(args: &[String]) -> Result<ExitCode, Error> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let report = run(&harness.prep(cli.config))?;
+    let report = harness.run([cli.config])?.swap_remove(0);
     println!("{report}");
     if cli.timeline {
         // The timeline is reconstructed from the phase-span stream (the
@@ -73,8 +74,7 @@ fn real_main(args: &[String]) -> Result<ExitCode, Error> {
 }
 
 /// `--compare`: run every interconnect at the configured shuffle volume
-/// and tabulate. With `--resume`, completed cells are persisted in a
-/// content-addressed store and skipped when the comparison restarts.
+/// and tabulate.
 fn compare(mut harness: Harness, cli: &Cli) -> Result<(), Error> {
     let spec = cli.config.job_spec();
     let sweep = run_grid(

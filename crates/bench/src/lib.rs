@@ -17,40 +17,21 @@
 //! ```
 //!
 //! Every binary here but `multijob` and `tracecheck` runs on one
-//! [`Harness`], which parses the run-wide flags, runs the sweep and
-//! reports errors through [`exit_code`]:
+//! [`Harness`]. It parses the run-wide flags (`--json`, `--csv`,
+//! `--trace`, `--resume`, `--max-events`, `--max-sim-secs`, `--backend`
+//! and `-h/--help`; see [`run_wide_usage`] and EXPERIMENTS.md). The
+//! figure binaries (fig2–fig8, `summary`, `faults`, `ablation`) add
+//! `--quick` and `--deadline`; `mrbench` adds its config flags ([`cli`]).
 //!
-//! * `--json [PATH]` — write the run as a `mrbench-artifact-v1` JSON
-//!   document (default `BENCH_<name>.json`).
-//! * `--csv [PATH]` — write one CSV row per simulated run (default
-//!   `BENCH_<name>.csv`).
-//! * `--trace [PATH]` — record phase spans and write one Chrome
-//!   trace-event document, one process per run (default
-//!   `BENCH_<name>_trace.json`).
-//! * `--resume [DIR]` — persist every finished sweep cell in a
-//!   content-addressed result store (default `BENCH_<name>.store`) and
-//!   skip cells already there, so a killed run restarted with the same
-//!   flags picks up where it left off.
-//! * `--max-events <N>` / `--max-sim-secs <S>` — per-run watchdog
-//!   budgets forwarded to every simulated job (exit 6 on breach).
-//! * `--backend <des|analytic>` — evaluation backend for every run: the
-//!   discrete-event simulator (default) or the closed-form analytic cost
-//!   model (orders of magnitude faster; validated against the DES within
-//!   per-figure error bands — see EXPERIMENTS.md). Results cache under
-//!   backend-tagged digests, so `--resume` stores never mix the two.
-//! * `-h`, `--help` — print the binary's usage and exit 0.
-//!
-//! The figure binaries (fig2–fig8, `summary`, `faults`, `ablation`) add
-//! two flags of their own:
-//!
-//! * `--quick` — CI smoke mode: MiB-scale shuffle sizes so the binary
-//!   finishes in seconds; paper-scale shape checks are skipped.
-//! * `--deadline <SECS>` — wall-clock budget for the whole binary; when
-//!   it expires the current sweep stops at a cell boundary, the panels
-//!   finished so far are flushed as a valid partial artifact, and the
-//!   process exits 7 (pair with `--resume` to continue later).
-//!
-//! `mrbench` adds its config flags instead ([`cli`]).
+//! Every simulated job a binary runs is a cell of [`Harness::run`]: a
+//! single `mrbench` run is a one-cell list, a figure panel or
+//! `mrbench --compare` a grid ([`run_grid`]), `faults` one list per
+//! panel, and `ablation` the anchor cell under each
+//! [`mrbench::Ablation`], a config field that the digest, the store and
+//! the backend check all see. So every binary honours `--resume` (cells
+//! served from the store), `--deadline` (exit 7 after flushing a valid
+//! partial artifact) and `--backend` alike, and reports errors through
+//! [`exit_code`].
 //!
 //! Exit codes follow `mrbench::error`: 0 success, 1 job failed,
 //! 2 usage, 3 config, 4 I/O, 5 parse, 6 budget exceeded, 7 deadline.
@@ -66,7 +47,8 @@ use simcore::units::ByteSize;
 use simnet::Interconnect;
 
 use mrbench::{
-    Artifacts, BackendKind, BenchConfig, BenchReport, Error, ResultStore, Sweep, SweepOptions,
+    run_cells, Artifacts, BackendKind, BenchConfig, BenchReport, Error, ResultStore, Sweep,
+    SweepOptions,
 };
 
 use crate::cli::{parse_f64, parse_num};
@@ -266,8 +248,8 @@ impl Harness {
 
     /// Apply the harness's run-wide switches to a config: phase tracing
     /// (on for `--trace`; a config may already ask for it), the watchdog
-    /// budgets and the backend. Binaries pass every config they run
-    /// through this (panels run via [`run_grid`] get it automatically).
+    /// budgets and the backend. [`Harness::run`] passes every config
+    /// through this.
     pub fn prep(&self, mut config: BenchConfig) -> BenchConfig {
         config.trace |= self.trace.is_some();
         config.max_events = self.max_events;
@@ -278,28 +260,39 @@ impl Harness {
         config
     }
 
+    /// Run every simulated job of a binary as cells of
+    /// [`mrbench::run_cells`]: one report per config, in order, each
+    /// config passed through [`Harness::prep`]. Finished cells are
+    /// checkpointed in the `--resume` store the moment they complete. An
+    /// expired `--deadline` stops the run at a cell boundary, writes the
+    /// panels recorded so far as a valid partial artifact (a failed write
+    /// is reported but never masks the deadline) and surfaces
+    /// [`Error::Deadline`] (exit 7).
+    pub fn run(
+        &self,
+        configs: impl IntoIterator<Item = BenchConfig>,
+    ) -> Result<Vec<BenchReport>, Error> {
+        let configs: Vec<BenchConfig> = configs.into_iter().map(|c| self.prep(c)).collect();
+        let cancel = || self.deadline_expired();
+        let opts = SweepOptions {
+            store: self.store.as_ref(),
+            cancel: Some(&cancel),
+            ..SweepOptions::default()
+        };
+        let reports = run_cells(&configs, &opts);
+        if let Err(Error::Deadline { .. }) = reports {
+            eprintln!("deadline expired: flushing partial artifact before exit");
+            let (json, csv) = (self.json.as_deref(), self.csv.as_deref());
+            if let Err(e) = self.artifacts.write(json, csv) {
+                eprintln!("error: {e}");
+            }
+        }
+        reports
+    }
+
     /// `true` once the `--deadline` budget has expired.
     pub fn deadline_expired(&self) -> bool {
         self.deadline_at.is_some_and(|d| wall_now() >= d)
-    }
-
-    /// The opened result store, when `--resume` is active.
-    pub fn store(&self) -> Option<&ResultStore> {
-        self.store.as_ref()
-    }
-
-    /// Write whatever panels have been recorded so far — called when a
-    /// deadline interrupts a sweep, so the artifact on disk is valid
-    /// (schema-complete, just fewer panels) rather than absent. Flush
-    /// failures are reported but never mask the deadline error.
-    pub fn flush_partial(&self) {
-        eprintln!("deadline expired: flushing partial artifact before exit");
-        if let Err(e) = self
-            .artifacts
-            .write(self.json.as_deref(), self.csv.as_deref())
-        {
-            eprintln!("error: {e}");
-        }
     }
 
     /// A single-run shuffle size: `full` normally, 512 MiB under
@@ -384,7 +377,7 @@ pub fn exit_code(name: &str, usage: &str, result: Result<ExitCode, Error>) -> Ex
 }
 
 /// Surface a watchdog-truncated run as [`Error::Budget`] (exit 6): use
-/// after a single [`mrbench::run`] whose report is about to be trusted.
+/// on a report that is about to be trusted.
 pub fn ensure_within_budget(report: &BenchReport) -> Result<(), Error> {
     match &report.result.budget {
         Some(diag) => Err(Error::Budget(diag.summary())),
@@ -413,33 +406,14 @@ pub const CLUSTER_A_NETWORKS: [Interconnect; 3] = [
 ];
 
 /// Run one panel: a (size × interconnect) grid with a config builder,
-/// every config passed through [`Harness::prep`]. Finished cells are
-/// checkpointed in the `--resume` store the moment they complete, and
-/// an expired `--deadline` stops the sweep at a cell boundary, flushes
-/// the panels recorded so far as a valid partial artifact, and surfaces
-/// [`Error::Deadline`] (exit 7).
+/// as cells of [`Harness::run`].
 pub fn run_grid(
     harness: &Harness,
     sizes: &[ByteSize],
     networks: &[Interconnect],
-    make: impl Fn(ByteSize, Interconnect) -> BenchConfig + Sync,
+    make: impl Fn(ByteSize, Interconnect) -> BenchConfig,
 ) -> Result<Sweep, Error> {
-    let cancel = || harness.deadline_expired();
-    let opts = SweepOptions {
-        threads: 0,
-        store: harness.store(),
-        cancel: harness
-            .deadline_secs
-            .map(|_| &cancel as &(dyn Fn() -> bool + Sync)),
-    };
-    match Sweep::run_grid_with(sizes, networks, |s, ic| harness.prep(make(s, ic)), &opts) {
-        Ok(sweep) => Ok(sweep),
-        Err(e @ Error::Deadline { .. }) => {
-            harness.flush_partial();
-            Err(e)
-        }
-        Err(e) => Err(e),
-    }
+    Sweep::run_grid_on(sizes, networks, make, |configs| harness.run(configs))
 }
 
 /// Print the improvement rows the paper's prose quotes: percentage gain
@@ -600,7 +574,7 @@ mod tests {
         assert_eq!(h.max_events, Some(1_000));
         assert_eq!(h.max_sim_secs, Some(2.5));
         // Parsing is pure: nothing armed yet.
-        assert!(h.store().is_none());
+        assert!(h.store.is_none());
         assert!(!h.deadline_expired());
         // prep() forwards the watchdog budgets onto every config.
         let p = h.prep(config());

@@ -195,3 +195,91 @@ fn resume_line_counts_traced_cells_that_bypass_the_store() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A scratch directory of its own under the tests' target directory.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Every binary runs its jobs as store cells: a rerun with the same
+/// `--resume` store serves every cell and reproduces stdout and the
+/// artifact byte for byte.
+#[test]
+fn resume_serves_every_cell_of_every_binary() {
+    let runs: &[(&str, &[&str])] = &[
+        ("fig2", &["--quick"]),
+        ("faults", &["--quick"]),
+        ("ablation", &["--quick"]),
+        ("mrbench", &["--shuffle-mb", "16"]),
+        ("mrbench", &["--compare", "--shuffle-mb", "16"]),
+    ];
+    for (i, &(name, args)) in runs.iter().enumerate() {
+        let dir = scratch(&format!("resume-{name}-{i}"));
+        let (store, json) = (dir.join("store"), dir.join("run.json"));
+        let once = || {
+            let out = bin(name)
+                .args(args)
+                .arg("--resume")
+                .arg(&store)
+                .arg("--json")
+                .arg(&json)
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert_eq!(out.status.code(), Some(0), "{name} {args:?}: {stderr}");
+            (out.stdout, stderr, std::fs::read(&json).unwrap())
+        };
+        let (stdout, _, artifact) = once();
+        let (again, stderr, replayed) = once();
+        let served = stderr
+            .split("resume: ")
+            .nth(1)
+            .and_then(|line| line.split(' ').next())
+            .and_then(|n| n.parse::<u64>().ok());
+        assert!(
+            served.is_some_and(|n| n > 0) && stderr.contains(" 0 run fresh"),
+            "{name} {args:?}: {stderr}"
+        );
+        assert!(stdout == again, "{name} {args:?}: stdout differs on replay");
+        assert!(
+            artifact == replayed,
+            "{name} {args:?}: artifact differs on replay"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Every figure binary stops at an expired `--deadline` with exit 7 and
+/// leaves a partial artifact that parses.
+#[test]
+fn deadline_stops_every_figure_binary_with_a_valid_artifact() {
+    let dir = scratch("deadline");
+    for name in FIGURE_BINS {
+        let json = dir.join(format!("{name}.json"));
+        let out = bin(name)
+            .args(["--quick", "--deadline", "0.000001", "--json"])
+            .arg(&json)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(7), "{name}: {stderr}");
+        mrbench::Artifacts::load(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The analytic backend cannot remove a mechanism it never models, so
+/// every `ablation` run is a config error under it.
+#[test]
+fn ablation_refuses_the_analytic_backend() {
+    let out = run("ablation", &["--quick", "--backend", "analytic"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.starts_with("ablation: invalid config: the analytic backend cannot model ablations"),
+        "{stderr}"
+    );
+}

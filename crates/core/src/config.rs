@@ -86,6 +86,58 @@ impl std::str::FromStr for BackendKind {
     }
 }
 
+/// A model ablation (the `ablation` binary): one modelling mechanism
+/// removed, or one tuning reset to stock Hadoop, so its weight in a
+/// result can be measured. Only the DES can run one.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Ablation {
+    /// The calibrated model, named so its runs are labelled as the
+    /// ablation study's reference.
+    Baseline,
+    /// No OS page cache: spill I/O hits the spindles synchronously.
+    NoPageCache,
+    /// No endpoint protocol CPU charged per shuffled byte.
+    NoProtocolCpu,
+    /// Stock `io.sort.mb = 100` instead of the suite's 256.
+    DefaultSortMb,
+    /// Stock 2 map slots per TaskTracker instead of the suite's 4.
+    TwoMapSlots,
+    /// No pipelined shuffle/merge overlap.
+    NoMergeOverlap,
+}
+
+impl Ablation {
+    /// Every ablation, baseline first.
+    pub const ALL: [Ablation; 6] = [
+        Ablation::Baseline,
+        Ablation::NoPageCache,
+        Ablation::NoProtocolCpu,
+        Ablation::DefaultSortMb,
+        Ablation::TwoMapSlots,
+        Ablation::NoMergeOverlap,
+    ];
+
+    /// Stable artifact token.
+    pub fn token(self) -> &'static str {
+        match self {
+            Ablation::Baseline => "baseline",
+            Ablation::NoPageCache => "no-page-cache",
+            Ablation::NoProtocolCpu => "no-protocol-cpu",
+            Ablation::DefaultSortMb => "default-sort-mb",
+            Ablation::TwoMapSlots => "two-map-slots",
+            Ablation::NoMergeOverlap => "no-merge-overlap",
+        }
+    }
+}
+
+impl std::str::FromStr for Ablation {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let known = Ablation::ALL.into_iter().find(|a| a.token() == s);
+        known.ok_or_else(|| format!("unknown ablation '{s}'"))
+    }
+}
+
 /// How much intermediate data the job generates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ShuffleVolume {
@@ -162,6 +214,9 @@ pub struct BenchConfig {
     /// the discrete-event simulator (default) or the closed-form
     /// analytic cost model.
     pub backend: BackendKind,
+    /// The model ablation this run measures, if any (set only by the
+    /// `ablation` binary; no CLI flag).
+    pub ablation: Option<Ablation>,
 }
 
 impl BenchConfig {
@@ -199,6 +254,7 @@ impl BenchConfig {
             fabric_cap_mb_s: None,
             monitor_interval_s: 1.0,
             backend: BackendKind::Des,
+            ablation: None,
         }
     }
 
@@ -256,9 +312,10 @@ impl BenchConfig {
     /// The suite ships the `mapred-site.xml` tuning the OSU testbeds used
     /// for gigabyte-scale map outputs: `io.sort.mb = 256` (fewer spill
     /// rounds) and 4 map / 2 reduce slots per TaskTracker so the paper's
-    /// 16-map runs complete in a single wave per node pair.
+    /// 16-map runs complete in a single wave per node pair. The
+    /// [`Ablation`]s of stock tuning undo one of these.
     pub fn job_spec(&self) -> JobSpec {
-        let conf = JobConf {
+        let mut conf = JobConf {
             num_maps: self.num_maps,
             num_reduces: self.num_reduces,
             io_sort_mb: ByteSize::from_mib(256),
@@ -275,6 +332,11 @@ impl BenchConfig {
             monitor_interval_s: self.monitor_interval_s,
             ..JobConf::default()
         };
+        match self.ablation {
+            Some(Ablation::DefaultSortMb) => conf.io_sort_mb = ByteSize::from_mib(100),
+            Some(Ablation::TwoMapSlots) => conf.map_slots_per_node = 2,
+            _ => {}
+        }
         let mut spec = JobSpec {
             conf,
             key_size: self.key_size,
@@ -374,9 +436,9 @@ impl BenchConfig {
     /// Serialize to JSON. Enum fields use their stable CLI/report
     /// tokens; the volume is tagged by kind.
     ///
-    /// Topology and monitor knobs added after the first artifacts shipped
-    /// (`racks`, `oversubscription`, `fabric_cap_mb_s`,
-    /// `monitor_interval_s`) are emitted only when they differ from their
+    /// Knobs added after the first artifacts shipped (`racks`,
+    /// `oversubscription`, `fabric_cap_mb_s`, `monitor_interval_s`,
+    /// `backend`, `ablation`) are emitted only when they differ from their
     /// defaults, so pre-existing artifacts — and the content-addressed
     /// store digests derived from this encoding — stay byte-identical.
     pub fn to_json(&self) -> Json {
@@ -438,6 +500,9 @@ impl BenchConfig {
             if self.backend != BackendKind::Des {
                 fields.push(("backend".into(), Json::from(self.backend.label())));
             }
+            if let Some(a) = self.ablation {
+                fields.push(("ablation".into(), Json::from(a.token())));
+            }
         }
         doc
     }
@@ -481,39 +546,25 @@ impl BenchConfig {
             max_attempts: json.field_u32("max_attempts")?,
             speculative: json.field_bool("speculative")?,
             trace: false,
-            // Absent in artifacts written before the watchdog existed.
-            max_events: match json.get("max_events") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or("bad max_events")?),
-            },
-            max_sim_secs: match json.get("max_sim_secs") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_f64().ok_or("bad max_sim_secs")?),
-            },
-            // Topology/monitor knobs are absent in artifacts written
-            // before racks existed (and whenever left at their defaults).
-            racks: match json.get("racks") {
-                None | Some(Json::Null) => 1,
-                Some(v) => v.as_u64().ok_or("bad racks")? as usize,
-            },
-            oversubscription: match json.get("oversubscription") {
-                None | Some(Json::Null) => 1.0,
-                Some(v) => v.as_f64().ok_or("bad oversubscription")?,
-            },
-            fabric_cap_mb_s: match json.get("fabric_cap_mb_s") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_f64().ok_or("bad fabric_cap_mb_s")?),
-            },
-            monitor_interval_s: match json.get("monitor_interval_s") {
-                None | Some(Json::Null) => 1.0,
-                Some(v) => v.as_f64().ok_or("bad monitor_interval_s")?,
-            },
-            // Absent in artifacts written before the analytic backend
-            // existed; the DES was the only engine then.
-            backend: match json.get("backend") {
-                None | Some(Json::Null) => BackendKind::Des,
-                Some(v) => v.as_str().ok_or("bad backend")?.parse()?,
-            },
+            // Fields added after the first artifacts shipped are absent
+            // from older documents, and from newer ones at their defaults.
+            max_events: json.opt_field("max_events", Json::as_u64)?,
+            max_sim_secs: json.opt_field("max_sim_secs", Json::as_f64)?,
+            racks: json.opt_field("racks", Json::as_usize)?.unwrap_or(1),
+            oversubscription: json
+                .opt_field("oversubscription", Json::as_f64)?
+                .unwrap_or(1.0),
+            fabric_cap_mb_s: json.opt_field("fabric_cap_mb_s", Json::as_f64)?,
+            monitor_interval_s: json
+                .opt_field("monitor_interval_s", Json::as_f64)?
+                .unwrap_or(1.0),
+            backend: json
+                .opt_field("backend", Json::as_str)?
+                .map_or(Ok(BackendKind::Des), str::parse)?,
+            ablation: json
+                .opt_field("ablation", Json::as_str)?
+                .map(str::parse)
+                .transpose()?,
         })
     }
 }
@@ -730,6 +781,61 @@ mod tests {
             BackendKind::Analytic
         );
         assert!("quantum".parse::<BackendKind>().is_err());
+    }
+
+    #[test]
+    fn ablation_field_round_trips_digests_apart_and_stays_out_of_default_docs() {
+        let c = BenchConfig::cluster_a_default(
+            MicroBenchmark::Avg,
+            Interconnect::GigE1,
+            ByteSize::from_gib(1),
+        );
+        let text = c.to_json().to_pretty();
+        assert!(!text.contains("ablation"), "{text}");
+        assert_eq!(BenchConfig::from_json(&c.to_json()).unwrap().ablation, None);
+
+        let mut digests = vec![crate::store::config_digest(&c)];
+        for a in Ablation::ALL {
+            let mut ablated = c.clone();
+            ablated.ablation = Some(a);
+            let text = ablated.to_json().to_pretty();
+            assert!(
+                text.contains(&format!("\"ablation\": \"{}\"", a.token())),
+                "{text}"
+            );
+            let back = BenchConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back.ablation, Some(a));
+            assert_eq!(back.to_json().to_pretty(), text);
+            let d = crate::store::config_digest(&ablated);
+            assert!(!digests.contains(&d), "{a:?} must move the digest");
+            digests.push(d);
+        }
+        let mut bad = c.to_json();
+        if let Json::Obj(fields) = &mut bad {
+            fields.push(("ablation".into(), Json::from("no-network")));
+        }
+        assert!(BenchConfig::from_json(&bad).is_err());
+    }
+
+    #[test]
+    fn tuning_ablations_reset_the_job_conf_to_stock() {
+        let mut c = BenchConfig::cluster_a_default(
+            MicroBenchmark::Avg,
+            Interconnect::GigE1,
+            ByteSize::from_gib(1),
+        );
+        let tuned = c.job_spec();
+        c.ablation = Some(Ablation::DefaultSortMb);
+        assert_eq!(c.job_spec().conf.io_sort_mb, ByteSize::from_mib(100));
+        c.ablation = Some(Ablation::TwoMapSlots);
+        assert_eq!(c.job_spec().conf.map_slots_per_node, 2);
+        for a in [Ablation::Baseline, Ablation::NoPageCache] {
+            c.ablation = Some(a);
+            let spec = c.job_spec();
+            assert_eq!(spec.conf.io_sort_mb, tuned.conf.io_sort_mb);
+            assert_eq!(spec.conf.map_slots_per_node, tuned.conf.map_slots_per_node);
+            assert_eq!(spec.pairs_per_map, tuned.pairs_per_map);
+        }
     }
 
     #[test]

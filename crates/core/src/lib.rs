@@ -50,12 +50,12 @@ pub mod sweep;
 
 pub use artifact::{Artifacts, Panel};
 pub use bench::MicroBenchmark;
-pub use config::{BackendKind, BenchConfig, ShuffleVolume};
+pub use config::{Ablation, BackendKind, BenchConfig, ShuffleVolume};
 pub use error::Error;
 pub use report::BenchReport;
 pub use runner::run;
 pub use store::{atomic_write, config_digest, ResultStore};
-pub use sweep::{Sweep, SweepOptions};
+pub use sweep::{run_cells, Sweep, SweepOptions};
 
 // Re-export the substrate names examples need.
 pub use cluster::ClusterPreset;

@@ -11,8 +11,8 @@
 //!   ([`mapreduce::analytic`]). O(maps + reduces) arithmetic per job;
 //!   use it to scout large sweeps, then confirm the interesting cells
 //!   with the DES. It refuses configs whose features it cannot model
-//!   (fault plans, speculative execution) rather than silently ignoring
-//!   them.
+//!   (fault plans, speculative execution, model ablations) rather than
+//!   silently ignoring them.
 //!
 //! Reports, stores, and sweeps are therefore backend-agnostic. A config's
 //! digest covers the `backend` field, which keeps analytic and DES
@@ -20,11 +20,12 @@
 //! [`crate::store`]).
 
 use crate::bench::MicroBenchmark;
-use crate::config::{BackendKind, BenchConfig};
+use crate::config::{Ablation, BackendKind, BenchConfig};
 use crate::error::Error;
 use crate::report::BenchReport;
 use mapreduce::analytic::{evaluate, AnalyticJob};
 use mapreduce::engine::Engine;
+use mapreduce::shuffle::rdma::ShuffleModel;
 
 /// Run one micro-benchmark to completion on the backend named by
 /// [`BenchConfig::backend`]. Every backend rejects an invalid config with
@@ -41,25 +42,32 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, Error> {
                 config.node_spec(),
                 config.topology(),
             );
+            let mut model = ShuffleModel::for_kind(config.shuffle_engine);
+            match config.ablation {
+                Some(Ablation::NoPageCache) => engine.disable_page_cache(),
+                Some(Ablation::NoProtocolCpu) => model.charges_protocol_cpu = false,
+                Some(Ablation::NoMergeOverlap) => model.merge_overlap = 0.0,
+                _ => {}
+            }
+            engine.set_shuffle_model(model);
             if config.trace {
                 engine.enable_tracing();
             }
             engine.run()
         }
         BackendKind::Analytic => {
-            // The model has no notion of failures or speculative attempts;
-            // silently returning fault-free numbers for a fault-injection
-            // config would be a lie, so refuse instead.
-            if !config.faults.is_empty() {
-                return Err(Error::Config(
-                    "the analytic backend cannot model fault injection; use --backend des".into(),
-                ));
-            }
-            if config.speculative {
-                return Err(Error::Config(
-                    "the analytic backend cannot model speculative execution; use --backend des"
-                        .into(),
-                ));
+            // The model has no notion of failures, speculative attempts or
+            // the mechanisms an ablation removes; silently returning the
+            // plain numbers for such a config would be a lie, so refuse.
+            let refused = [
+                (!config.faults.is_empty(), "fault injection"),
+                (config.speculative, "speculative execution"),
+                (config.ablation.is_some(), "ablations"),
+            ];
+            if let Some((_, what)) = refused.into_iter().find(|&(on, _)| on) {
+                return Err(Error::Config(format!(
+                    "the analytic backend cannot model {what}; use --backend des"
+                )));
             }
             let spec = config.job_spec();
             let node = config.node_spec();
@@ -192,6 +200,30 @@ mod tests {
             let err = run(&c).unwrap_err();
             assert_eq!(err.exit_code(), 3, "{backend:?}: {err}");
         }
+    }
+
+    #[test]
+    fn ablations_run_on_the_des_only() {
+        let plain = run(&small(MicroBenchmark::Avg, Interconnect::GigE1)).unwrap();
+        for a in Ablation::ALL {
+            let mut c = small(MicroBenchmark::Avg, Interconnect::GigE1);
+            c.ablation = Some(a);
+            let r = run(&c).unwrap();
+            assert!(r.result.succeeded(), "{a:?}");
+            assert_eq!(r.config.ablation, Some(a));
+            if a == Ablation::Baseline {
+                assert_eq!(r.result.job_time, plain.result.job_time);
+                assert_eq!(r.result.counters, plain.result.counters);
+            }
+            c.backend = BackendKind::Analytic;
+            let err = run(&c).unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{a:?}: {err}");
+            assert!(err.to_string().contains("cannot model ablations"), "{err}");
+        }
+        // Removing the page cache puts every spill on the spindles.
+        let mut c = small(MicroBenchmark::Avg, Interconnect::GigE1);
+        c.ablation = Some(Ablation::NoPageCache);
+        assert!(run(&c).unwrap().result.job_time > plain.result.job_time);
     }
 
     #[test]

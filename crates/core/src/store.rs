@@ -23,19 +23,19 @@
 //! the in-memory struct — is the contract:
 //!
 //! * **Fields added after v1 are emitted only when non-default** (racks,
-//!   oversubscription, fabric cap, monitor interval, backend, …), so a
-//!   config that never touches them digests exactly as it did before the
-//!   field existed. Old fragments stay valid across suite upgrades; a new
-//!   knob can never invalidate a cache that never used it.
+//!   oversubscription, fabric cap, monitor interval, backend, ablation,
+//!   …), so a config that never touches them digests exactly as it did
+//!   before the field existed. Old fragments stay valid across suite
+//!   upgrades; a new knob never invalidates a cache that never used it.
 //! * The flip side: **an explicit value equal to the built-in behaviour
 //!   still digests differently from leaving the field unset** whenever
 //!   the encoder cannot see the equivalence. `fabric_cap_mb_s:
 //!   Some(aggregate-NIC-rate)` simulates identically to `None` (the cap
 //!   never binds) but emits a key and therefore gets its own digest;
-//!   likewise `racks: 1` set explicitly vs. defaulted. Equal digests
+//!   likewise `ablation: Some(Baseline)` vs. `None`. Equal digests
 //!   imply equal results; *unequal digests do not imply different
-//!   results* — the store trades a few duplicate cells for never serving
-//!   a stale one.
+//!   results* — the store trades a few duplicate cells for never
+//!   serving a stale one.
 //! * **Every semantic knob must reach the JSON.** Anything that can
 //!   change a result — including which backend ([`crate::runner`])
 //!   produced it — must appear in the encoding the moment it departs
@@ -279,6 +279,10 @@ mod tests {
             (
                 "backend",
                 Box::new(|c| c.backend = crate::config::BackendKind::Analytic),
+            ),
+            (
+                "ablation",
+                Box::new(|c| c.ablation = Some(crate::config::Ablation::Baseline)),
             ),
         ];
         let mut seen = vec![base.clone()];

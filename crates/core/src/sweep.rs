@@ -1,12 +1,13 @@
 //! Parameter sweeps: run a family of configurations and tabulate job
 //! execution times, as every figure in the paper does.
 //!
-//! [`Sweep::run_grid`] farms cells out across OS threads. Each cell is
-//! an independent simulation — it builds its own engine, RNG streams,
-//! and monitors from the config seed — so parallel execution produces
-//! **bit-identical** per-cell results to running the cells one after
-//! another, in the same row-major order (pinned by a test). The
-//! thread count comes from the `MRBENCH_THREADS` environment variable
+//! [`run_cells`] runs a list of configs as cells across OS threads;
+//! [`Sweep::run_grid`] runs a (size × interconnect) grid of them. Each
+//! cell is an independent simulation — it builds its own engine, RNG
+//! streams, and monitors from the config seed — so parallel execution
+//! produces **bit-identical** per-cell results to running the cells one
+//! after another, in the same order (pinned by a test). The thread
+//! count comes from the `MRBENCH_THREADS` environment variable
 //! when set, else from [`std::thread::available_parallelism`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -21,7 +22,7 @@ use crate::report::BenchReport;
 use crate::runner::run;
 use crate::store::{config_digest, ResultStore};
 
-/// Knobs for [`Sweep::run_grid_with`].
+/// Knobs for [`run_cells`] and [`Sweep::run_grid_with`].
 #[derive(Clone, Copy, Default)]
 pub struct SweepOptions<'a> {
     /// Worker threads; `0` means auto ([`std::thread::available_parallelism`],
@@ -73,6 +74,62 @@ fn run_cell(config: &BenchConfig, store: Option<&ResultStore>) -> Result<BenchRe
     Ok(report)
 }
 
+/// Run every config as a cell, farming them across threads: one report
+/// per config, in order, each bit-identical to a serial run. With a
+/// store, a cell whose digest has a fragment is loaded instead of run
+/// and a fresh one is persisted the moment it finishes; a cancel stops
+/// the run at a cell boundary with [`Error::Deadline`]. Errors surface
+/// in config order, as a serial run would meet them.
+pub fn run_cells(
+    configs: &[BenchConfig],
+    opts: &SweepOptions<'_>,
+) -> Result<Vec<BenchReport>, Error> {
+    let threads = match opts.threads {
+        0 => worker_threads(),
+        n => n,
+    };
+    let workers = threads.clamp(1, configs.len().max(1));
+    let cancelled = || opts.cancel.is_some_and(|c| c());
+
+    // Work-stealing over a shared cell index; finished cells are
+    // written back into their slot. `workers == 1` runs the same claim
+    // loop on the calling thread, so the store and cancel semantics are
+    // identical at every thread count.
+    let next = AtomicUsize::new(0);
+    let slots = Mutex::new(Vec::from_iter(configs.iter().map(|_| None)));
+    let work = || loop {
+        // Poll cancellation before claiming, so an expired deadline
+        // stops the run at a cell boundary with everything finished so
+        // far already persisted.
+        if cancelled() {
+            break;
+        }
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(config) = configs.get(i) else {
+            break;
+        };
+        let outcome = run_cell(config, opts.store);
+        slots.lock().expect("a cell worker panicked")[i] = Some(outcome);
+    };
+    if workers == 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        });
+    }
+
+    let slots = slots.into_inner().expect("a cell worker panicked");
+    // Only cancellation leaves unclaimed slots.
+    let (completed, total) = (slots.iter().flatten().count(), configs.len());
+    if completed < total {
+        return Err(Error::Deadline { completed, total });
+    }
+    slots.into_iter().flatten().collect()
+}
+
 /// One cell of a sweep: a configuration and its result.
 #[derive(Clone, Debug)]
 pub struct SweepCell {
@@ -96,7 +153,7 @@ pub struct Sweep {
     pub cells: Vec<SweepCell>,
 }
 
-/// Worker-thread count for [`Sweep::run_grid`]: the `MRBENCH_THREADS`
+/// Worker-thread count for [`run_cells`]: the `MRBENCH_THREADS`
 /// environment variable when set to a positive integer, else the
 /// machine's available parallelism.
 fn worker_threads() -> usize {
@@ -111,11 +168,7 @@ fn worker_threads() -> usize {
 impl Sweep {
     /// Run the grid, farming cells across threads. `make` builds the
     /// config for one (size, interconnect) pair, letting callers fix
-    /// every other parameter.
-    ///
-    /// Cells land in row-major order and each is bit-identical to a
-    /// serial run of its config: a cell simulation is a pure function of
-    /// its config, sharing no mutable state with its neighbours.
+    /// every other parameter. Cells land in row-major order.
     pub fn run_grid(
         sizes: &[ByteSize],
         interconnects: &[Interconnect],
@@ -127,82 +180,40 @@ impl Sweep {
     /// The fully-optioned grid runner: worker threads, an optional
     /// content-addressed [`ResultStore`] for crash-safe resume, and an
     /// optional cancellation hook (the bench harness wires a wall-clock
-    /// deadline through it).
+    /// deadline through it), all handed to [`run_cells`].
     pub fn run_grid_with(
         sizes: &[ByteSize],
         interconnects: &[Interconnect],
         make: impl Fn(ByteSize, Interconnect) -> BenchConfig + Sync,
         opts: &SweepOptions<'_>,
     ) -> Result<Sweep, Error> {
-        let pairs: Vec<(ByteSize, Interconnect)> = sizes
+        Sweep::run_grid_on(sizes, interconnects, make, |c| run_cells(&c, opts))
+    }
+
+    /// Run the grid on `run`, which takes the grid's configs in
+    /// row-major order and returns one report per config, in order.
+    pub fn run_grid_on(
+        sizes: &[ByteSize],
+        interconnects: &[Interconnect],
+        make: impl Fn(ByteSize, Interconnect) -> BenchConfig,
+        run: impl FnOnce(Vec<BenchConfig>) -> Result<Vec<BenchReport>, Error>,
+    ) -> Result<Sweep, Error> {
+        let pairs = sizes
             .iter()
-            .flat_map(|&s| interconnects.iter().map(move |&ic| (s, ic)))
-            .collect();
-        let threads = if opts.threads == 0 {
-            worker_threads()
-        } else {
-            opts.threads
-        };
-        let workers = threads.clamp(1, pairs.len().max(1));
-        let cancelled = || opts.cancel.is_some_and(|c| c());
-
-        // Work-stealing over a shared cell index; finished cells are
-        // written back into their row-major slot. `workers == 1` runs the
-        // same claim loop on the calling thread, so the store and cancel
-        // semantics are identical at every thread count.
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<BenchReport, Error>>>> = {
-            let mut v = Vec::new();
-            v.resize_with(pairs.len(), || None);
-            Mutex::new(v)
-        };
-        let work = || loop {
-            // Poll cancellation before claiming, so an expired deadline
-            // stops the sweep at a cell boundary with everything finished
-            // so far already persisted.
-            if cancelled() {
-                break;
-            }
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&(shuffle, ic)) = pairs.get(i) else {
-                break;
-            };
-            let outcome = run_cell(&make(shuffle, ic), opts.store);
-            slots.lock().unwrap()[i] = Some(outcome);
-        };
-        if workers == 1 {
-            work();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(work);
-                }
-            });
-        }
-
-        let slots = slots.into_inner().unwrap();
-        let completed = slots.iter().filter(|s| s.is_some()).count();
-        if completed < pairs.len() {
-            // Only cancellation leaves unclaimed slots.
-            return Err(Error::Deadline {
-                completed,
-                total: pairs.len(),
-            });
-        }
-        let mut cells = Vec::with_capacity(pairs.len());
-        for ((shuffle, interconnect), slot) in pairs.into_iter().zip(slots) {
-            // Errors surface in row-major order, matching the serial path.
-            let report = slot.expect("every cell is claimed by a worker")?;
-            cells.push(SweepCell {
-                shuffle,
-                interconnect,
-                report,
-            });
-        }
+            .flat_map(|&s| interconnects.iter().map(move |&ic| (s, ic)));
+        let pairs: Vec<(ByteSize, Interconnect)> = pairs.collect();
+        let reports = run(pairs.iter().map(|&(s, ic)| make(s, ic)).collect())?;
+        let cells = pairs.into_iter().zip(reports);
         Ok(Sweep {
             sizes: sizes.to_vec(),
             interconnects: interconnects.to_vec(),
-            cells,
+            cells: cells
+                .map(|((shuffle, interconnect), report)| SweepCell {
+                    shuffle,
+                    interconnect,
+                    report,
+                })
+                .collect(),
         })
     }
 

@@ -170,6 +170,21 @@ impl Json {
             .ok_or_else(|| format!("field '{key}' is not an array"))
     }
 
+    /// Optional field: `None` when absent or `null`, else `read`'s
+    /// value, failing with the field name when `read` rejects it.
+    pub fn opt_field<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => read(v)
+                .map(Some)
+                .ok_or_else(|| format!("field '{key}' is malformed")),
+        }
+    }
+
     /// Compact single-line rendering.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
@@ -665,6 +680,17 @@ macro_rules! jobj {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn optional_fields_read_absent_and_null_as_none() {
+        let v = Json::parse(r#"{"n": 3, "z": null, "s": "x"}"#).unwrap();
+        assert_eq!(v.opt_field("n", Json::as_u64), Ok(Some(3)));
+        assert_eq!(v.opt_field("z", Json::as_u64), Ok(None));
+        assert_eq!(v.opt_field("missing", Json::as_u64), Ok(None));
+        assert_eq!(v.opt_field("s", Json::as_str), Ok(Some("x")));
+        let err = v.opt_field("s", Json::as_u64).unwrap_err();
+        assert!(err.contains("'s'"), "{err}");
+    }
 
     #[test]
     fn scalars_round_trip() {
