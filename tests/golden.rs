@@ -12,7 +12,12 @@
 //! which rewrites the manifest and prints the lines that moved.
 
 use hadoop_mr_microbench::baseline_digest;
+use hadoop_mr_microbench::mapreduce::{Counters, FaultPlan, NodeCrash, NodeSlowdown};
+use hadoop_mr_microbench::mrbench::multijob::{self, ArrivalProcess, MultiJobSpec, TenantSpec};
 use hadoop_mr_microbench::mrbench::store::fnv1a_128;
+use hadoop_mr_microbench::mrbench::{run, BenchConfig, MicroBenchmark};
+use hadoop_mr_microbench::simcore::units::ByteSize;
+use hadoop_mr_microbench::simnet::Interconnect;
 
 const MANIFEST: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/MANIFEST");
 
@@ -21,9 +26,142 @@ fn line(name: &str, text: &str) -> String {
     format!("{} {} {name}", fnv1a_128(text.as_bytes()), text.len())
 }
 
+/// A small job: 8 maps and 4 reduces on 2 slaves over 10GigE.
+fn small(bench: MicroBenchmark) -> BenchConfig {
+    let mut c = BenchConfig::cluster_a_default(bench, Interconnect::GigE10, ByteSize::from_mib(64));
+    c.num_maps = 8;
+    c.num_reduces = 4;
+    c.slaves = 2;
+    c
+}
+
+/// One line per (fault config, benchmark), in `baseline_digest`'s
+/// format plus the outcome. Each config drives one recovery path, and
+/// its counter (`failed_task_attempts`, `failed_fetches`,
+/// `maps_rerun_after_node_loss`, `speculative_launches`) must be
+/// nonzero, so a line cannot silently stop covering its path.
+fn fault_digest() -> String {
+    type Path = fn(&Counters) -> u64;
+    let failed: Path = |c| c.failed_task_attempts;
+    let mut out = String::new();
+    for bench in [MicroBenchmark::Avg, MicroBenchmark::Skew] {
+        // The crash lands between the clean run's map-phase end and its
+        // last reduce, so node 1 holds committed outputs reducers need.
+        let clean = run(&small(bench)).expect("valid config").result;
+        let last = clean.tasks.iter().map(|t| t.finish).max().expect("tasks");
+        let crash_at = (clean.map_phase_end.as_secs_f64() + last.as_secs_f64()) / 2.0;
+        let configs: [(&str, FaultPlan, Path); 6] = [
+            (
+                "task-failures",
+                FaultPlan {
+                    map_failure_prob: 0.2,
+                    reduce_failure_prob: 0.2,
+                    ..FaultPlan::default()
+                },
+                failed,
+            ),
+            (
+                "fetch-failures",
+                FaultPlan {
+                    fetch_failure_prob: 0.2,
+                    ..FaultPlan::default()
+                },
+                |c| c.failed_fetches,
+            ),
+            (
+                "node-crash",
+                FaultPlan {
+                    node_crashes: vec![NodeCrash {
+                        node: 1,
+                        at_secs: crash_at,
+                    }],
+                    ..FaultPlan::default()
+                },
+                |c| c.maps_rerun_after_node_loss,
+            ),
+            (
+                "straggler",
+                FaultPlan {
+                    node_slowdowns: vec![NodeSlowdown {
+                        node: 0,
+                        factor: 6.0,
+                    }],
+                    ..FaultPlan::default()
+                },
+                |c| c.speculative_launches,
+            ),
+            (
+                "fail-first",
+                FaultPlan {
+                    fail_first_attempt_maps: vec![0, 5],
+                    fail_first_attempt_reduces: vec![2],
+                    ..FaultPlan::default()
+                },
+                failed,
+            ),
+            (
+                "exhausted",
+                FaultPlan {
+                    map_failure_prob: 1.0,
+                    ..FaultPlan::default()
+                },
+                failed,
+            ),
+        ];
+        for (name, faults, path) in configs {
+            let mut c = small(bench);
+            c.speculative = name == "straggler";
+            if name == "exhausted" {
+                c.max_attempts = 2;
+            }
+            c.faults = faults;
+            let r = run(&c).expect("valid config").result;
+            assert!(path(&r.counters) > 0, "{name} {bench:?}: {:?}", r.counters);
+            out += &format!(
+                "{name} {bench:?} {:?} job_ns={} map_end={} shuffle_end={} {:?}\n",
+                r.outcome,
+                r.job_time.as_nanos(),
+                r.map_phase_end.as_nanos(),
+                r.shuffle_end.as_nanos(),
+                r.counters
+            );
+        }
+    }
+    out
+}
+
+/// A racked two-tenant stream of six small MR-AVG jobs, as its compact
+/// result JSON.
+fn multijob_stream() -> String {
+    let mut job = small(MicroBenchmark::Avg);
+    job.interconnect = Interconnect::GigE1;
+    job.slaves = 8;
+    job.racks = 2;
+    job.oversubscription = 4.0;
+    job.seed = 7;
+    let tenant = |name: &str, weight| TenantSpec {
+        name: name.into(),
+        weight,
+    };
+    let spec = MultiJobSpec {
+        job,
+        tenants: vec![tenant("alpha", 1.0), tenant("beta", 2.0)],
+        n_jobs: 6,
+        arrivals: ArrivalProcess::Poisson { mean_gap_s: 1.0 },
+    };
+    multijob::run(&spec)
+        .expect("valid stream")
+        .to_json()
+        .to_compact()
+}
+
 #[test]
 fn outputs_match_the_golden_manifest() {
-    let lines = [line("baseline_digest", &baseline_digest())];
+    let lines = [
+        line("baseline_digest", &baseline_digest()),
+        line("fault_digest", &fault_digest()),
+        line("multijob_stream", &multijob_stream()),
+    ];
     let fresh: String = lines.iter().map(|l| format!("{l}\n")).collect();
     let pinned = std::fs::read_to_string(MANIFEST).unwrap_or_default();
     if std::env::var("MRBENCH_BLESS").is_ok_and(|v| v == "1") {
