@@ -1,13 +1,16 @@
 //! Property-style tests for the micro-benchmark suite, run over seeded
 //! case grids (the workspace carries no external test dependencies).
 
-use mapreduce::job::PartitionerFactory;
+use mapreduce::engine::synthetic_key;
+use mapreduce::job::{JobSpec, PartitionerFactory};
 use mapreduce::partition::Partitioner;
+use mapreduce::shuffle::ShufflePlan;
+use mapreduce::JobConf;
 use mrbench::partitioners::{
     AvgFactory, AvgPartitioner, RandFactory, RandPartitioner, SkewFactory, SkewPartitioner,
     ZipfFactory,
 };
-use simcore::rng::{JavaRandom, SplitMix64};
+use simcore::rng::{JavaRandom, SeedFactory, SplitMix64};
 
 fn no_keys(_: u64, _: &mut Vec<u8>) {}
 
@@ -27,6 +30,34 @@ fn partitioners_conserve_mass() {
         ] {
             assert_eq!(counts.len(), n_reducers as usize);
             assert_eq!(counts.iter().sum::<u64>(), n_records);
+        }
+    }
+}
+
+/// A job's shuffle plan holds, row by row, what each map's own
+/// partitioner returns for that map's seed: MR-RAND and MR-SKEW on their
+/// draw kernels (8 reducers) and on the per-record loop (6).
+#[test]
+fn shuffle_plan_rows_equal_a_direct_draw() {
+    let factories: [&dyn PartitionerFactory; 2] = [&RandFactory, &SkewFactory];
+    for factory in factories {
+        for n_reducers in [6, 8] {
+            let spec = JobSpec {
+                conf: JobConf::with_tasks(5, n_reducers),
+                pairs_per_map: 4_321,
+                key_size: 12,
+                ..JobSpec::default()
+            };
+            let seeds = SeedFactory::new(0x51AB);
+            let plan = ShufflePlan::draw(&spec, factory, &seeds);
+            for m in 0..5 {
+                let mut direct = factory.create(m, seeds.seed_for(&format!("map-{m}")));
+                let row = direct.assign_counts(spec.pairs_per_map, n_reducers, &mut |i, buf| {
+                    synthetic_key(i, n_reducers, spec.key_size, buf)
+                });
+                let planned: Vec<u64> = (0..n_reducers).map(|r| plan.records(m, r)).collect();
+                assert_eq!(planned, row, "{} map {m} of {n_reducers}", factory.name());
+            }
         }
     }
 }

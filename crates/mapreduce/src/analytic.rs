@@ -34,7 +34,6 @@ use crate::conf::EngineKind;
 use crate::costs::CostModel;
 use crate::counters::Counters;
 use crate::faults::JobOutcome;
-use crate::ifile;
 use crate::job::{JobResult, JobSpec, TaskTiming};
 use crate::schedule::{page_cache_budget, yarn_pool};
 use crate::shuffle::rdma::ShuffleModel;
@@ -404,8 +403,7 @@ impl<'a> Model<'a> {
         let pairs = spec.pairs_per_map;
         let records = self.n_maps * pairs;
         let payload = (spec.key_wire_len() + spec.value_wire_len()) as u64;
-        let materialized =
-            self.n_maps * (self.map_out_bytes + self.n_reduces * ifile::SEGMENT_OVERHEAD);
+        let materialized = self.n_maps * spec.map_output_bytes();
         let chunk_cap = conf.spill_threshold().as_bytes().max(1);
         let chunks = self.map_out_bytes.div_ceil(chunk_cap).max(1);
         let buffer_bytes =

@@ -11,7 +11,9 @@
 //! One engine runs one job ([`Engine::with_topology`]) or a stream of
 //! jobs sharing the cluster, the network and the slots
 //! ([`Engine::stream`]); each job keeps its own spec, partitioner,
-//! counters, shuffle registry and attempt bookkeeping.
+//! shuffle plan, counters, shuffle registry and attempt bookkeeping.
+//! `run` draws every job's shuffle plan before the first event, so a
+//! map's partitioner runs once however many attempts the map takes.
 //!
 //! Tasks execute as **attempts**: every launch (first try, retry after a
 //! failure, or speculative backup) occupies a fresh attempt slot, and
@@ -40,7 +42,7 @@ use crate::faults::{FailureDiag, FaultInjector, JobOutcome};
 use crate::job::{BudgetDiag, JobResult, JobSpec, PartitionerFactory, TaskTiming};
 use crate::schedule::{page_cache_budget, Launch, Scheduler};
 use crate::shuffle::rdma::ShuffleModel;
-use crate::shuffle::ShuffleRegistry;
+use crate::shuffle::{ShufflePlan, ShuffleRegistry};
 use crate::task::map::MapTask;
 use crate::task::reduce::ReduceTask;
 use crate::task::{tag, untag, Env, Note, Stage};
@@ -118,6 +120,8 @@ struct Job<'f> {
     arrival: SimTime,
     seeds: SeedFactory,
     injector: FaultInjector,
+    /// Drawn when the run starts; `None` until then.
+    plan: Option<ShufflePlan>,
     registry: ShuffleRegistry,
     counters: Counters,
     /// The job's attempt slots, in launch order.
@@ -187,6 +191,7 @@ macro_rules! split_env {
                 costs,
                 protocol: *protocol,
                 shuffle_model: *shuffle_model,
+                plan: job.plan.as_ref().expect("run draws the plan"),
                 registry: &mut job.registry,
                 faults: &job.injector,
                 timers,
@@ -339,11 +344,8 @@ impl<'f> Engine<'f> {
             jobs: jobs
                 .into_iter()
                 .map(|j| Job {
-                    registry: ShuffleRegistry::new(
-                        j.spec.conf.num_maps,
-                        n_slaves,
-                        node_spec.memory,
-                    ),
+                    registry: ShuffleRegistry::new(&j.spec, n_slaves, node_spec.memory),
+                    plan: None,
                     seeds: SeedFactory::new(j.spec.conf.seed),
                     injector: FaultInjector::new(j.spec.conf.faults.clone(), j.spec.conf.seed),
                     counters: Counters::default(),
@@ -427,6 +429,9 @@ impl<'f> Engine<'f> {
     }
 
     fn simulate(&mut self) {
+        for job in &mut self.jobs {
+            job.plan = Some(ShufflePlan::draw(&job.spec, job.factory, &job.seeds));
+        }
         // Job setup (JobTracker submission, setup task, split computation).
         self.control.schedule(self.start_of(0), Control::Heartbeat);
         self.control.schedule(
@@ -821,19 +826,19 @@ impl<'f> Engine<'f> {
         }
         let job = &mut self.jobs[j];
         let lost = job.registry.unregister_node(node);
+        let records = job.spec.pairs_per_map;
         let raw_record = (job.spec.key_size + job.spec.value_size) as u64;
-        for (m, out) in &lost {
-            let records: u64 = out.partition_records.iter().sum();
+        for &m in &lost {
             let counters = &mut job.counters;
             counters.maps_rerun_after_node_loss += 1;
             counters.maps_completed -= 1;
             counters.map_output_records -= records;
             counters.map_output_bytes -= raw_record * records;
-            counters.map_output_materialized_bytes -= out.total_bytes();
-            let task = job.task_id(true, *m);
+            counters.map_output_materialized_bytes -= job.spec.map_output_bytes();
+            let task = job.task_id(true, m);
             job.task_done[task] = false;
             self.scheduler.map_result_lost(j);
-            orphaned.push((true, *m));
+            orphaned.push((true, m));
         }
         if self.scheduler.healthy_nodes() == 0 {
             self.fail(j, now, "every slave node has crashed".into(), None);
@@ -850,10 +855,10 @@ impl<'f> Engine<'f> {
         // Surviving reducers drop queued fetches of the lost segments
         // (in-flight transfers fail their validity check on completion;
         // already-copied segments are kept).
-        for (m, _) in &lost {
+        for &m in &lost {
             for &s in &self.jobs[j].slots {
                 if let Some(Task::Reduce(r)) = self.tasks[s as usize].as_mut() {
-                    r.on_map_output_lost(*m);
+                    r.on_map_output_lost(m);
                 }
             }
         }
@@ -930,9 +935,8 @@ impl<'f> Engine<'f> {
         let doomed = injector.fails_at_commit(is_map, index, attempt);
         let jitter = self.task_jitter(j, is_map, index, attempt) * injector.slowdown(node);
         if is_map {
-            let counts = self.partition_counts(j, index);
             let (tasks, _, mut env) = split_env!(self, j, now, notes);
-            let t = MapTask::launch(slot, index, node, attempt, counts, jitter, doomed, &mut env);
+            let t = MapTask::launch(slot, index, node, attempt, jitter, doomed, &mut env);
             tasks.push(Some(Task::Map(t)));
         } else {
             let output_bytes = self.spec_output_bytes_per_reduce(j);
@@ -1081,37 +1085,6 @@ impl<'f> Engine<'f> {
         };
         let mut rng = self.jobs[j].seeds.stream(&label);
         0.97 + 0.06 * rng.next_f64()
-    }
-
-    /// Per-reducer record counts for map `index` of job `j`, via the
-    /// job's partitioner — the exact code path the real suite runs. Keyed
-    /// by the map index alone, so a re-executed map regenerates identical
-    /// output (determinism of record content across attempts).
-    fn partition_counts(&self, j: usize, index: u32) -> Vec<u64> {
-        let job = &self.jobs[j];
-        let seed = job.seeds.seed_for(&format!("map-{index}"));
-        let mut partitioner = job.factory.create(index, seed);
-        let n_reducers = job.spec.conf.num_reduces;
-        let key_size = job.spec.key_size;
-        let pairs = job.spec.pairs_per_map;
-        let counts = partitioner.assign_counts(pairs, n_reducers, &mut |ordinal, buf| {
-            synthetic_key(ordinal, n_reducers, key_size, buf)
-        });
-        // Partition-count conservation: one count per reducer, and every
-        // record the map emits lands in exactly one of them. Bulk
-        // overrides skip the per-record range check, so a partitioner
-        // that drops, duplicates or misroutes records is caught here.
-        #[cfg(any(test, feature = "invariants"))]
-        {
-            let total: u64 = counts.iter().sum();
-            assert!(
-                counts.len() == n_reducers as usize && total == pairs,
-                "invariant violated: map {index}'s partitioner returned {} counts summing \
-                 to {total}, expected {n_reducers} summing to {pairs}",
-                counts.len(),
-            );
-        }
-        counts
     }
 
     fn finish(mut self) -> Vec<JobResult> {

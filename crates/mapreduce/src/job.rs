@@ -69,6 +69,13 @@ impl JobSpec {
         ifile::record_len(self.key_wire_len(), self.value_wire_len())
     }
 
+    /// Materialized bytes of one map's output: its records, plus one
+    /// IFile segment trailer per reducer. The partition never changes it.
+    pub fn map_output_bytes(&self) -> u64 {
+        self.record_ifile_len() * self.pairs_per_map
+            + u64::from(self.conf.num_reduces) * ifile::SEGMENT_OVERHEAD
+    }
+
     /// Total intermediate (shuffle) payload across all maps, IFile-framed
     /// record bodies only.
     pub fn total_shuffle_bytes(&self) -> ByteSize {

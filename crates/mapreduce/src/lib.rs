@@ -13,8 +13,9 @@
 //! * [`costs`] — the calibrated CPU cost model.
 //! * `task` (internal) — map and reduce task state machines
 //!   (sort/spill/merge, fetch pipelines).
-//! * [`shuffle`] — map-output registry, page-cache model, and the
-//!   RDMA/MRoIB shuffle engine model.
+//! * [`shuffle`] — the job's shuffle plan (maps × reducers record
+//!   counts, drawn once per run), map-output registry, page-cache
+//!   model, and the RDMA/MRoIB shuffle engine model.
 //! * [`schedule`] — MRv1 slot and YARN container scheduling.
 //! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`])
 //!   and the job-level outcome types for fault tolerance.

@@ -1,93 +1,149 @@
-//! Shuffle bookkeeping: the map-output registry and the page-cache model
-//! for the map-side shuffle server.
+//! Shuffle bookkeeping: the job's shuffle matrix, the map-output
+//! registry and the page-cache model for the map-side shuffle server.
 //!
-//! When a map task commits, it registers its per-partition IFile segment
-//! sizes here. Reducers consult the registry to schedule fetches. The
-//! registry also models the OS page cache on each slave: map outputs were
-//! just written, so shuffle serves hit memory unless a node's total map
+//! A job's partitioners run once, before its event loop, into a
+//! [`ShufflePlan`]: how many records every map sends every reducer. A
+//! map's records and segments are a function of its index alone, so
+//! retries, re-runs and speculative backups all write the plan's row.
+//!
+//! When a map task commits, the registry records the node holding its
+//! output. Reducers consult it to schedule fetches. The registry also
+//! models the OS page cache on each slave: map outputs were just
+//! written, so shuffle serves hit memory unless a node's total map
 //! output exceeds its cache budget — at which point the overflow fraction
 //! of every fetch is charged to the local disks, which is exactly the
 //! regime the paper's largest (64 GB) runs enter.
 
 pub mod rdma;
 
+use simcore::rng::SeedFactory;
 use simcore::units::ByteSize;
 
-/// One committed map output.
-#[derive(Clone, Debug)]
-pub struct MapOutput {
-    /// Slave the map ran on (where the segments live).
-    pub node: usize,
-    /// IFile bytes of each reduce partition segment.
-    pub partition_bytes: Vec<u64>,
-    /// Records in each partition segment.
-    pub partition_records: Vec<u64>,
+use crate::engine::synthetic_key;
+use crate::ifile;
+use crate::job::{JobSpec, PartitionerFactory};
+
+/// The job's shuffle matrix: the records each map sends each reducer.
+#[derive(Debug)]
+pub struct ShufflePlan {
+    n_reduces: usize,
+    record_len: u64,
+    /// Row-major `maps x reduces` record counts.
+    records: Vec<u64>,
 }
 
-impl MapOutput {
-    /// Total materialized bytes of this output.
-    pub fn total_bytes(&self) -> u64 {
-        self.partition_bytes.iter().sum()
+impl ShufflePlan {
+    /// Run the job's partitioner over every map's records — the exact
+    /// code path the real suite runs. Map `m`'s partitioner is seeded by
+    /// `seeds.seed_for("map-{m}")`, so its row depends on nothing else.
+    pub fn draw(spec: &JobSpec, factory: &dyn PartitionerFactory, seeds: &SeedFactory) -> Self {
+        let n_maps = spec.conf.num_maps;
+        let n_reducers = spec.conf.num_reduces;
+        let key_size = spec.key_size;
+        let pairs = spec.pairs_per_map;
+        let mut records = Vec::with_capacity(n_maps as usize * n_reducers as usize);
+        for index in 0..n_maps {
+            let seed = seeds.seed_for(&format!("map-{index}"));
+            let mut partitioner = factory.create(index, seed);
+            let counts = partitioner.assign_counts(pairs, n_reducers, &mut |ordinal, buf| {
+                synthetic_key(ordinal, n_reducers, key_size, buf)
+            });
+            // Partition-count conservation: one count per reducer, and
+            // every record the map emits lands in exactly one of them.
+            // Bulk overrides skip the per-record range check, so a
+            // partitioner that drops, duplicates or misroutes records is
+            // caught here.
+            #[cfg(any(test, feature = "invariants"))]
+            {
+                let total: u64 = counts.iter().sum();
+                assert!(
+                    counts.len() == n_reducers as usize && total == pairs,
+                    "invariant violated: map {index}'s partitioner returned {} counts summing \
+                     to {total}, expected {n_reducers} summing to {pairs}",
+                    counts.len(),
+                );
+            }
+            records.extend_from_slice(&counts);
+        }
+        ShufflePlan {
+            n_reduces: n_reducers as usize,
+            record_len: spec.record_ifile_len(),
+            records,
+        }
+    }
+
+    /// Records map `map` sends reducer `reduce`.
+    pub fn records(&self, map: u32, reduce: u32) -> u64 {
+        self.records[map as usize * self.n_reduces + reduce as usize]
+    }
+
+    /// IFile bytes of map `map`'s segment for reducer `reduce`. An empty
+    /// segment still carries its EOF marker and checksum, and is fetched
+    /// like any other: Hadoop's fetcher requests every assigned segment.
+    pub fn bytes(&self, map: u32, reduce: u32) -> u64 {
+        self.records(map, reduce) * self.record_len + ifile::SEGMENT_OVERHEAD
     }
 }
 
-/// Registry of committed map outputs plus the per-node page-cache model.
+/// Where each committed map output lives, plus the per-node page-cache
+/// model.
 #[derive(Debug)]
 pub struct ShuffleRegistry {
-    outputs: Vec<Option<MapOutput>>,
+    /// The node holding each map's committed output.
+    nodes: Vec<Option<usize>>,
+    /// Bytes of one map's output (every map writes the same amount).
+    map_output_bytes: u64,
     node_output_bytes: Vec<u64>,
     cache_budget: u64,
 }
 
 impl ShuffleRegistry {
-    /// Registry for `num_maps` maps over `n_nodes` slaves, each with
+    /// Registry for the maps of `spec` over `n_nodes` slaves, each with
     /// `node_memory` of RAM. The shuffle-serve cache budget is the
     /// customary ~60 % of RAM left over after the task JVMs.
-    pub fn new(num_maps: u32, n_nodes: usize, node_memory: ByteSize) -> Self {
+    pub fn new(spec: &JobSpec, n_nodes: usize, node_memory: ByteSize) -> Self {
         ShuffleRegistry {
-            outputs: vec![None; num_maps as usize],
+            nodes: vec![None; spec.conf.num_maps as usize],
+            map_output_bytes: spec.map_output_bytes(),
             node_output_bytes: vec![0; n_nodes],
             cache_budget: (node_memory.as_bytes() as f64 * 0.60) as u64,
         }
     }
 
-    /// Commit a finished map's output. Commit is first-wins: with
+    /// Commit map `map`'s output on `node`. Commit is first-wins: with
     /// speculative execution, the backup attempt can finish close behind
     /// the original, and whichever attempt registers second loses — its
     /// output is dropped (reducers already fetch from the winner) and
     /// `false` is returned so the caller can account for the discarded
     /// attempt.
-    pub fn register(&mut self, map_index: u32, output: MapOutput) -> bool {
-        if self.outputs[map_index as usize].is_some() {
+    pub fn register(&mut self, map: u32, node: usize) -> bool {
+        let slot = &mut self.nodes[map as usize];
+        if slot.is_some() {
             return false;
         }
-        self.node_output_bytes[output.node] += output.total_bytes();
-        self.outputs[map_index as usize] = Some(output);
+        *slot = Some(node);
+        self.node_output_bytes[node] += self.map_output_bytes;
         true
     }
 
-    /// The committed output of `map_index`, if any.
-    pub fn output(&self, map_index: u32) -> Option<&MapOutput> {
-        self.outputs[map_index as usize].as_ref()
+    /// The node holding map `map`'s committed output, if any.
+    pub fn node_of(&self, map: u32) -> Option<usize> {
+        self.nodes[map as usize]
     }
 
     /// Drop every output stored on `node` (the node crashed and its local
-    /// segments are gone). Returns the evicted outputs in map-index order;
-    /// the affected maps may re-register after re-execution.
-    pub fn unregister_node(&mut self, node: usize) -> Vec<(u32, MapOutput)> {
+    /// segments are gone). Returns the evicted maps in index order; they
+    /// may re-register after re-execution.
+    pub fn unregister_node(&mut self, node: usize) -> Vec<u32> {
         let mut lost = Vec::new();
-        for (i, slot) in self.outputs.iter_mut().enumerate() {
-            if slot.as_ref().is_some_and(|o| o.node == node) {
-                lost.push((i as u32, slot.take().expect("checked above")));
+        for (i, slot) in self.nodes.iter_mut().enumerate() {
+            if *slot == Some(node) {
+                *slot = None;
+                lost.push(i as u32);
             }
         }
         self.node_output_bytes[node] = 0;
         lost
-    }
-
-    /// Number of committed outputs.
-    pub fn committed(&self) -> usize {
-        self.outputs.iter().filter(|o| o.is_some()).count()
     }
 
     /// Fraction of a shuffle serve from `node` that misses the page cache
@@ -100,36 +156,62 @@ impl ShuffleRegistry {
             (total - self.cache_budget) as f64 / total as f64
         }
     }
-
-    /// Total committed map-output bytes on `node`.
-    pub fn node_output_bytes(&self, node: usize) -> u64 {
-        self.node_output_bytes[node]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conf::JobConf;
+    use crate::partition::HashPartitionerFactory;
 
-    fn output(node: usize, bytes: Vec<u64>) -> MapOutput {
-        let records = bytes.iter().map(|b| b / 100).collect();
-        MapOutput {
-            node,
-            partition_bytes: bytes,
-            partition_records: records,
+    /// `maps` maps of about `per_map` output each, over `reduces`
+    /// reducers.
+    fn spec(maps: u32, reduces: u32, per_map: ByteSize) -> JobSpec {
+        let mut spec = JobSpec {
+            conf: JobConf::with_tasks(maps, reduces),
+            ..JobSpec::default()
+        };
+        spec.set_shuffle_size(ByteSize::from_bytes(per_map.as_bytes() * u64::from(maps)));
+        spec
+    }
+
+    #[test]
+    fn plan_rows_conserve_each_maps_records() {
+        let spec = spec(5, 7, ByteSize::from_mib(8));
+        let plan = ShufflePlan::draw(&spec, &HashPartitionerFactory, &SeedFactory::new(3));
+        for m in 0..5 {
+            let row: u64 = (0..7).map(|r| plan.records(m, r)).sum();
+            assert_eq!(row, spec.pairs_per_map);
+            let bytes: u64 = (0..7).map(|r| plan.bytes(m, r)).sum();
+            assert_eq!(bytes, spec.map_output_bytes());
         }
     }
 
     #[test]
+    fn an_empty_segment_is_its_trailer() {
+        // One record over three reducers leaves two segments empty.
+        let mut spec = spec(1, 3, ByteSize::from_mib(1));
+        spec.pairs_per_map = 1;
+        let plan = ShufflePlan::draw(&spec, &HashPartitionerFactory, &SeedFactory::new(0));
+        let empty: Vec<u32> = (0..3).filter(|&r| plan.records(0, r) == 0).collect();
+        assert_eq!(empty.len(), 2);
+        for r in empty {
+            assert_eq!(plan.bytes(0, r), ifile::SEGMENT_OVERHEAD);
+        }
+    }
+
+    fn registry(maps: u32, per_map: ByteSize, nodes: usize, memory: ByteSize) -> ShuffleRegistry {
+        ShuffleRegistry::new(&spec(maps, 1, per_map), nodes, memory)
+    }
+
+    #[test]
     fn register_and_query() {
-        let mut r = ShuffleRegistry::new(2, 2, ByteSize::from_gib(24));
-        assert!(r.output(0).is_none());
-        r.register(0, output(1, vec![100, 200]));
-        assert_eq!(r.committed(), 1);
-        let o = r.output(0).unwrap();
-        assert_eq!(o.total_bytes(), 300);
-        assert_eq!(o.node, 1);
-        assert_eq!(r.node_output_bytes(1), 300);
+        let mut r = registry(2, ByteSize::from_mib(1), 2, ByteSize::from_gib(24));
+        assert_eq!(r.node_of(0), None);
+        assert!(r.register(0, 1));
+        assert_eq!(r.node_of(0), Some(1));
+        assert_eq!(r.node_of(1), None);
+        assert_eq!(r.node_output_bytes, [0, r.map_output_bytes]);
     }
 
     #[test]
@@ -137,50 +219,45 @@ mod tests {
         // Speculative execution can have both attempts of a map reach
         // commit; the registry must keep the first and drop the second
         // (this used to be an assert, panicking mid-run).
-        let mut r = ShuffleRegistry::new(1, 2, ByteSize::from_gib(1));
-        assert!(r.register(0, output(0, vec![100])));
-        assert!(!r.register(0, output(1, vec![999])));
-        // The winner's output is untouched and the loser's bytes are not
+        let mut r = registry(1, ByteSize::from_mib(1), 2, ByteSize::from_gib(1));
+        assert!(r.register(0, 0));
+        assert!(!r.register(0, 1));
+        // The winner's node is untouched and the loser's bytes are not
         // double-counted into the page-cache model.
-        assert_eq!(r.output(0).unwrap().node, 0);
-        assert_eq!(r.output(0).unwrap().total_bytes(), 100);
-        assert_eq!(r.node_output_bytes(0), 100);
-        assert_eq!(r.node_output_bytes(1), 0);
-        assert_eq!(r.committed(), 1);
+        assert_eq!(r.node_of(0), Some(0));
+        assert_eq!(r.node_output_bytes, [r.map_output_bytes, 0]);
     }
 
     #[test]
     fn unregister_node_evicts_and_allows_reregistration() {
-        let mut r = ShuffleRegistry::new(3, 2, ByteSize::from_gib(24));
-        r.register(0, output(0, vec![100]));
-        r.register(1, output(1, vec![200]));
-        r.register(2, output(0, vec![300]));
-        let lost = r.unregister_node(0);
-        assert_eq!(lost.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![0, 2]);
-        assert!(r.output(0).is_none());
-        assert!(r.output(1).is_some());
-        assert_eq!(r.node_output_bytes(0), 0);
-        assert_eq!(r.committed(), 1);
+        let mut r = registry(3, ByteSize::from_mib(1), 2, ByteSize::from_gib(24));
+        r.register(0, 0);
+        r.register(1, 1);
+        r.register(2, 0);
+        assert_eq!(r.unregister_node(0), vec![0, 2]);
+        assert_eq!(r.node_of(0), None);
+        assert_eq!(r.node_of(1), Some(1));
+        assert_eq!(r.node_output_bytes[0], 0);
         // The re-executed map commits again, elsewhere.
-        assert!(r.register(0, output(1, vec![100])));
-        assert_eq!(r.node_output_bytes(1), 300);
+        assert!(r.register(0, 1));
+        assert_eq!(r.node_output_bytes[1], 2 * r.map_output_bytes);
     }
 
     #[test]
     fn small_outputs_stay_cached() {
-        let mut r = ShuffleRegistry::new(4, 1, ByteSize::from_gib(24));
         // 4 GiB of output on a 24 GiB node: well within the 14.4 GiB budget.
+        let mut r = registry(4, ByteSize::from_gib(1), 1, ByteSize::from_gib(24));
         for m in 0..4 {
-            r.register(m, output(0, vec![1 << 30]));
+            r.register(m, 0);
         }
         assert_eq!(r.disk_miss_fraction(0), 0.0);
     }
 
     #[test]
     fn oversized_outputs_spill_to_disk_reads() {
-        let mut r = ShuffleRegistry::new(1, 1, ByteSize::from_gib(24));
         // 16 GiB of output against a 14.4 GiB budget: ~10 % disk misses.
-        r.register(0, output(0, vec![16 << 30]));
+        let mut r = registry(1, ByteSize::from_gib(16), 1, ByteSize::from_gib(24));
+        r.register(0, 0);
         let f = r.disk_miss_fraction(0);
         assert!(f > 0.05 && f < 0.15, "fraction {f}");
     }

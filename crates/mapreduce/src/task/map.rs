@@ -19,9 +19,6 @@ use simcore::time::SimTime;
 use simcore::trace::Trace;
 use simcore::units::ByteSize;
 
-use crate::ifile;
-use crate::shuffle::MapOutput;
-
 use super::{phase, tag, Env, Note, PhaseCursor, Stage};
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -55,9 +52,6 @@ pub(crate) struct MapTask {
     next_chunk: usize,
     spills_outstanding: u32,
     collect_done: bool,
-    /// IFile bytes of each reduce partition (with per-segment overhead).
-    partition_bytes: Vec<u64>,
-    partition_records: Vec<u64>,
     /// Total output bytes across partitions.
     out_bytes: u64,
     /// Deterministic per-task runtime variability factor (JIT, GC, OS
@@ -74,27 +68,18 @@ pub(crate) struct MapTask {
 }
 
 impl MapTask {
-    /// Create the task and submit its JVM start. `partition_records[r]` is
-    /// the record count this map sends to reducer `r`, as computed by the
-    /// job's partitioner.
-    #[allow(clippy::too_many_arguments)]
+    /// Create the task and submit its JVM start.
     pub fn launch(
         slot: u32,
         index: u32,
         node: usize,
         attempt: u32,
-        partition_records: Vec<u64>,
         jitter: f64,
         doomed: bool,
         env: &mut Env<'_>,
     ) -> MapTask {
-        let rec_len = env.spec.record_ifile_len();
-        let partition_bytes: Vec<u64> = partition_records
-            .iter()
-            .map(|&r| r * rec_len + ifile::SEGMENT_OVERHEAD)
-            .collect();
-        let out_bytes: u64 = partition_bytes.iter().sum();
-        let records: u64 = partition_records.iter().sum();
+        let out_bytes = env.spec.map_output_bytes();
+        let records = env.spec.pairs_per_map;
 
         // Spill chunking over the sort buffer.
         let spill = env.conf.spill_threshold().as_bytes().max(1);
@@ -138,8 +123,6 @@ impl MapTask {
             next_chunk: 0,
             spills_outstanding: 0,
             collect_done: false,
-            partition_bytes,
-            partition_records,
             out_bytes,
             merge_bytes,
             jitter,
@@ -153,11 +136,6 @@ impl MapTask {
             tag(slot, Stage::Jvm, 0),
         );
         task
-    }
-
-    /// Total records this map will emit.
-    pub fn records(&self) -> u64 {
-        self.partition_records.iter().sum()
     }
 
     /// Handle a completion routed to this task.
@@ -283,15 +261,7 @@ impl MapTask {
             env.notes.push(Note::AttemptFailed { slot: self.slot });
             return;
         }
-        let committed = env.registry.register(
-            self.index,
-            MapOutput {
-                node: self.node,
-                partition_bytes: self.partition_bytes.clone(),
-                partition_records: self.partition_records.clone(),
-            },
-        );
-        if !committed {
+        if !env.registry.register(self.index, self.node) {
             // A sibling (speculative) attempt committed first. First-wins:
             // this attempt's output is dropped and the engine retires it
             // as killed, charging nothing to the logical counters.
@@ -310,8 +280,9 @@ impl MapTask {
         // Logical output counters are charged at commit (and reversed if a
         // node crash later invalidates the output), so re-executed and
         // killed attempts never inflate them.
-        env.counters.map_output_records += self.records();
-        let raw = (env.spec.key_size + env.spec.value_size) as u64 * self.records();
+        let records = env.spec.pairs_per_map;
+        env.counters.map_output_records += records;
+        let raw = (env.spec.key_size + env.spec.value_size) as u64 * records;
         env.counters.map_output_bytes += raw;
         env.counters.map_output_materialized_bytes += self.out_bytes;
         env.notes.push(Note::MapOutputReady { slot: self.slot });

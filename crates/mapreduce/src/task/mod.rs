@@ -20,7 +20,7 @@ use crate::counters::Counters;
 use crate::faults::FaultInjector;
 use crate::job::JobSpec;
 use crate::shuffle::rdma::ShuffleModel;
-use crate::shuffle::ShuffleRegistry;
+use crate::shuffle::{ShufflePlan, ShuffleRegistry};
 
 /// Pipeline stages a completion can belong to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -259,6 +259,8 @@ pub(crate) struct Env<'a> {
     pub protocol: ProtocolModel,
     /// Shuffle engine behaviour (TCP vs RDMA/MRoIB).
     pub shuffle_model: ShuffleModel,
+    /// The job's shuffle matrix: each map-to-reducer segment's records.
+    pub plan: &'a ShufflePlan,
     /// Map output registry + page-cache model.
     pub registry: &'a mut ShuffleRegistry,
     /// Fault decisions for this run.

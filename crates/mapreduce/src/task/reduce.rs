@@ -39,12 +39,11 @@ enum State {
     Done,
 }
 
+/// One segment copy in progress; its size is the plan's.
 #[derive(Clone, Copy, Debug)]
 struct Fetch {
     map: u32,
     src: usize,
-    bytes: u64,
-    records: u64,
 }
 
 /// A reduce task attempt in flight.
@@ -187,7 +186,7 @@ impl ReduceTask {
                 self.cursor.switch(env.trace, env.now, phase::SHUFFLE, 0);
                 // Pick up everything committed before we started.
                 for map in 0..self.num_maps {
-                    if env.registry.output(map).is_some() {
+                    if env.registry.node_of(map).is_some() {
                         self.on_map_output(map, env);
                     }
                 }
@@ -210,7 +209,9 @@ impl ReduceTask {
                 let f = self.fetches[&seq];
                 let remote = f.src != self.node;
                 if remote && env.shuffle_model.charges_protocol_cpu {
-                    let cost = env.protocol.cpu_seconds_for(f.bytes);
+                    let cost = env
+                        .protocol
+                        .cpu_seconds_for(env.plan.bytes(f.map, self.index));
                     // Sender side is cheap: the shuffle server responds
                     // with sendfile(2), so the payload never crosses the
                     // sender's user space.
@@ -302,24 +303,10 @@ impl ReduceTask {
             let Some(map) = self.pending.pop_front() else {
                 break;
             };
-            let out = env.registry.output(map).expect("enqueued output exists");
-            // Empty partitions still carry their IFile segment overhead
-            // (EOF marker + checksum) and are fetched like any other --
-            // Hadoop's fetcher always requests every assigned segment.
-            let bytes = out.partition_bytes[self.index as usize];
-            let records = out.partition_records[self.index as usize];
-            let src = out.node;
+            let src = env.registry.node_of(map).expect("enqueued output exists");
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.fetches.insert(
-                seq,
-                Fetch {
-                    map,
-                    src,
-                    bytes,
-                    records,
-                },
-            );
+            self.fetches.insert(seq, Fetch { map, src });
             self.in_flight += 1;
             self.try_fetch(seq, env);
         }
@@ -353,7 +340,8 @@ impl ReduceTask {
             );
             return;
         }
-        let disk_bytes = (f.bytes as f64 * env.registry.disk_miss_fraction(f.src)) as u64;
+        let bytes = env.plan.bytes(f.map, self.index);
+        let disk_bytes = (bytes as f64 * env.registry.disk_miss_fraction(f.src)) as u64;
         if disk_bytes > 0 {
             env.counters.disk_read_bytes += disk_bytes;
             env.disk.submit(
@@ -368,19 +356,14 @@ impl ReduceTask {
         }
     }
 
-    /// A backoff timer expired: re-resolve the segment (its map may have
-    /// re-run elsewhere after a crash) and try again.
+    /// A backoff timer expired: re-resolve the segment's source (its map
+    /// may have re-run elsewhere after a crash) and try again.
     fn retry_fetch(&mut self, seq: u32, env: &mut Env<'_>) {
-        let map = self.fetches[&seq].map;
-        match env.registry.output(map) {
-            Some(out) => {
-                let refreshed = Fetch {
-                    map,
-                    src: out.node,
-                    bytes: out.partition_bytes[self.index as usize],
-                    records: out.partition_records[self.index as usize],
-                };
-                self.fetches.insert(seq, refreshed);
+        let fetch = self.fetches.get_mut(&seq).expect("fetch exists");
+        let map = fetch.map;
+        match env.registry.node_of(map) {
+            Some(node) => {
+                fetch.src = node;
                 self.try_fetch(seq, env);
             }
             None => {
@@ -394,11 +377,11 @@ impl ReduceTask {
         }
     }
 
-    /// Is the segment this fetch was started against still the one the
-    /// registry advertises? False after the source node crashed.
+    /// Is the segment this fetch was started against still where the
+    /// registry places it? False after the source node crashed.
     fn fetch_still_valid(&self, seq: u32, env: &Env<'_>) -> bool {
         let f = self.fetches[&seq];
-        env.registry.output(f.map).is_some_and(|o| o.node == f.src)
+        env.registry.node_of(f.map) == Some(f.src)
     }
 
     /// Drop a fetch whose source vanished mid-transfer and reschedule the
@@ -408,7 +391,7 @@ impl ReduceTask {
         self.in_flight -= 1;
         env.counters.failed_fetches += 1;
         self.enqueued[f.map as usize] = false;
-        if env.registry.output(f.map).is_some() {
+        if env.registry.node_of(f.map).is_some() {
             // Already re-registered (the map re-ran faster than our
             // transfer failed): re-enqueue immediately.
             self.on_map_output(f.map, env);
@@ -422,7 +405,7 @@ impl ReduceTask {
             env.now,
             NodeId(f.src),
             NodeId(self.node),
-            ByteSize::from_bytes(f.bytes),
+            ByteSize::from_bytes(env.plan.bytes(f.map, self.index)),
             tag(self.slot, Stage::FetchNet, seq),
         );
     }
@@ -434,17 +417,18 @@ impl ReduceTask {
         self.fetched[f.map as usize] = true;
         self.shuffle_end = Some(env.now);
         env.counters.shuffled_fetches += 1;
+        let bytes = env.plan.bytes(f.map, self.index);
         if f.src == self.node {
-            env.counters.local_shuffle_bytes += f.bytes;
+            env.counters.local_shuffle_bytes += bytes;
         } else {
-            env.counters.remote_shuffle_bytes += f.bytes;
+            env.counters.remote_shuffle_bytes += bytes;
         }
-        self.input_bytes += f.bytes;
-        self.input_records += f.records;
-        self.mem_bytes += f.bytes;
+        self.input_bytes += bytes;
+        self.input_records += env.plan.records(f.map, self.index);
+        self.mem_bytes += bytes;
         #[cfg(any(test, feature = "invariants"))]
         {
-            self.fetched_bytes[f.map as usize] = f.bytes;
+            self.fetched_bytes[f.map as usize] = bytes;
         }
 
         let buffer =
@@ -475,10 +459,10 @@ impl ReduceTask {
         {
             return;
         }
-        // Shuffle byte conservation: what the maps advertised for this
-        // partition is exactly what landed here, segment by segment. A
-        // mismatch means a fetch was double-counted, dropped, or served
-        // from a stale registry entry.
+        // Shuffle byte conservation: what the plan assigns this partition
+        // is exactly what landed here, segment by segment. A mismatch
+        // means a fetch was double-counted, dropped, or sized from the
+        // wrong segment.
         #[cfg(any(test, feature = "invariants"))]
         {
             let landed: u64 = self.fetched_bytes.iter().sum();
@@ -491,17 +475,15 @@ impl ReduceTask {
                 self.input_bytes,
             );
             for map in 0..self.num_maps {
-                if let Some(out) = env.registry.output(map) {
-                    let advertised = out.partition_bytes[self.index as usize];
-                    assert!(
-                        self.fetched_bytes[map as usize] == advertised,
-                        "invariant violated: reduce {} landed {} bytes of map {}'s \
-                         partition but the registry advertises {advertised}",
-                        self.index,
-                        self.fetched_bytes[map as usize],
-                        map,
-                    );
-                }
+                let planned = env.plan.bytes(map, self.index);
+                assert!(
+                    self.fetched_bytes[map as usize] == planned,
+                    "invariant violated: reduce {} landed {} bytes of map {}'s \
+                     partition but the plan assigns {planned}",
+                    self.index,
+                    self.fetched_bytes[map as usize],
+                    map,
+                );
             }
         }
         // Final merge: only the un-overlapped remainder of the spilled

@@ -2,11 +2,16 @@
 //! the invariants that must survive any of them (determinism, record
 //! conservation, graceful job abort).
 
+use std::sync::atomic::{AtomicU32, Ordering};
+
 use cluster::NodeSpec;
 use mapreduce::engine::run_job;
 use mapreduce::io::DataType;
 use mapreduce::job::{JobResult, JobSpec};
-use mapreduce::{FaultPlan, HashPartitionerFactory, JobOutcome, NodeCrash, NodeSlowdown};
+use mapreduce::{
+    FaultPlan, HashPartitionerFactory, JobOutcome, NodeCrash, NodeSlowdown, Partitioner,
+    PartitionerFactory,
+};
 use simnet::Interconnect;
 
 const MAPS: u32 = 8;
@@ -254,4 +259,56 @@ fn fault_seed_changes_the_failure_pattern() {
         (a.counters.failed_task_attempts, a.job_time),
         (b.counters.failed_task_attempts, b.job_time)
     );
+}
+
+/// The stock partitioner, counting the partitioners it builds.
+#[derive(Default)]
+struct CountingFactory {
+    created: AtomicU32,
+}
+
+impl PartitionerFactory for CountingFactory {
+    fn create(&self, map_index: u32, seed: u64) -> Box<dyn Partitioner> {
+        self.created.fetch_add(1, Ordering::Relaxed);
+        HashPartitionerFactory.create(map_index, seed)
+    }
+    fn name(&self) -> &str {
+        "counting"
+    }
+}
+
+#[test]
+fn each_maps_partitioner_runs_once_however_many_attempts_it_takes() {
+    // Failed attempts, speculative backups and maps re-run after a
+    // crash all launch extra map attempts; none of them partitions
+    // again.
+    let run3 = |spec: JobSpec, factory: &CountingFactory| {
+        run_job(spec, factory, NodeSpec::westmere(), 3, Interconnect::GigE10)
+    };
+    let clean = run3(base_spec(), &CountingFactory::default());
+    let last_finish = clean.tasks.iter().map(|t| t.finish).max().expect("tasks");
+    let crash_at = (clean.map_phase_end.as_secs_f64() + last_finish.as_secs_f64()) / 2.0;
+    let mut spec = base_spec();
+    spec.conf.faults = FaultPlan {
+        map_failure_prob: 0.3,
+        node_crashes: vec![NodeCrash {
+            node: 1,
+            at_secs: crash_at,
+        }],
+        node_slowdowns: vec![NodeSlowdown {
+            node: 2,
+            factor: 4.0,
+        }],
+        ..FaultPlan::default()
+    };
+    spec.conf.speculative = true;
+    spec.conf.speculative_slowdown = 1.2;
+    let factory = CountingFactory::default();
+    let r = run3(spec, &factory);
+    let c = &r.counters;
+    assert!(c.failed_task_attempts > 0, "{c:?}");
+    assert!(c.maps_rerun_after_node_loss > 0, "{c:?}");
+    assert!(c.speculative_launches > 0, "{c:?}");
+    assert_eq!(factory.created.load(Ordering::Relaxed), MAPS);
+    assert_conserved(&r);
 }
