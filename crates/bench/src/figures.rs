@@ -960,6 +960,32 @@ mod tests {
     }
 
     #[test]
+    fn every_figure_and_rack_shape_keeps_its_shuffle_plan_far_below_the_bound() {
+        let h = harness(false);
+        let mut shapes = BTreeSet::new();
+        for spec in FIGURES {
+            for panel in spec.panels {
+                for size in spec.sizes(&h) {
+                    for &ic in spec.networks {
+                        let c = h.prep((panel.config)(size, ic));
+                        shapes.insert((c.num_maps, c.num_reduces));
+                    }
+                }
+            }
+        }
+        // mrperf's `rack_shuffle` cells: 4 maps and 1 reduce per slave,
+        // up to 48 slaves.
+        shapes.insert((4 * 48, 48));
+        for (maps, reduces) in shapes {
+            let entries = u64::from(maps) * u64::from(reduces);
+            assert!(
+                entries <= mapreduce::shuffle::PLAN_LIMIT >> 10,
+                "{maps} maps x {reduces} reduces"
+            );
+        }
+    }
+
+    #[test]
     fn summary_runs_figure_cells_and_every_claim_reads_one() {
         for quick in [false, true] {
             let h = harness(quick);

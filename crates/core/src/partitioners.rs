@@ -376,6 +376,9 @@ impl PartitionerFactory for AvgFactory {
     fn name(&self) -> &str {
         "MR-AVG"
     }
+    fn closed_form_rows(&self) -> bool {
+        true
+    }
 }
 
 /// Factory for [`RandPartitioner`].

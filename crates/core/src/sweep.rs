@@ -7,8 +7,10 @@
 //! streams, and monitors from the config seed — so parallel execution
 //! produces **bit-identical** per-cell results to running the cells one
 //! after another, in the same order (pinned by a test). The thread
-//! count comes from the `MRBENCH_THREADS` environment variable
-//! when set, else from [`std::thread::available_parallelism`].
+//! count is the process's budget, [`mapreduce::threads::budget`]: the
+//! `MRBENCH_THREADS` environment variable when set, else
+//! [`std::thread::available_parallelism`]. The same budget caps the
+//! helper threads that draw each job's shuffle plan.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -25,8 +27,9 @@ use crate::store::{config_digest, ResultStore};
 /// Knobs for [`run_cells`] and [`Sweep::run_grid_with`].
 #[derive(Clone, Copy, Default)]
 pub struct SweepOptions<'a> {
-    /// Worker threads; `0` means auto ([`std::thread::available_parallelism`],
-    /// overridden by `MRBENCH_THREADS`).
+    /// Worker threads; `0` means auto ([`mapreduce::threads::budget`]:
+    /// [`std::thread::available_parallelism`], overridden by
+    /// `MRBENCH_THREADS`).
     pub threads: usize,
     /// Consult (and fill) this content-addressed store: cells whose
     /// config digest already has a fragment are loaded instead of run,
@@ -85,7 +88,7 @@ pub fn run_cells(
     opts: &SweepOptions<'_>,
 ) -> Result<Vec<BenchReport>, Error> {
     let threads = match opts.threads {
-        0 => worker_threads(),
+        0 => mapreduce::threads::budget(),
         n => n,
     };
     let workers = threads.clamp(1, configs.len().max(1));
@@ -97,19 +100,26 @@ pub fn run_cells(
     // identical at every thread count.
     let next = AtomicUsize::new(0);
     let slots = Mutex::new(Vec::from_iter(configs.iter().map(|_| None)));
-    let work = || loop {
-        // Poll cancellation before claiming, so an expired deadline
-        // stops the run at a cell boundary with everything finished so
-        // far already persisted.
-        if cancelled() {
-            break;
+    // Workers past the first keep the shuffle plan's draw helpers off
+    // their cores; a worker out of cells gives its core back, so the
+    // sweep's last cells draw on the cores it leaves idle.
+    let busy = mapreduce::threads::occupy(workers - 1);
+    let work = || {
+        loop {
+            // Poll cancellation before claiming, so an expired deadline
+            // stops the run at a cell boundary with everything finished
+            // so far already persisted.
+            if cancelled() {
+                break;
+            }
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(config) = configs.get(i) else {
+                break;
+            };
+            let outcome = run_cell(config, opts.store);
+            slots.lock().expect("a cell worker panicked")[i] = Some(outcome);
         }
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(config) = configs.get(i) else {
-            break;
-        };
-        let outcome = run_cell(config, opts.store);
-        slots.lock().expect("a cell worker panicked")[i] = Some(outcome);
+        busy.release_one();
     };
     if workers == 1 {
         work();
@@ -151,18 +161,6 @@ pub struct Sweep {
     pub interconnects: Vec<Interconnect>,
     /// Cells in row-major order.
     pub cells: Vec<SweepCell>,
-}
-
-/// Worker-thread count for [`run_cells`]: the `MRBENCH_THREADS`
-/// environment variable when set to a positive integer, else the
-/// machine's available parallelism.
-fn worker_threads() -> usize {
-    if let Ok(v) = std::env::var("MRBENCH_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 impl Sweep {

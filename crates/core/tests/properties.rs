@@ -5,7 +5,7 @@ use mapreduce::engine::synthetic_key;
 use mapreduce::job::{JobSpec, PartitionerFactory};
 use mapreduce::partition::Partitioner;
 use mapreduce::shuffle::ShufflePlan;
-use mapreduce::JobConf;
+use mapreduce::{HashPartitionerFactory, JobConf};
 use mrbench::partitioners::{
     AvgFactory, AvgPartitioner, RandFactory, RandPartitioner, SkewFactory, SkewPartitioner,
     ZipfFactory,
@@ -35,28 +35,42 @@ fn partitioners_conserve_mass() {
 }
 
 /// A job's shuffle plan holds, row by row, what each map's own
-/// partitioner returns for that map's seed: MR-RAND and MR-SKEW on their
-/// draw kernels (8 reducers) and on the per-record loop (6).
+/// partitioner returns for that map's seed, whichever thread drew the
+/// row: MR-RAND and MR-SKEW on their draw kernels (8 reducers) and on the
+/// per-record loop (6, 7), MR-ZIPF, Hadoop's hash partitioner and MR-AVG's
+/// closed form, for one map, a few and more than the helper budget.
 #[test]
 fn shuffle_plan_rows_equal_a_direct_draw() {
-    let factories: [&dyn PartitionerFactory; 2] = [&RandFactory, &SkewFactory];
+    let zipf = ZipfFactory::new(1.0);
+    let factories: [&dyn PartitionerFactory; 5] = [
+        &RandFactory,
+        &SkewFactory,
+        &zipf,
+        &HashPartitionerFactory,
+        &AvgFactory,
+    ];
+    let seeds = SeedFactory::new(0x51AB);
     for factory in factories {
-        for n_reducers in [6, 8] {
+        for (n_maps, n_reducers) in [(5, 6), (5, 8), (1, 8), (2, 7), (19, 8)] {
             let spec = JobSpec {
-                conf: JobConf::with_tasks(5, n_reducers),
+                conf: JobConf::with_tasks(n_maps, n_reducers),
                 pairs_per_map: 4_321,
                 key_size: 12,
                 ..JobSpec::default()
             };
-            let seeds = SeedFactory::new(0x51AB);
             let plan = ShufflePlan::draw(&spec, factory, &seeds);
-            for m in 0..5 {
+            for m in 0..n_maps {
                 let mut direct = factory.create(m, seeds.seed_for(&format!("map-{m}")));
                 let row = direct.assign_counts(spec.pairs_per_map, n_reducers, &mut |i, buf| {
                     synthetic_key(i, n_reducers, spec.key_size, buf)
                 });
                 let planned: Vec<u64> = (0..n_reducers).map(|r| plan.records(m, r)).collect();
-                assert_eq!(planned, row, "{} map {m} of {n_reducers}", factory.name());
+                assert_eq!(
+                    planned,
+                    row,
+                    "{} map {m} of {n_maps}x{n_reducers}",
+                    factory.name()
+                );
             }
         }
     }

@@ -45,7 +45,7 @@ use crate::shuffle::rdma::ShuffleModel;
 use crate::shuffle::{ShufflePlan, ShuffleRegistry};
 use crate::task::map::MapTask;
 use crate::task::reduce::ReduceTask;
-use crate::task::{tag, untag, Env, Note, Stage};
+use crate::task::{checked_slot, tag, untag, Env, Note, Stage};
 
 /// Attempt slots one engine run can number: a correlation tag keeps 24
 /// bits for the slot (and reserves slot value 0 for the sink).
@@ -894,7 +894,18 @@ impl<'f> Engine<'f> {
             index,
             node,
         } = l;
-        let slot = self.tasks.len() as u32;
+        let Some(slot) = checked_slot(self.tasks.len()) else {
+            // Retries and backups take fresh slots at run time; one a
+            // tag cannot name would alias another attempt's events.
+            self.scheduler.release_slot(j, is_map, node);
+            let kind = if is_map { "map" } else { "reduce" };
+            let reason = format!(
+                "{kind} task {index} needs attempt slot {}, past the engine's {ATTEMPT_SLOTS} attempt slots",
+                self.tasks.len()
+            );
+            self.fail(j, now, reason, Some((is_map, index)));
+            return;
+        };
         let job = &mut self.jobs[j];
         let task = job.task_id(is_map, index);
         let attempt = job.attempts[task];

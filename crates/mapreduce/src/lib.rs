@@ -19,6 +19,8 @@
 //! * [`schedule`] — MRv1 slot and YARN container scheduling.
 //! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`])
 //!   and the job-level outcome types for fault tolerance.
+//! * [`threads`] — the process's host-thread budget, shared by sweep
+//!   workers and the shuffle plan's row-drawing helpers.
 //! * [`engine`] — the deterministic event-loop driver, for one job or a
 //!   stream of jobs on a shared cluster; start at [`engine::run_job`].
 //! * [`analytic`] — the closed-form (Herodotou-style) cost-model backend:
@@ -43,6 +45,7 @@ pub mod partition;
 pub mod schedule;
 pub mod shuffle;
 pub(crate) mod task;
+pub mod threads;
 
 pub use analytic::AnalyticJob;
 pub use conf::{EngineKind, JobConf, ShuffleEngineKind};

@@ -195,6 +195,13 @@ pub(crate) const SINK_TAG: u64 = 0;
 /// bits (0 marks the sink).
 pub(crate) const SLOT_LIMIT: u64 = (1 << 24) - 1;
 
+/// Attempt slot number `index`, or `None` when a tag cannot name it.
+pub(crate) fn checked_slot(index: usize) -> Option<u32> {
+    u32::try_from(index)
+        .ok()
+        .filter(|&slot| u64::from(slot) < SLOT_LIMIT)
+}
+
 /// Distinct sequence numbers a tag can carry in its low 32 bits.
 pub(crate) const SEQ_LIMIT: u64 = 1 << 32;
 
@@ -290,6 +297,14 @@ mod tests {
             }
         }
         assert_eq!(untag(SINK_TAG), None);
+    }
+
+    #[test]
+    fn the_last_taggable_slot_is_checked_in_and_the_next_out() {
+        let last = (SLOT_LIMIT - 1) as usize;
+        assert_eq!(checked_slot(last), Some(last as u32));
+        assert_eq!(checked_slot(last + 1), None);
+        assert_eq!(checked_slot(usize::MAX), None);
     }
 
     #[test]
