@@ -21,7 +21,7 @@ use mapreduce::engine::synthetic_key;
 use mapreduce::partition::Partitioner;
 use mrbench::partitioners::{AvgPartitioner, RandPartitioner, SkewPartitioner};
 use mrbench::store::FRAGMENT_SCHEMA;
-use mrbench::{config_digest, run, BenchConfig, MicroBenchmark};
+use mrbench::{config_digest, run, BenchConfig, MicroBenchmark, ResultStore};
 use mrbench_bench::figures::FIG2;
 use simcore::event::EventQueue;
 use simcore::jobj;
@@ -224,21 +224,38 @@ fn bench_partitioners() {
 
 fn bench_json() {
     // One paper-scale Fig. 2 cell (MR-AVG, 32 GB over IPoIB QDR) as the
-    // store fragment `ResultStore::put` writes and `get` parses.
+    // store fragment `ResultStore::put` writes and `get` serves.
     let config = (FIG2.panels[0].config)(ByteSize::from_gib(32), Interconnect::IpoibQdr);
+    let digest = config_digest(&config);
+    let report = run(&config).unwrap();
     let fragment = jobj! {
         "schema": FRAGMENT_SCHEMA,
-        "digest": config_digest(&config),
-        "report": run(&config).unwrap().to_json(),
+        "digest": digest.as_str(),
+        "report": report.to_json(),
     };
-    let text = fragment.to_pretty();
-    println!("json/fragment_bytes {:>33}", text.len());
+    let text = fragment.to_compact();
+    println!("json/fragment_bytes_compact {:>25}", text.len());
+    println!(
+        "json/fragment_bytes_pretty {:>26}",
+        fragment.to_pretty().len()
+    );
     bench("json/to_pretty_report", 500, || {
         black_box(black_box(&fragment).to_pretty());
     });
     bench("json/parse_fragment", 500, || {
         black_box(Json::parse(black_box(&text)).unwrap());
     });
+    let dir = std::env::temp_dir().join(format!("mrbench-bench-store-{}", std::process::id()));
+    let store = ResultStore::open(&dir).unwrap();
+    store.put(&digest, &report).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(store.fragment_path(&digest)).unwrap(),
+        text
+    );
+    bench("json/get_fragment", 500, || {
+        black_box(store.get(black_box(&digest)).unwrap());
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn bench_end_to_end() {

@@ -7,7 +7,7 @@ use std::fmt;
 
 use mapreduce::job::JobResult;
 use simcore::jobj;
-use simcore::json::Json;
+use simcore::json::{Json, Reader};
 use simcore::stats::TimeSeries;
 use simcore::trace::PhaseBreakdown;
 use simcore::units::ByteSize;
@@ -86,6 +86,23 @@ impl BenchReport {
                 .req("result")
                 .and_then(JobResult::from_json)
                 .map_err(|e| format!("result: {e}"))?,
+        })
+    }
+
+    /// [`BenchReport::from_json`] on the next value of `reader`, with the
+    /// result's series streamed ([`JobResult::read`]).
+    pub fn read(reader: &mut Reader<'_>) -> Result<Self, String> {
+        let mut result = None;
+        let json = reader.object_with(&["result"], |r, _| {
+            result = Some(JobResult::read(r).map_err(|e| format!("result: {e}"))?);
+            Ok(())
+        })?;
+        Ok(BenchReport {
+            config: json
+                .req("config")
+                .and_then(BenchConfig::from_json)
+                .map_err(|e| format!("config: {e}"))?,
+            result: result.ok_or("result: missing JSON field 'result'")?,
         })
     }
 

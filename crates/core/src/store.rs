@@ -4,7 +4,8 @@
 //! makes every benchmark result a pure function of its [`BenchConfig`],
 //! so results are infinitely cacheable: the store keys each completed
 //! sweep cell by a digest of the config's canonical JSON and persists it
-//! as a small `mrbench-cell-v1` fragment. A killed sweep restarted with
+//! as a compact `mrbench-cell-v1` fragment (pretty fragments written by
+//! earlier builds read the same). A killed sweep restarted with
 //! `--resume` reloads finished cells from the store and re-runs only the
 //! rest, producing a byte-identical final artifact.
 //!
@@ -12,9 +13,9 @@
 //! are written via [`atomic_write`] (temp file in the destination
 //! directory + fsync + rename), so a crash at any instant leaves either
 //! the old bytes, the new bytes, or a stray `.tmp` file — never a torn
-//! fragment. Reads treat anything unreadable, unparsable, or
-//! mis-digested as a cache miss: corruption costs a re-run, not a wrong
-//! answer.
+//! fragment. Reads reject anything unreadable, unparsable, or
+//! mis-digested and re-run the cell: corruption costs a re-run, not a
+//! wrong answer.
 //!
 //! ## The digest contract
 //!
@@ -47,7 +48,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use simcore::jobj;
-use simcore::json::Json;
+use simcore::json::Reader;
 
 use crate::config::BenchConfig;
 use crate::error::Error;
@@ -152,15 +153,19 @@ impl ResultStore {
         self.dir.join(format!("{digest}.json"))
     }
 
-    /// Look up a cached report. Missing, torn, corrupt, or mis-keyed
-    /// fragments all read as a miss (`None`) — the cell simply re-runs.
+    /// Look up a cached report. A missing fragment is a miss; an
+    /// unreadable, non-UTF-8, torn, corrupt, or mis-keyed one is
+    /// rejected. Either way the answer is `None` and the cell re-runs.
     pub fn get(&self, digest: &str) -> Option<BenchReport> {
-        let path = self.fragment_path(digest);
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+        let found = match std::fs::read(self.fragment_path(digest)) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+            Err(e) => Err(e.to_string()),
+            Ok(bytes) => String::from_utf8(bytes).map_err(|e| e.to_string()),
         };
-        match Self::parse_fragment(&text, digest) {
+        match found.and_then(|text| Self::parse_fragment(&text, digest)) {
             Ok(report) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(report)
@@ -172,8 +177,18 @@ impl ResultStore {
         }
     }
 
+    /// Decodes a fragment, streaming the report's series
+    /// ([`BenchReport::read`]). It accepts exactly the fragments that
+    /// `Json::parse` and [`BenchReport::from_json`] would, compact or
+    /// pretty.
     fn parse_fragment(text: &str, digest: &str) -> Result<BenchReport, String> {
-        let json = Json::parse(text)?;
+        let mut reader = Reader::new(text);
+        let mut report = None;
+        let json = reader.object_with(&["report"], |r, _| {
+            report = Some(BenchReport::read(r)?);
+            Ok(())
+        })?;
+        reader.finish()?;
         let schema = json.field_str("schema")?;
         if schema != FRAGMENT_SCHEMA {
             return Err(format!("unknown fragment schema '{schema}'"));
@@ -182,17 +197,17 @@ impl ResultStore {
         if stored != digest {
             return Err(format!("fragment digest '{stored}' does not match key"));
         }
-        BenchReport::from_json(json.req("report")?)
+        report.ok_or_else(|| "missing JSON field 'report'".into())
     }
 
-    /// Persist `report` under `digest`, atomically.
+    /// Persist `report` under `digest`, atomically, as compact JSON.
     pub fn put(&self, digest: &str, report: &BenchReport) -> Result<(), Error> {
         let fragment = jobj! {
             "schema": FRAGMENT_SCHEMA,
             "digest": digest,
             "report": report.to_json(),
         };
-        atomic_write(&self.fragment_path(digest), &fragment.to_pretty())
+        atomic_write(&self.fragment_path(digest), &fragment.to_compact())
     }
 
     /// `(hits, misses, rejected)` counters for this store handle.
@@ -222,6 +237,7 @@ impl ResultStore {
 mod tests {
     use super::*;
     use crate::bench::MicroBenchmark;
+    use simcore::json::Json;
     use simcore::units::ByteSize;
     use simnet::Interconnect;
 
@@ -332,8 +348,15 @@ mod tests {
         );
         assert_eq!(store.stats(), (1, 1, 0));
 
-        // Corrupt fragments read as misses, not errors.
+        // Corrupt fragments are rejected, not errors.
         std::fs::write(store.fragment_path(&digest), "{ torn").unwrap();
+        assert!(store.get(&digest).is_none());
+        // So is a whole one with bytes that are not UTF-8 after it: it
+        // exists, so it is no miss.
+        store.put(&digest, &report).unwrap();
+        let mut bytes = std::fs::read(store.fragment_path(&digest)).unwrap();
+        bytes.extend_from_slice(&[0xff, 0xfe]);
+        std::fs::write(store.fragment_path(&digest), bytes).unwrap();
         assert!(store.get(&digest).is_none());
         // A fragment stored under the wrong key is rejected too.
         store.put(&digest, &report).unwrap();
@@ -343,8 +366,36 @@ mod tests {
         )
         .unwrap();
         assert!(store.get("0000000000000000000000000000beef").is_none());
-        let (_, _, rejected) = store.stats();
-        assert_eq!(rejected, 2);
+        assert_eq!(store.stats(), (1, 1, 3));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pretty_fragments_from_earlier_builds_still_serve() {
+        let dir = tmp_dir("pretty");
+        let store = ResultStore::open(&dir).unwrap();
+        let config = small_config();
+        let digest = config_digest(&config);
+        let report = crate::runner::run(&config).unwrap();
+        store.put(&digest, &report).unwrap();
+        let compact = std::fs::read_to_string(store.fragment_path(&digest)).unwrap();
+        assert!(!compact.contains('\n'), "put writes one compact line");
+        // What `put` wrote before fragments were compact.
+        let pretty = jobj! {
+            "schema": FRAGMENT_SCHEMA,
+            "digest": digest.as_str(),
+            "report": report.to_json(),
+        }
+        .to_pretty();
+        assert_eq!(Json::parse(&pretty), Json::parse(&compact), "same value");
+        std::fs::write(store.fragment_path(&digest), &pretty).unwrap();
+        let back = store.get(&digest).expect("a pretty fragment is a hit");
+        assert_eq!(
+            back.to_json().to_compact(),
+            report.to_json().to_compact(),
+            "served report is identical"
+        );
+        assert_eq!(store.stats(), (1, 0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,7 +7,8 @@
 //!
 //! * a [`Json`] tree with order-preserving objects,
 //! * a compact and a pretty writer,
-//! * a strict recursive-descent parser ([`Json::parse`]),
+//! * a strict recursive-descent parser ([`Json::parse`]) over a pull
+//!   [`Reader`] that decoders of long arrays use to skip the tree,
 //! * typed accessors that make `from_json` implementations short.
 //!
 //! Integers are kept distinct from floats ([`Json::Int`] vs
@@ -210,12 +211,9 @@ impl Json {
     /// with an error rather than risking a stack overflow on hostile or
     /// corrupt input.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut parser = Parser { text, pos: 0 };
-        let value = parser.value(0)?;
-        parser.skip_ws();
-        if parser.pos != text.len() {
-            return Err(format!("trailing characters at byte {}", parser.pos));
-        }
+        let mut reader = Reader::new(text);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 }
@@ -364,21 +362,195 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Maximum container nesting depth [`Json::parse`] accepts. Real
-/// artifacts nest a handful of levels; anything deeper is corrupt or
-/// adversarial, and the recursive-descent parser must refuse it before
-/// the call stack does.
+/// Maximum container nesting depth [`Json::parse`] and [`Reader`]
+/// accept. Real artifacts nest a handful of levels; anything deeper is
+/// corrupt or adversarial, and the recursive-descent parser must refuse
+/// it before the call stack does.
 pub const MAX_PARSE_DEPTH: usize = 512;
 
-/// Recursive-descent state over the input. `pos` is a byte offset; the
-/// parser only ever slices `text` at ASCII bytes, so every slice is on
-/// a char boundary.
-struct Parser<'a> {
+/// A pull reader over one JSON document: the scanner behind
+/// [`Json::parse`], open to decoders that know the document's shape.
+/// Such a decoder walks the containers it wants with
+/// [`Reader::object_with`] and [`Reader::array`] and reads everything
+/// else as a tree with [`Reader::value`], so a long array of samples
+/// goes straight into its own type without a `Json` node per element.
+///
+/// Both ways run the same grammar, the same number and string routines
+/// and the same depth count, so a document passes the reader's grammar
+/// exactly when `Json::parse` accepts it, and every literal reads as
+/// the same value. After an error the reader is spent.
+///
+/// `pos` is a byte offset; the reader only ever slices `text` at ASCII
+/// bytes, so every slice is on a char boundary.
+#[derive(Debug)]
+pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
+    /// Nesting depth of the next value: 0 for the document itself.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Reads the next value as a tree.
+    pub fn value(&mut self) -> Result<Json, String> {
+        self.check_depth()?;
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".into()),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.items(b']', |r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.members(|r, key| {
+                    members.push((key, r.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(members))
+            }
+            Some(_) => self.number(),
+        }
+    }
+
+    /// Reads the next value, which must be an array, calling `item` once
+    /// per element with the reader before it; `item` must read exactly
+    /// that element.
+    pub fn array(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.open(b'[', "array")?;
+        self.items(b']', item)
+    }
+
+    /// Reads the next value, which must be an object, as a tree of its
+    /// members, except that the first member under each key of
+    /// `streamed` goes to `read` (with its key) instead. Later members
+    /// under such a key stay in the tree, so, as with [`Json::get`] on a
+    /// parsed object, the first of duplicate keys is the one that
+    /// counts.
+    pub fn object_with(
+        &mut self,
+        streamed: &[&str],
+        mut read: impl FnMut(&mut Self, &str) -> Result<(), String>,
+    ) -> Result<Json, String> {
+        self.open(b'{', "object")?;
+        let mut seen = vec![false; streamed.len()];
+        let mut rest = Vec::new();
+        self.members(|r, key| match streamed.iter().position(|k| *k == key) {
+            Some(i) if !seen[i] => {
+                seen[i] = true;
+                read(r, &key)
+            }
+            _ => {
+                rest.push((key, r.value()?));
+                Ok(())
+            }
+        })?;
+        Ok(Json::Obj(rest))
+    }
+
+    /// Ends the document: only whitespace may follow the value read.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(format!("trailing characters at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    fn check_depth(&self) -> Result<(), String> {
+        if self.depth > MAX_PARSE_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_PARSE_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        Ok(())
+    }
+
+    /// What [`Reader::value`] does before it reads a container whose
+    /// opening byte is `open`.
+    fn open(&mut self, open: u8, kind: &str) -> Result<(), String> {
+        self.check_depth()?;
+        self.skip_ws();
+        match self.peek() {
+            Some(b) if b == open => Ok(()),
+            None => Err("unexpected end of input".into()),
+            Some(_) => Err(format!("expected {kind} at byte {}", self.pos)),
+        }
+    }
+
+    /// The items of the container whose opening bracket is at `pos`, up
+    /// to its `close` byte; `item` reads each one a level deeper.
+    fn items(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        self.depth += 1;
+        loop {
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b) if b == close => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => {
+                    return Err(format!(
+                        "expected ',' or '{}' at byte {}",
+                        char::from(close),
+                        self.pos
+                    ))
+                }
+            }
+        }
+    }
+
+    /// The members of the object whose `{` is at `pos`.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, String) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.items(b'}', |r| {
+            r.skip_ws();
+            let key = r.string()?;
+            r.skip_ws();
+            if r.peek() != Some(b':') {
+                return Err(format!("expected ':' at byte {}", r.pos));
+            }
+            r.pos += 1;
+            member(r, key)
+        })
+    }
+
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
@@ -412,74 +584,6 @@ impl Parser<'_> {
             Ok(value)
         } else {
             Err(format!("expected '{lit}' at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_PARSE_DEPTH {
-            return Err(format!(
-                "nesting deeper than {MAX_PARSE_DEPTH} at byte {}",
-                self.pos
-            ));
-        }
-        self.skip_ws();
-        match self.peek() {
-            None => Err("unexpected end of input".into()),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut members = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    if self.peek() != Some(b':') {
-                        return Err(format!("expected ':' at byte {}", self.pos));
-                    }
-                    self.pos += 1;
-                    let value = self.value(depth + 1)?;
-                    members.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(members));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(_) => self.number(),
         }
     }
 

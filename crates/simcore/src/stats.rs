@@ -5,7 +5,7 @@
 //! deliberately allocation-light so they can be updated from hot simulator
 //! paths.
 
-use crate::json::Json;
+use crate::json::{Json, Reader};
 use crate::time::{SimDuration, SimTime};
 
 /// One `(time, value)` sample.
@@ -16,6 +16,8 @@ pub struct Sample {
     /// The observed value.
     pub value: f64,
 }
+
+const NOT_A_PAIR: &str = "time series sample must be a [time_ns, value] pair";
 
 /// An append-only time series, e.g. per-second CPU % on a node.
 #[derive(Clone, Debug, Default)]
@@ -88,13 +90,46 @@ impl TimeSeries {
         for item in items {
             let pair = item.as_arr().ok_or("time series sample must be a pair")?;
             if pair.len() != 2 {
-                return Err("time series sample must be a [time_ns, value] pair".into());
+                return Err(NOT_A_PAIR.into());
             }
-            let time = pair[0].as_u64().ok_or("sample time must be a u64")?;
-            let value = pair[1].as_f64().ok_or("sample value must be a number")?;
-            ts.push(SimTime::from_nanos(time), value);
+            ts.push_decoded(&pair[0], &pair[1])?;
         }
         Ok(ts)
+    }
+
+    /// [`TimeSeries::from_json`] straight from the text: reads the next
+    /// value of `reader` into samples without a `Json` node per sample,
+    /// accepting and rejecting what `from_json` on its tree would.
+    pub fn read(reader: &mut Reader<'_>) -> Result<Self, String> {
+        let mut ts = TimeSeries::new();
+        reader.array(|r| {
+            let mut pair = [Json::Null, Json::Null];
+            let mut len = 0;
+            r.array(|r| {
+                let v = r.value()?;
+                *pair.get_mut(len).ok_or(NOT_A_PAIR)? = v;
+                len += 1;
+                Ok(())
+            })?;
+            if len != 2 {
+                return Err(NOT_A_PAIR.into());
+            }
+            ts.push_decoded(&pair[0], &pair[1])
+        })?;
+        Ok(ts)
+    }
+
+    /// Appends a decoded `[time_ns, value]` pair, rejecting what the
+    /// writer never emits: a time that is not a `u64`, a value that is
+    /// not a number, or a time before the last one.
+    fn push_decoded(&mut self, time: &Json, value: &Json) -> Result<(), String> {
+        let time = SimTime::from_nanos(time.as_u64().ok_or("sample time must be a u64")?);
+        let value = value.as_f64().ok_or("sample value must be a number")?;
+        if self.samples.last().is_some_and(|last| time < last.time) {
+            return Err("sample times must not decrease".into());
+        }
+        self.samples.push(Sample { time, value });
+        Ok(())
     }
 }
 

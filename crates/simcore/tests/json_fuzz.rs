@@ -7,11 +7,15 @@
 //! round-trip every value the suite can produce, including non-finite
 //! floats (written as `null` by design).
 //!
+//! The streamed [`Reader`] walk and [`TimeSeries::read`] are held to
+//! the same rules, and to `Json::parse`'s verdict on every input.
+//!
 //! Everything is driven by `SplitMix64` from fixed seeds: a failure
 //! reproduces exactly, per the workspace's determinism rules.
 
-use simcore::json::{Json, MAX_PARSE_DEPTH};
+use simcore::json::{Json, Reader, MAX_PARSE_DEPTH};
 use simcore::rng::SplitMix64;
+use simcore::stats::TimeSeries;
 
 /// Arbitrary bytes, biased toward JSON's working set so the fuzzer
 /// spends its iterations inside the parser rather than failing on the
@@ -214,4 +218,146 @@ fn non_finite_floats_round_trip_as_null_then_nan() {
         assert!(back.field_f64_or_nan(key).unwrap().is_nan(), "{key}");
     }
     assert_eq!(back.field_f64_or_nan("fin").unwrap(), 1.5);
+}
+
+/// [`Json::parse`] the way a streamed decoder reads: a top-level array
+/// or object walked with [`Reader::array`] / [`Reader::object_with`],
+/// each item read as a tree.
+fn streamed(text: &str) -> Result<Json, String> {
+    let mut r = Reader::new(text);
+    let value = match text
+        .trim_start_matches([' ', '\t', '\n', '\r'])
+        .as_bytes()
+        .first()
+    {
+        Some(b'[') => {
+            let mut items = Vec::new();
+            r.array(|r| {
+                items.push(r.value()?);
+                Ok(())
+            })?;
+            Json::Arr(items)
+        }
+        Some(b'{') => r.object_with(&[], |_, key| unreachable!("{key} is not streamed"))?,
+        _ => r.value()?,
+    };
+    r.finish()?;
+    Ok(value)
+}
+
+/// [`TimeSeries::read`] over the whole text.
+fn series_read(text: &str) -> Result<Vec<(u64, u64)>, String> {
+    let mut r = Reader::new(text);
+    let ts = TimeSeries::read(&mut r)?;
+    r.finish()?;
+    Ok(pairs(&ts))
+}
+
+fn pairs(ts: &TimeSeries) -> Vec<(u64, u64)> {
+    ts.samples()
+        .iter()
+        .map(|s| (s.time.as_nanos(), s.value.to_bits()))
+        .collect()
+}
+
+/// Arbitrary bytes shaped like a series (`[[t,v],...]`), so some of
+/// them are valid ones and the rest fail at every step of the grammar.
+fn arbitrary_series(rng: &mut SplitMix64) -> Vec<u8> {
+    const PARTS: [&str; 18] = [
+        "[",
+        "]",
+        ",",
+        " ",
+        "[1,2]",
+        "[0,-0]",
+        "[3,0.5]",
+        "[9,1e2]",
+        "[18446744073709551615,7]",
+        "[1,2,3]",
+        "[4]",
+        "[]",
+        "[5,1],[4,1]",
+        "-",
+        "null",
+        "\"x\"",
+        "2",
+        "{}",
+    ];
+    let mut out = Vec::new();
+    if rng.next_below(4) > 0 {
+        out.push(b'[');
+    }
+    for _ in 0..rng.next_below(10) {
+        if rng.next_below(8) == 0 {
+            out.push(rng.next_u64() as u8);
+        } else {
+            out.extend_from_slice(PARTS[rng.next_below(PARTS.len() as u64) as usize].as_bytes());
+        }
+    }
+    out
+}
+
+/// The streamed reads never panic, and they accept exactly what the
+/// tree path accepts, with the same values.
+#[test]
+fn streamed_reads_match_the_tree_on_arbitrary_bytes() {
+    let mut rng = SplitMix64::new(0x5724_EA4D);
+    let (mut trees, mut series) = (0u32, 0u32);
+    for round in 0..6000 {
+        let bytes = if round % 2 == 0 {
+            let len = 1 + rng.next_below(64) as usize;
+            arbitrary_bytes(&mut rng, len)
+        } else {
+            arbitrary_series(&mut rng)
+        };
+        let text = String::from_utf8_lossy(&bytes);
+        let tree = Json::parse(&text);
+        let walked = streamed(&text);
+        assert_eq!(
+            walked.is_ok(),
+            tree.is_ok(),
+            "{text:?}: {walked:?} vs {tree:?}"
+        );
+        if let (Ok(a), Ok(b)) = (&walked, &tree) {
+            assert_eq!(a, b, "{text:?}");
+            trees += 1;
+        }
+        let from_tree = tree
+            .and_then(|t| TimeSeries::from_json(&t))
+            .map(|ts| pairs(&ts));
+        let read = series_read(&text);
+        assert_eq!(
+            read.is_ok(),
+            from_tree.is_ok(),
+            "{text:?}: {read:?} vs {from_tree:?}"
+        );
+        if read.is_ok() {
+            assert_eq!(read, from_tree, "{text:?}");
+            series += 1;
+        }
+    }
+    assert!(trees > 0 && series > 0, "{trees} trees, {series} series");
+}
+
+/// The streamed reads reject nesting past `MAX_PARSE_DEPTH` like
+/// `Json::parse`, and accept it just inside.
+#[test]
+fn streamed_reads_reject_deep_nesting() {
+    let deep_arr = format!("{}1{}", "[".repeat(100_000), "]".repeat(100_000));
+    let deep_obj = format!("{}1{}", "{\"k\":".repeat(100_000), "}".repeat(100_000));
+    for text in [&deep_arr, &deep_obj] {
+        let err = streamed(text).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+    let err = series_read(&deep_arr).unwrap_err();
+    assert!(err.contains("nesting deeper than"), "{err}");
+    let err = series_read(&format!("[[0,{deep_obj}]]")).unwrap_err();
+    assert!(err.contains("nesting deeper than"), "{err}");
+
+    // Each level counts once, so the limit falls where the tree's does.
+    let at = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+    assert!(streamed(&at(MAX_PARSE_DEPTH)).is_ok());
+    assert!(Json::parse(&at(MAX_PARSE_DEPTH)).is_ok());
+    assert!(streamed(&at(MAX_PARSE_DEPTH + 1)).is_err());
+    assert!(Json::parse(&at(MAX_PARSE_DEPTH + 1)).is_err());
 }

@@ -13,13 +13,10 @@ pub use simnet;
 use mrbench::{run, BenchConfig, EngineKind, Interconnect, MicroBenchmark, ShuffleEngineKind};
 use simcore::units::ByteSize;
 
-/// An exact digest of a grid of representative configurations, one line
-/// per (bench, network, engine): nanosecond job time, phase ends and the
-/// full counters. Any change to a clean-path run moves it; the golden
-/// manifest (`tests/golden/MANIFEST`) pins it, and
-/// `examples/baseline_digest` prints it.
-pub fn baseline_digest() -> String {
-    let mut out = String::new();
+/// The grid of representative configurations `baseline_digest` runs:
+/// every (bench, network, engine) as 8 maps and 4 reduces on 2 slaves.
+pub fn baseline_configs() -> Vec<BenchConfig> {
+    let mut grid = Vec::new();
     for bench in [
         MicroBenchmark::Avg,
         MicroBenchmark::Rand,
@@ -41,17 +38,32 @@ pub fn baseline_digest() -> String {
                 if ic == Interconnect::RdmaFdr {
                     c.shuffle_engine = ShuffleEngineKind::Rdma;
                 }
-                let r = run(&c).expect("valid config");
-                out += &format!(
-                    "{bench:?}/{ic:?}/{:?} job_ns={} map_end={} shuffle_end={} {:?}\n",
-                    c.engine,
-                    r.result.job_time.as_nanos(),
-                    r.result.map_phase_end.as_nanos(),
-                    r.result.shuffle_end.as_nanos(),
-                    r.result.counters
-                );
+                grid.push(c);
             }
         }
+    }
+    grid
+}
+
+/// An exact digest of [`baseline_configs`], one line per config:
+/// nanosecond job time, phase ends and the full counters. Any change to
+/// a clean-path run moves it; the golden manifest
+/// (`tests/golden/MANIFEST`) pins it, and `examples/baseline_digest`
+/// prints it.
+pub fn baseline_digest() -> String {
+    let mut out = String::new();
+    for c in baseline_configs() {
+        let r = run(&c).expect("valid config");
+        out += &format!(
+            "{:?}/{:?}/{:?} job_ns={} map_end={} shuffle_end={} {:?}\n",
+            c.benchmark,
+            c.interconnect,
+            c.engine,
+            r.result.job_time.as_nanos(),
+            r.result.map_phase_end.as_nanos(),
+            r.result.shuffle_end.as_nanos(),
+            r.result.counters
+        );
     }
     out
 }

@@ -11,13 +11,13 @@
 //!
 //! which rewrites the manifest and prints the lines that moved.
 
-use hadoop_mr_microbench::baseline_digest;
 use hadoop_mr_microbench::mapreduce::{Counters, FaultPlan, NodeCrash, NodeSlowdown};
 use hadoop_mr_microbench::mrbench::multijob::{self, ArrivalProcess, MultiJobSpec, TenantSpec};
 use hadoop_mr_microbench::mrbench::store::fnv1a_128;
-use hadoop_mr_microbench::mrbench::{run, BenchConfig, MicroBenchmark};
+use hadoop_mr_microbench::mrbench::{config_digest, run, BenchConfig, MicroBenchmark, ResultStore};
 use hadoop_mr_microbench::simcore::units::ByteSize;
 use hadoop_mr_microbench::simnet::Interconnect;
+use hadoop_mr_microbench::{baseline_configs, baseline_digest};
 
 const MANIFEST: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/MANIFEST");
 
@@ -155,12 +155,27 @@ fn multijob_stream() -> String {
         .to_compact()
 }
 
+/// The bytes `ResultStore::put` writes for the first config of
+/// `baseline_digest`'s grid.
+fn store_fragment() -> String {
+    let config = &baseline_configs()[0];
+    let report = run(config).expect("valid config");
+    let dir = std::env::temp_dir().join(format!("mrbench-golden-store-{}", std::process::id()));
+    let store = ResultStore::open(&dir).expect("store opens");
+    let digest = config_digest(config);
+    store.put(&digest, &report).expect("fragment is written");
+    let text = std::fs::read_to_string(store.fragment_path(&digest)).expect("fragment reads");
+    let _ = std::fs::remove_dir_all(&dir);
+    text
+}
+
 #[test]
 fn outputs_match_the_golden_manifest() {
     let lines = [
         line("baseline_digest", &baseline_digest()),
         line("fault_digest", &fault_digest()),
         line("multijob_stream", &multijob_stream()),
+        line("store_fragment", &store_fragment()),
     ];
     let fresh: String = lines.iter().map(|l| format!("{l}\n")).collect();
     let pinned = std::fs::read_to_string(MANIFEST).unwrap_or_default();
