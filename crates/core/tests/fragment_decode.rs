@@ -9,7 +9,8 @@
 //! fragments of DES and analytic runs that succeeded, failed or ran out
 //! of budget, series that are empty or hold edge-case literals, and
 //! their truncated, byte-flipped, duplicate-key, unknown-key and
-//! reordered variants.
+//! reordered variants. Another test counts which samples of a fragment
+//! `Reader::sample_pair`, the fast path of the series decode, takes.
 
 use std::path::PathBuf;
 
@@ -18,7 +19,7 @@ use mrbench::{
     config_digest, BackendKind, BenchConfig, BenchReport, Interconnect, MicroBenchmark, ResultStore,
 };
 use simcore::jobj;
-use simcore::json::Json;
+use simcore::json::{Json, Reader};
 use simcore::rng::SplitMix64;
 use simcore::stats::TimeSeries;
 use simcore::time::SimTime;
@@ -34,11 +35,57 @@ fn small(bench: MicroBenchmark, seed: u64) -> BenchConfig {
 }
 
 /// Marker values of the edge-case series, each rewritten in the text to
-/// a literal the writer never emits.
-const REWRITES: [(&str, &str); 3] = [
+/// a literal the writer never emits: exponents, an integer past 2^53,
+/// `-0.0`, and whitespace inside a pair.
+const REWRITES: [(&str, &str); 5] = [
     ("4321.125", "4.321125e3"),
     ("987654321", "9.87654321E+8"),
     ("31337", "9007199254740993"),
+    ("2718.5", "-0.0"),
+    ("1618.25", " 1618.25 "),
+];
+
+/// A marker rewritten to a literal or shape the grammar or the series
+/// rejects: a dotless fraction, a bare fraction, a zero-led integer, an
+/// integer past `i128`, and a pair of three.
+const REJECTED: [(&str, &str); 5] = [
+    ("4242.75", "4242."),
+    ("4242.75", ".75"),
+    ("4242.75", "04242"),
+    ("4242.75", "4242000000000000000000000000000000000000"),
+    ("4242.75", "4242.75,1"),
+];
+
+/// The edge-case series: each sample's time, value and the value it
+/// reads back as once [`REWRITES`] are applied. Times run from 0 past
+/// 19 and 20 digits to `u64::MAX`; values cover `-0` (written by the
+/// writer, read as +0.0), `-0.0`, negative integral values, a 17-digit
+/// mantissa past 2^53, 22 and 23 fraction digits, and an integer literal
+/// past 19 digits.
+const EDGE_SAMPLES: [(u64, f64, f64); 19] = [
+    (0, 1.0, 1.0),
+    (1, 0.25, 0.25),
+    (2, -0.0, 0.0),
+    (3, 4321.125, 4321.125),
+    (4, 987_654_321.0, 987_654_321.0),
+    (5, 31337.0, 9_007_199_254_740_992.0),
+    (6, 2718.5, -0.0),
+    (7, 0.300_000_000_000_000_04, 0.300_000_000_000_000_04),
+    (8, 3e-22, 3e-22),
+    (9, 1e-23, 1e-23),
+    (10, -123.0, -123.0),
+    (11, 1e21, 1e21),
+    (12, 1618.25, 1618.25),
+    (13, 4242.75, 4242.75),
+    ((1 << 53) + 1, 1e-7, 1e-7),
+    (9_999_999_999_999_999_999, 0.5, 0.5),
+    (10_000_000_000_000_000_000, -6.25, -6.25),
+    (
+        10_000_000_000_000_000_000,
+        12.500_000_000_000_005,
+        12.500_000_000_000_005,
+    ),
+    (u64::MAX, -2.5, -2.5),
 ];
 
 /// The seeded reports: every outcome, both backends, empty series, and
@@ -60,16 +107,7 @@ fn reports() -> Vec<(&'static str, BenchReport)> {
 
     let mut edges = des.clone();
     let mut series = TimeSeries::new();
-    for (time, value) in [
-        (0, 1.0),
-        (1, 0.25),
-        (2, -0.0),
-        (3, 4321.125),
-        (4, 987_654_321.0),
-        (5, 31337.0),
-        ((1 << 53) + 1, 1e-7),
-        (u64::MAX, -2.5),
-    ] {
+    for (time, value, _) in EDGE_SAMPLES {
         series.push(SimTime::from_nanos(time), value);
     }
     edges.result.cpu_series[0] = series;
@@ -234,23 +272,27 @@ fn streamed_decode_matches_the_tree_on_every_variant() {
                 .unwrap_or_else(|| panic!("{what}: the fragment must be a hit"));
             if name == "edge-samples" {
                 let back = store.get(&digest).unwrap();
-                let values: Vec<u64> = back.result.cpu_series[0]
+                let got: Vec<(u64, u64)> = back.result.cpu_series[0]
                     .samples()
                     .iter()
-                    .map(|s| s.value.to_bits())
+                    .map(|s| (s.time.as_nanos(), s.value.to_bits()))
                     .collect();
-                let want = [
-                    1.0,
-                    0.25,
-                    0.0,
-                    4321.125,
-                    987_654_321.0,
-                    9_007_199_254_740_992.0,
-                ];
-                let want: Vec<u64> = want.iter().map(|v: &f64| v.to_bits()).collect();
-                assert_eq!(values[..6], want[..], "-0 reads as +0.0, as `Int(0)` does");
-                let last = back.result.cpu_series[0].samples()[7];
-                assert_eq!(last.time.as_nanos(), u64::MAX);
+                let want: Vec<(u64, u64)> = EDGE_SAMPLES
+                    .iter()
+                    .map(|&(time, _, value)| (time, value.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "{what}: -0 reads as +0.0, as `Int(0)` does");
+                for (marker, literal) in REJECTED {
+                    assert_eq!(text.matches(marker).count(), 1, "{marker} is unique");
+                    let bad = text.replace(marker, literal);
+                    let got = served(
+                        &store,
+                        &digest,
+                        bad.as_bytes(),
+                        &format!("{what} {literal}"),
+                    );
+                    assert!(got.is_none(), "{what}: {literal} is rejected");
+                }
             } else {
                 assert_eq!(decoded, report.to_json().to_compact(), "{what}");
             }
@@ -297,6 +339,77 @@ fn streamed_decode_matches_the_tree_on_every_variant() {
     let (hits, misses, rejected) = store.stats();
     assert_eq!(misses, 0, "every fragment existed");
     assert!(hits > 0 && rejected > 0, "{hits} hits, {rejected} rejected");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// How many samples of a fragment's series `Reader::sample_pair` takes
+/// and how many it leaves to the general read, walking the fragment as
+/// `ResultStore::get` does.
+fn sample_paths(text: &str) -> (usize, usize) {
+    let (mut fast, mut general) = (0, 0);
+    let mut reader = Reader::new(text);
+    reader
+        .object_with(&["report"], |r, _| {
+            r.object_with(&["result"], |r, _| {
+                r.object_with(&["cpu_series", "net_rx_series"], |r, _| {
+                    r.array(|r| {
+                        r.array(|r| {
+                            if r.sample_pair().is_some() {
+                                fast += 1;
+                            } else {
+                                general += 1;
+                                r.value()?;
+                            }
+                            Ok(())
+                        })
+                    })
+                })
+                .map(drop)
+            })
+            .map(drop)
+        })
+        .expect("the fragment parses");
+    reader.finish().expect("the fragment ends");
+    (fast, general)
+}
+
+/// Every sample of a compact fragment as `ResultStore::put` writes it
+/// takes the fast path, except those the fast path leaves by design: a
+/// time past 19 digits or an integral value written with more. Every
+/// sample of the same fragment written pretty, as earlier builds did,
+/// takes the general read.
+#[test]
+fn put_fragments_take_the_sample_fast_path() {
+    let dir = scratch("fast-path");
+    let store = ResultStore::open(&dir).unwrap();
+    for (name, report) in reports() {
+        let result = &report.result;
+        let samples: Vec<_> = result
+            .cpu_series
+            .iter()
+            .chain(&result.net_rx_series)
+            .flat_map(TimeSeries::samples)
+            .collect();
+        let general = samples
+            .iter()
+            .filter(|s| s.time.as_nanos() >= 10_000_000_000_000_000_000 || s.value.abs() >= 1e19)
+            .count();
+        let digest = config_digest(&report.config);
+        store.put(&digest, &report).unwrap();
+        let compact = std::fs::read_to_string(store.fragment_path(&digest)).unwrap();
+        assert_eq!(
+            sample_paths(&compact),
+            (samples.len() - general, general),
+            "{name} compact"
+        );
+        let pretty = fragment(&report).to_pretty();
+        assert_eq!(sample_paths(&pretty), (0, samples.len()), "{name} pretty");
+        if name == "edge-samples" {
+            assert_eq!(general, 4, "three times past 19 digits and 1e21");
+        } else {
+            assert!(samples.len() > 10 || name == "empty-series", "{name}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

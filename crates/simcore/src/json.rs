@@ -255,11 +255,7 @@ fn emit<const PRETTY: bool>(value: &Json, out: &mut String, depth: usize) {
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
         Json::Int(i) => write_int(out, *i),
-        Json::Num(n) if n.is_finite() => {
-            // `{}` on f64 is the shortest representation that parses
-            // back to the same bits, so floats round-trip.
-            let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
-        }
+        Json::Num(n) if n.is_finite() => write_float(out, *n),
         Json::Num(_) => out.push_str("null"),
         Json::Str(s) => write_escaped(out, s),
         Json::Arr(items) if items.is_empty() => out.push_str("[]"),
@@ -323,6 +319,23 @@ fn write_int(out: &mut String, i: i128) {
     }
 }
 
+/// Integral floats below 2^53 in magnitude go through the digit loop:
+/// every one is an integer `{}` writes in full, and −0.0 keeps its
+/// sign as `-0`. Every other float takes `{}` on `f64`, the shortest
+/// representation that parses back to the same bits, so floats
+/// round-trip.
+fn write_float(out: &mut String, n: f64) {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    if n.abs() < EXACT && n.trunc() == n {
+        if n.is_sign_negative() {
+            out.push('-');
+        }
+        write_u64(out, n.abs() as u64);
+    } else {
+        let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
+    }
+}
+
 fn write_u64(out: &mut String, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
@@ -338,7 +351,7 @@ fn write_u64(out: &mut String, mut v: u64) {
         at -= 1;
         buf[at] = b'0' + v as u8;
     }
-    out.extend(buf[at..].iter().map(|&digit| char::from(digit)));
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("digits are ASCII"));
 }
 
 /// A string without `"`, `\\` or control bytes is copied in one
@@ -375,10 +388,12 @@ pub const MAX_PARSE_DEPTH: usize = 512;
 /// else as a tree with [`Reader::value`], so a long array of samples
 /// goes straight into its own type without a `Json` node per element.
 ///
-/// Both ways run the same grammar, the same number and string routines
-/// and the same depth count, so a document passes the reader's grammar
-/// exactly when `Json::parse` accepts it, and every literal reads as
-/// the same value. After an error the reader is spent.
+/// Both ways run the same grammar, the same number lexer and string
+/// routine and the same depth count, so a document passes the reader's
+/// grammar exactly when `Json::parse` accepts it, and every literal
+/// reads as the same value. [`Reader::sample_pair`] decodes a compact
+/// `[time_ns, value]` pair straight from its bytes under the same rules.
+/// After an error the reader is spent.
 ///
 /// `pos` is a byte offset; the reader only ever slices `text` at ASCII
 /// bytes, so every slice is on a char boundary.
@@ -659,69 +674,214 @@ impl<'a> Reader<'a> {
         Ok(c)
     }
 
-    /// Consumes one or more digits and returns their value, wrapped
-    /// modulo 2^64; fails naming the number's start if there are none.
-    fn digits(&mut self, start: usize) -> Result<u64, String> {
-        let bytes = self.text.as_bytes();
-        let first = self.pos;
-        let mut value = 0u64;
-        while let Some(&digit @ b'0'..=b'9') = bytes.get(self.pos) {
-            value = value.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
-            self.pos += 1;
-        }
-        if self.pos == first {
-            return Err(format!("expected digit in number at byte {start}"));
-        }
-        Ok(value)
-    }
-
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
-            self.pos += 1;
-        }
-        let int_start = self.pos;
-        let magnitude = match self.peek() {
-            Some(b'0') => {
-                self.pos += 1;
-                0
-            }
-            Some(b'1'..=b'9') => self.digits(start)?,
-            _ => return Err(format!("expected number at byte {start}")),
-        };
-        let int_digits = self.pos - int_start;
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            self.digits(start)?;
-            is_float = true;
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            self.digits(start)?;
-            is_float = true;
-        }
-        let text = &self.text[start..self.pos];
-        if is_float {
+        let lexeme = lex_number(self.text.as_bytes(), start)
+            .map_err(|what| format!("expected {what} at byte {start}"))?;
+        self.pos = lexeme.end;
+        let text = &self.text[start..lexeme.end];
+        if lexeme.fraction > 0 || lexeme.exponent {
             return text
                 .parse::<f64>()
                 .map(Json::Num)
                 .map_err(|e| format!("bad number '{text}': {e}"));
         }
-        // Every 19-digit decimal is below 10^19 < u64::MAX, so
-        // `magnitude` did not wrap.
-        if int_digits <= 19 {
-            let magnitude = i128::from(magnitude);
-            return Ok(Json::Int(if negative { -magnitude } else { magnitude }));
+        match lexeme.int() {
+            Some(i) => Ok(Json::Int(i)),
+            None => text
+                .parse::<i128>()
+                .map(Json::Int)
+                .map_err(|e| format!("bad integer '{text}': {e}")),
         }
-        text.parse::<i128>()
-            .map(Json::Int)
-            .map_err(|e| format!("bad integer '{text}': {e}"))
     }
+
+    /// The fast path of [`TimeSeries::read`](crate::stats::TimeSeries::read):
+    /// the `[time_ns, value]` pair at the reader's position, if it is
+    /// written the way the compact writer writes a sample, with no
+    /// whitespace, a time of at most 19 digits without a sign, and a
+    /// value without an exponent. The pair reads as the same `u64` and
+    /// bits as through [`Reader::array`] and [`Reader::value`], the
+    /// way that defines the grammar.
+    ///
+    /// Anything else, including every malformed pair, returns `None`
+    /// with the position untouched, for the caller to read the general
+    /// way; that includes a pair too deep for the depth limit.
+    #[inline]
+    pub fn sample_pair(&mut self) -> Option<(u64, f64)> {
+        let bytes = self.text.as_bytes();
+        if self.depth >= MAX_PARSE_DEPTH || bytes.get(self.pos) != Some(&b'[') {
+            return None;
+        }
+        let time = lex_number(bytes, self.pos + 1).ok()?;
+        if time.negative || time.fraction > 0 || time.exponent || time.digits > 19 {
+            return None;
+        }
+        if bytes.get(time.end) != Some(&b',') {
+            return None;
+        }
+        let lexeme = lex_number(bytes, time.end + 1).ok()?;
+        if lexeme.exponent || bytes.get(lexeme.end) != Some(&b']') {
+            return None;
+        }
+        let value = match lexeme.exact_fraction() {
+            Some(v) => v,
+            None if lexeme.fraction > 0 => self.text[time.end + 1..lexeme.end].parse().ok()?,
+            // An integer converts as `Json::Int` does, so `-0` is +0.0;
+            // one too long for the accumulator is read the general way.
+            None => lexeme.int()? as f64,
+        };
+        self.pos = lexeme.end + 1;
+        Some((time.mantissa, value))
+    }
+}
+
+/// A number literal as [`lex_number`] scanned it.
+struct Lexeme {
+    negative: bool,
+    /// The integer and fraction digits read as one decimal, wrapped
+    /// modulo 2^64, so exact while `digits <= 19` (10^19 < 2^64).
+    mantissa: u64,
+    /// How many significant digits `mantissa` read: those from the
+    /// first non-zero one on.
+    digits: usize,
+    /// How many digits follow the decimal point; 0 without one.
+    fraction: usize,
+    /// Whether an exponent follows.
+    exponent: bool,
+    /// Byte offset just past the literal.
+    end: usize,
+}
+
+impl Lexeme {
+    /// An integer literal's value, if its digits fit the accumulator;
+    /// a longer one must be parsed from its text.
+    fn int(&self) -> Option<i128> {
+        if self.fraction > 0 || self.exponent || self.digits > 19 {
+            return None;
+        }
+        let magnitude = i128::from(self.mantissa);
+        Some(if self.negative { -magnitude } else { magnitude })
+    }
+
+    /// A fraction literal's value as `mantissa / 10^fraction`, when both
+    /// are exact in `f64` so the one rounded division is the correctly
+    /// rounded value `str::parse::<f64>` gives.
+    fn exact_fraction(&self) -> Option<f64> {
+        /// 10^k for every k that `f64` holds exactly.
+        const POW10: [f64; 23] = [
+            1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+            1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+        ];
+        if self.fraction == 0 || self.exponent || self.digits > 19 || self.mantissa >= 1 << 53 {
+            return None;
+        }
+        let magnitude = self.mantissa as f64 / POW10.get(self.fraction)?;
+        Some(if self.negative { -magnitude } else { magnitude })
+    }
+}
+
+/// Scans the number literal at `start` in the grammar
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, the one lexer
+/// behind [`Reader::number`] and [`Reader::sample_pair`]. It stops at
+/// the first byte the grammar cannot extend the literal with; on a
+/// literal the grammar rejects it names what it expected.
+#[inline(always)]
+fn lex_number(bytes: &[u8], start: usize) -> Result<Lexeme, &'static str> {
+    let mut at = start;
+    let negative = bytes.get(at) == Some(&b'-');
+    if negative {
+        at += 1;
+    }
+    let mut mantissa = 0u64;
+    let mut digits = match bytes.get(at) {
+        Some(b'0') => {
+            at += 1;
+            0
+        }
+        Some(b'1'..=b'9') => {
+            let first = at;
+            at = digit_run(bytes, at, &mut mantissa);
+            at - first
+        }
+        _ => return Err("number"),
+    };
+    let mut fraction = 0;
+    if bytes.get(at) == Some(&b'.') {
+        let first = at + 1;
+        // Zeros before the first significant digit leave `mantissa` 0.
+        let mut lead = first;
+        if mantissa == 0 {
+            while bytes.get(lead) == Some(&b'0') {
+                lead += 1;
+            }
+        }
+        at = digit_run(bytes, lead, &mut mantissa);
+        fraction = at - first;
+        if fraction == 0 {
+            return Err("digit in number");
+        }
+        digits += at - lead;
+    }
+    let exponent = matches!(bytes.get(at), Some(b'e' | b'E'));
+    if exponent {
+        at += 1;
+        if matches!(bytes.get(at), Some(b'+' | b'-')) {
+            at += 1;
+        }
+        let end = digit_run(bytes, at, &mut 0);
+        if end == at {
+            return Err("digit in number");
+        }
+        at = end;
+    }
+    Ok(Lexeme {
+        negative,
+        mantissa,
+        digits,
+        fraction,
+        exponent,
+        end: at,
+    })
+}
+
+/// The value of eight ASCII digits read as a little-endian word: pairs,
+/// then quads, then the whole are combined with one multiply each.
+#[inline]
+fn eight_digits(word: u64) -> u64 {
+    let word = word - 0x3030_3030_3030_3030;
+    // Each 16-bit lane: its first digit times 10 plus its second.
+    let pairs = (word * 10 + (word >> 8)) & 0x00ff_00ff_00ff_00ff;
+    // Each 32-bit lane: its first pair times 100 plus its second.
+    let quads = (pairs.wrapping_mul(1 + (100 << 16)) >> 16) & 0x0000_ffff_0000_ffff;
+    // The first quad times 10^4 plus the second.
+    quads.wrapping_mul(1 + (10_000 << 32)) >> 32
+}
+
+/// Accumulates the digits from `at` into `value`, wrapping modulo 2^64,
+/// and returns the offset of the first byte that is not one. Runs of
+/// eight digits are taken a word at a time.
+#[inline(always)]
+fn digit_run(bytes: &[u8], mut at: usize, value: &mut u64) -> usize {
+    let mut v = *value;
+    while let Some(eight) = bytes.get(at..).and_then(<[u8]>::first_chunk::<8>) {
+        let word = u64::from_le_bytes(*eight);
+        // A byte is a digit when its high nibble is 3 and adding 6 to
+        // it keeps it so. Once every high nibble is 3, no byte carries
+        // into the next.
+        let high = word & 0xf0f0_f0f0_f0f0_f0f0;
+        let bumped = (word.wrapping_add(0x0606_0606_0606_0606) & 0xf0f0_f0f0_f0f0_f0f0) >> 4;
+        if high | bumped != 0x3333_3333_3333_3333 {
+            break;
+        }
+        v = v.wrapping_mul(100_000_000).wrapping_add(eight_digits(word));
+        at += 8;
+    }
+    while let Some(&digit @ b'0'..=b'9') = bytes.get(at) {
+        v = v.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
+        at += 1;
+    }
+    *value = v;
+    at
 }
 
 impl From<bool> for Json {
@@ -984,6 +1144,84 @@ mod tests {
         assert!(err.contains("nesting deeper"), "{err}");
         let deep_obj = "{\"k\":".repeat(MAX_PARSE_DEPTH + 10);
         assert!(Json::parse(&deep_obj).is_err());
+    }
+
+    #[test]
+    fn digit_runs_match_the_byte_loop() {
+        let mut rng = crate::rng::SplitMix64::new(0xD161_7500);
+        for _ in 0..4000 {
+            let len = rng.next_below(40) as usize;
+            let mut text: Vec<u8> = (0..len).map(|_| b'0' + rng.next_below(10) as u8).collect();
+            // A non-digit somewhere, often inside an eight-byte word,
+            // including the neighbours of '0'..='9' and high bytes.
+            if len > 0 && rng.next_below(2) == 0 {
+                const STOPS: [u8; 8] = [b'/', b':', b'.', b',', b']', b'e', 0x80, 0xff];
+                text[rng.next_below(len as u64) as usize] =
+                    STOPS[rng.next_below(STOPS.len() as u64) as usize];
+            }
+            let start = rng.next_below(len as u64 + 1) as usize;
+            let seed = rng.next_u64();
+            let mut want = seed;
+            let mut end = start;
+            while let Some(&d @ b'0'..=b'9') = text.get(end) {
+                want = want.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+                end += 1;
+            }
+            let mut got = seed;
+            assert_eq!(
+                digit_run(&text, start, &mut got),
+                end,
+                "{text:?} at {start}"
+            );
+            assert_eq!(got, want, "{text:?} at {start}");
+        }
+    }
+
+    #[test]
+    fn sample_pairs_read_compact_pairs_and_leave_the_rest() {
+        let pair = |text: &str| {
+            let mut r = Reader::new(text);
+            let got = r.sample_pair();
+            (got.map(|(t, v)| (t, v.to_bits())), r.pos)
+        };
+        let bits = |v: f64| v.to_bits();
+        assert_eq!(pair("[5,0.25]"), (Some((5, bits(0.25))), 8));
+        assert_eq!(pair("[0,-0]"), (Some((0, bits(0.0))), 6));
+        assert_eq!(pair("[0,-0.0]"), (Some((0, bits(-0.0))), 8));
+        assert_eq!(
+            pair("[1,0.0000000000000000000003]"),
+            (Some((1, bits(3e-22))), 28)
+        );
+        // A mantissa past 2^53, whose one division would round twice.
+        let parsed: f64 = "6.2588265378287862".parse().unwrap();
+        assert_eq!(
+            pair("[7,6.2588265378287862]"),
+            (Some((7, bits(parsed))), 22)
+        );
+        assert_ne!(bits(parsed), bits(62_588_265_378_287_862_u64 as f64 / 1e16));
+        for text in [
+            "[1, 2]",
+            "[ 1,2]",
+            "[1,2 ]",
+            "[-1,2]",
+            "[-0,2]",
+            "[01,2]",
+            "[1.0,2]",
+            "[1e2,2]",
+            "[12345678901234567890,2]",
+            "[1,1e5]",
+            "[1,01]",
+            "[1,1.]",
+            "[1,.5]",
+            "[1,null]",
+            "[1]",
+            "[1,2,3]",
+            "[]",
+            "1",
+            "[1,1234567890123456789012345678901234567890]",
+        ] {
+            assert_eq!(pair(text), (None, 0), "{text}");
+        }
     }
 
     #[test]

@@ -99,10 +99,16 @@ impl TimeSeries {
 
     /// [`TimeSeries::from_json`] straight from the text: reads the next
     /// value of `reader` into samples without a `Json` node per sample,
-    /// accepting and rejecting what `from_json` on its tree would.
+    /// accepting and rejecting what `from_json` on its tree would. A
+    /// pair as the compact writer writes it is decoded straight from
+    /// its bytes ([`Reader::sample_pair`]); any other is read as two
+    /// scalars.
     pub fn read(reader: &mut Reader<'_>) -> Result<Self, String> {
         let mut ts = TimeSeries::new();
         reader.array(|r| {
+            if let Some((time, value)) = r.sample_pair() {
+                return ts.push_checked(SimTime::from_nanos(time), value);
+            }
             let mut pair = [Json::Null, Json::Null];
             let mut len = 0;
             r.array(|r| {
@@ -125,6 +131,11 @@ impl TimeSeries {
     fn push_decoded(&mut self, time: &Json, value: &Json) -> Result<(), String> {
         let time = SimTime::from_nanos(time.as_u64().ok_or("sample time must be a u64")?);
         let value = value.as_f64().ok_or("sample value must be a number")?;
+        self.push_checked(time, value)
+    }
+
+    /// Appends a decoded sample unless its time is before the last one.
+    fn push_checked(&mut self, time: SimTime, value: f64) -> Result<(), String> {
         if self.samples.last().is_some_and(|last| time < last.time) {
             return Err("sample times must not decrease".into());
         }

@@ -260,22 +260,63 @@ fn pairs(ts: &TimeSeries) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// `[t,v]` pairs at the edges of `Reader::sample_pair`, the fast path
+/// of `TimeSeries::read`: times of 19 and 20 digits and past `u64`,
+/// signed and zero-led ones; `-0`, `-0.0`, zero-led and dotless values;
+/// fraction mantissas at and past 2^53 and 22 and 23 fraction digits;
+/// integer values past 19 digits and past `i128`; exponents; whitespace
+/// inside a pair; and pairs of the wrong length or kind.
+const EDGE_PAIRS: [&str; 40] = [
+    "[1,2]",
+    "[0,-0]",
+    "[3,0.5]",
+    "[9,1e2]",
+    "[18446744073709551615,7]",
+    "[9999999999999999999,1]",
+    "[1234567890123456789,1.5]",
+    "[12345678901234567890,1]",
+    "[18446744073709551616,1]",
+    "[-0,1]",
+    "[-1,1]",
+    "[01,1]",
+    "[1.0,1]",
+    "[2,-0.0]",
+    "[2,-0.000]",
+    "[2,01]",
+    "[2,1.]",
+    "[2,.5]",
+    "[2,-.5]",
+    "[3,6.2588265378287862]",
+    "[3,90071992547409.93]",
+    "[3,900719925474099.5]",
+    "[3,-32008589043444.209]",
+    "[3,0.0000000000000000000003]",
+    "[3,0.00000000000000000000003]",
+    "[3,1.2345678901234567890123]",
+    "[4,12345678901234567890]",
+    "[4,-170141183460469231731687303715884105728]",
+    "[4,1234567890123456789012345678901234567890]",
+    "[5,1e5]",
+    "[5,1E+5]",
+    "[5,2.5e-3]",
+    "[6, 1]",
+    "[ 6,1]",
+    "[6 ,1]",
+    "[6,1 ]",
+    "[6,null]",
+    "[1,2,3]",
+    "[4]",
+    "[]",
+];
+
 /// Arbitrary bytes shaped like a series (`[[t,v],...]`), so some of
 /// them are valid ones and the rest fail at every step of the grammar.
 fn arbitrary_series(rng: &mut SplitMix64) -> Vec<u8> {
-    const PARTS: [&str; 18] = [
+    const PARTS: [&str; 10] = [
         "[",
         "]",
         ",",
         " ",
-        "[1,2]",
-        "[0,-0]",
-        "[3,0.5]",
-        "[9,1e2]",
-        "[18446744073709551615,7]",
-        "[1,2,3]",
-        "[4]",
-        "[]",
         "[5,1],[4,1]",
         "-",
         "null",
@@ -288,13 +329,57 @@ fn arbitrary_series(rng: &mut SplitMix64) -> Vec<u8> {
         out.push(b'[');
     }
     for _ in 0..rng.next_below(10) {
-        if rng.next_below(8) == 0 {
-            out.push(rng.next_u64() as u8);
-        } else {
-            out.extend_from_slice(PARTS[rng.next_below(PARTS.len() as u64) as usize].as_bytes());
-        }
+        let part = match rng.next_below(8) {
+            0 => {
+                out.push(rng.next_u64() as u8);
+                continue;
+            }
+            1 => {
+                random_pair(rng, &mut out);
+                continue;
+            }
+            2..=4 => EDGE_PAIRS[rng.next_below(EDGE_PAIRS.len() as u64) as usize],
+            _ => PARTS[rng.next_below(PARTS.len() as u64) as usize],
+        };
+        out.extend_from_slice(part.as_bytes());
     }
     out
+}
+
+/// A `[t,v]` pair of random digit runs: a time of 1 to 21 digits and a
+/// signed value of 1 to 25 digits, with a decimal point in a random
+/// place or none, so mantissas land on both sides of 2^53 and of 19
+/// digits.
+fn random_pair(rng: &mut SplitMix64, out: &mut Vec<u8>) {
+    out.push(b'[');
+    random_digits(rng, 21, out);
+    out.push(b',');
+    if rng.next_below(2) == 0 {
+        out.push(b'-');
+    }
+    if rng.next_below(4) == 0 {
+        out.push(b'0');
+    } else {
+        random_digits(rng, 20, out);
+    }
+    if rng.next_below(4) > 0 {
+        out.push(b'.');
+        if rng.next_below(4) == 0 {
+            let zeros = rng.next_below(22) as usize;
+            out.extend(std::iter::repeat_n(b'0', zeros));
+        }
+        random_digits(rng, 24, out);
+    }
+    out.push(b']');
+}
+
+/// 1 to `max` random digits, the first non-zero unless it is the only one.
+fn random_digits(rng: &mut SplitMix64, max: u64, out: &mut Vec<u8>) {
+    let n = 1 + rng.next_below(max);
+    for i in 0..n {
+        let low = u64::from(i == 0 && n > 1);
+        out.push(b'0' + (low + rng.next_below(10 - low)) as u8);
+    }
 }
 
 /// The streamed reads never panic, and they accept exactly what the
@@ -339,6 +424,46 @@ fn streamed_reads_match_the_tree_on_arbitrary_bytes() {
     assert!(trees > 0 && series > 0, "{trees} trees, {series} series");
 }
 
+/// Every single-sample series built from an edge part or a random pair
+/// reads as the tree path reads it: the same verdict and, when
+/// accepted, the same time and value bits. Many of them take the fast
+/// path, and all that it takes it reads the same way.
+#[test]
+fn single_samples_read_like_the_tree() {
+    let mut rng = SplitMix64::new(0x5A3D_1E00);
+    let mut texts: Vec<String> = EDGE_PAIRS.iter().map(|p| format!("[{p}]")).collect();
+    for _ in 0..20_000 {
+        let mut pair = Vec::new();
+        random_pair(&mut rng, &mut pair);
+        texts.push(format!("[{}]", String::from_utf8(pair).expect("ASCII")));
+    }
+    let (mut fast, mut accepted) = (0, 0);
+    for text in &texts {
+        let from_tree = Json::parse(text)
+            .and_then(|t| TimeSeries::from_json(&t))
+            .map(|ts| pairs(&ts));
+        let read = series_read(text);
+        assert_eq!(
+            read.is_ok(),
+            from_tree.is_ok(),
+            "{text}: {read:?} vs {from_tree:?}"
+        );
+        if read.is_ok() {
+            assert_eq!(read, from_tree, "{text}");
+            accepted += 1;
+        }
+        let mut r = Reader::new(&text[1..]);
+        if let Some((time, value)) = r.sample_pair() {
+            assert_eq!(Ok(vec![(time, value.to_bits())]), from_tree, "{text}");
+            fast += 1;
+        }
+    }
+    assert!(
+        fast > 5_000 && accepted > fast,
+        "{fast} fast of {accepted} accepted"
+    );
+}
+
 /// The streamed reads reject nesting past `MAX_PARSE_DEPTH` like
 /// `Json::parse`, and accept it just inside.
 #[test]
@@ -360,4 +485,25 @@ fn streamed_reads_reject_deep_nesting() {
     assert!(Json::parse(&at(MAX_PARSE_DEPTH)).is_ok());
     assert!(streamed(&at(MAX_PARSE_DEPTH + 1)).is_err());
     assert!(Json::parse(&at(MAX_PARSE_DEPTH + 1)).is_err());
+
+    // A compact series read that deep: its pair's scalars sit at the
+    // limit or one past it, and the fast path leaves the verdict to the
+    // general read.
+    fn descend(r: &mut Reader<'_>, levels: usize) -> Result<(), String> {
+        if levels == 0 {
+            return TimeSeries::read(r).map(drop);
+        }
+        r.array(|r| descend(r, levels - 1))
+    }
+    for levels in MAX_PARSE_DEPTH - 3..=MAX_PARSE_DEPTH {
+        let text = format!("{}[[1,2]]{}", "[".repeat(levels), "]".repeat(levels));
+        let mut r = Reader::new(&text);
+        let read = descend(&mut r, levels).and_then(|()| r.finish());
+        assert_eq!(
+            read.is_ok(),
+            Json::parse(&text).is_ok(),
+            "{levels}: {read:?}"
+        );
+        assert_eq!(read.is_ok(), levels + 2 <= MAX_PARSE_DEPTH, "{levels}");
+    }
 }

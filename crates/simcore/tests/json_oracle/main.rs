@@ -53,10 +53,12 @@ fn edge_int(rng: &mut SplitMix64) -> i128 {
 }
 
 /// Floats including −0.0, subnormals, non-finite values (written as
-/// `null`) and, rarely, 1e300, whose 301-digit rendering neither parser
-/// accepts as an integer.
+/// `null`), integral values on both sides of 2^53 (the writer's digit
+/// loop takes those below it) and, rarely, 1e300, whose 301-digit
+/// rendering neither parser accepts as an integer.
 fn edge_float(rng: &mut SplitMix64) -> f64 {
-    const EDGES: [f64; 12] = [
+    const EXACT: f64 = 9_007_199_254_740_992.0;
+    const EDGES: [f64; 29] = [
         -0.0,
         0.0,
         5e-324,
@@ -69,10 +71,36 @@ fn edge_float(rng: &mut SplitMix64) -> f64 {
         1e21,
         f64::NAN,
         f64::NEG_INFINITY,
+        EXACT - 1.0,
+        -(EXACT - 1.0),
+        EXACT,
+        -EXACT,
+        EXACT + 2.0,
+        1e15,
+        1e16,
+        1e17,
+        1e18,
+        1e19,
+        1e20,
+        -1e15,
+        -1.0,
+        -7.0,
+        -123_456_789.0,
+        1.5,
+        -2.5,
     ];
     match rng.next_below(40) {
         0 => 1e300,
         1..=12 => EDGES[rng.next_below(EDGES.len() as u64) as usize],
+        // An integral value, mostly below 2^53, of either sign.
+        13..=16 => {
+            let magnitude = (rng.next_u64() >> rng.next_below(64)) as f64;
+            if rng.next_below(2) == 0 {
+                -magnitude
+            } else {
+                magnitude
+            }
+        }
         _ => {
             // Mantissa in [-0.5, 0.5) scaled from the subnormal range up
             // to 1e30.
