@@ -14,7 +14,10 @@
 use hadoop_mr_microbench::mapreduce::{Counters, FaultPlan, NodeCrash, NodeSlowdown};
 use hadoop_mr_microbench::mrbench::multijob::{self, ArrivalProcess, MultiJobSpec, TenantSpec};
 use hadoop_mr_microbench::mrbench::store::fnv1a_128;
-use hadoop_mr_microbench::mrbench::{config_digest, run, BenchConfig, MicroBenchmark, ResultStore};
+use hadoop_mr_microbench::mrbench::sweep::SweepCell;
+use hadoop_mr_microbench::mrbench::{
+    config_digest, run, Artifacts, BenchConfig, MicroBenchmark, ResultStore, Sweep,
+};
 use hadoop_mr_microbench::simcore::units::ByteSize;
 use hadoop_mr_microbench::simnet::Interconnect;
 use hadoop_mr_microbench::{baseline_configs, baseline_digest};
@@ -169,6 +172,48 @@ fn store_fragment() -> String {
     text
 }
 
+/// The bytes `Artifacts::write` writes for one sweep panel of
+/// `baseline_digest`'s reports, utilization series included: six rows,
+/// one per (benchmark, engine) and all at 512 MiB, by the three
+/// interconnects.
+fn artifact_pretty() -> String {
+    let configs = baseline_configs();
+    let reports: Vec<_> = configs
+        .iter()
+        .map(|c| run(c).expect("valid config"))
+        .collect();
+    // `baseline_configs` varies the engine fastest, then the
+    // interconnect; the grid's columns are the interconnects.
+    let (interconnects, engines) = (3, 2);
+    let mut cells = Vec::new();
+    for row in 0..reports.len() / interconnects {
+        let (bench, engine) = (row / engines, row % engines);
+        for ic in 0..interconnects {
+            let report = reports[(bench * interconnects + ic) * engines + engine].clone();
+            cells.push(SweepCell {
+                shuffle: report.config.shuffle_bytes(),
+                interconnect: report.config.interconnect,
+                report,
+            });
+        }
+    }
+    let sweep = Sweep {
+        sizes: cells
+            .iter()
+            .step_by(interconnects)
+            .map(|c| c.shuffle)
+            .collect(),
+        interconnects: cells[..interconnects]
+            .iter()
+            .map(|c| c.interconnect)
+            .collect(),
+        cells,
+    };
+    let mut artifacts = Artifacts::new("golden");
+    artifacts.record_sweep("baseline grid", sweep);
+    artifacts.to_json().to_pretty()
+}
+
 #[test]
 fn outputs_match_the_golden_manifest() {
     let lines = [
@@ -176,6 +221,7 @@ fn outputs_match_the_golden_manifest() {
         line("fault_digest", &fault_digest()),
         line("multijob_stream", &multijob_stream()),
         line("store_fragment", &store_fragment()),
+        line("artifact_pretty", &artifact_pretty()),
     ];
     let fresh: String = lines.iter().map(|l| format!("{l}\n")).collect();
     let pinned = std::fs::read_to_string(MANIFEST).unwrap_or_default();
