@@ -21,7 +21,7 @@ use mapreduce::engine::synthetic_key;
 use mapreduce::partition::Partitioner;
 use mrbench::partitioners::{AvgPartitioner, RandPartitioner, SkewPartitioner};
 use mrbench::store::FRAGMENT_SCHEMA;
-use mrbench::{config_digest, run, BenchConfig, MicroBenchmark, ResultStore};
+use mrbench::{config_digest, run, Artifacts, BenchConfig, MicroBenchmark, ResultStore, Sweep};
 use mrbench_bench::figures::FIG2;
 use simcore::event::EventQueue;
 use simcore::jobj;
@@ -241,6 +241,20 @@ fn bench_json() {
     );
     bench("json/to_pretty_report", 500, || {
         black_box(black_box(&fragment).to_pretty());
+    });
+    // The artifact write's tree and text over six paper-scale Fig. 2(a)
+    // cells, series included: build the tree, render it, drop both.
+    let sizes = [8, 16, 32].map(ByteSize::from_gib);
+    let networks = [Interconnect::GigE1, Interconnect::IpoibQdr];
+    let sweep = Sweep::run_grid(&sizes, &networks, FIG2.panels[0].config).unwrap();
+    let mut artifacts = Artifacts::new("fig2");
+    artifacts.record_sweep(FIG2.panels[0].title, sweep);
+    println!(
+        "json/artifact_bytes_pretty {:>26}",
+        artifacts.to_json().to_pretty().len()
+    );
+    bench("json/artifact_to_pretty", 50, || {
+        black_box(black_box(&artifacts).to_json().to_pretty());
     });
     bench("json/parse_fragment", 500, || {
         black_box(Json::parse(black_box(&text)).unwrap());

@@ -369,6 +369,9 @@ mod tests {
         let text = report.to_json().to_pretty();
         let back = BenchReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.to_json().to_pretty(), text);
+        // The written tree, series packed, reads back without the text.
+        let packed = BenchReport::from_json(&report.to_json()).unwrap();
+        assert_eq!(packed.to_json().to_pretty(), text);
         assert_eq!(back.result.job_time, report.result.job_time);
         assert_eq!(back.result.counters, report.result.counters);
         assert_eq!(back.result.tasks.len(), report.result.tasks.len());

@@ -5,7 +5,8 @@
 //! sweep exports) is built on this hand-rolled module instead of serde.
 //! It supports exactly what the benchmark artifacts need:
 //!
-//! * a [`Json`] tree with order-preserving objects,
+//! * a [`Json`] tree with order-preserving objects and a packed node
+//!   for long `[time_ns, value]` series ([`Json::Pairs`]),
 //! * a compact and a pretty writer,
 //! * a strict recursive-descent parser ([`Json::parse`]) over a pull
 //!   [`Reader`] that decoders of long arrays use to skip the tree,
@@ -35,6 +36,19 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; insertion order is preserved.
     Obj(Vec<(String, Json)>),
+    /// An array of `[integer, number]` pairs held in one allocation:
+    /// the packed form of a long series of `[time_ns, value]` samples.
+    ///
+    /// * The compact and pretty writers write it byte for byte as the
+    ///   equivalent [`Json::Arr`] of two-item `Arr`s of a [`Json::Int`]
+    ///   and a [`Json::Num`]: a time as that integer, a finite value as
+    ///   that float, a non-finite value as `null`, and an empty node as
+    ///   `[]`.
+    /// * Only serializers (`to_json`) build it: [`Json::parse`] and
+    ///   [`Reader`] read such a text back as `Arr`s.
+    /// * [`Json::as_arr`] does not look inside it, and the derived
+    ///   equality is structural, so a `Pairs` node never equals an `Arr`.
+    Pairs(Vec<(u64, f64)>),
 }
 
 impl Json {
@@ -255,8 +269,7 @@ fn emit<const PRETTY: bool>(value: &Json, out: &mut String, depth: usize) {
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
         Json::Int(i) => write_int(out, *i),
-        Json::Num(n) if n.is_finite() => write_float(out, *n),
-        Json::Num(_) => out.push_str("null"),
+        Json::Num(n) => write_num(out, *n),
         Json::Str(s) => write_escaped(out, s),
         Json::Arr(items) if items.is_empty() => out.push_str("[]"),
         Json::Arr(items) => {
@@ -279,6 +292,34 @@ fn emit<const PRETTY: bool>(value: &Json, out: &mut String, depth: usize) {
             }
             item_break::<PRETTY>(out, 0, depth);
             out.push('}');
+        }
+        Json::Pairs(pairs) if pairs.is_empty() => out.push_str("[]"),
+        Json::Pairs(pairs) => {
+            // What the `Arr` of two-item `Arr`s writes around each pair,
+            // built once: the break before a pair and its opening
+            // bracket (the first pair skips the comma), the break
+            // between its items, and the break before its closing one.
+            let mut open = String::new();
+            item_break::<PRETTY>(&mut open, 1, depth + 1);
+            open.push('[');
+            item_break::<PRETTY>(&mut open, 0, depth + 2);
+            let mut mid = String::new();
+            item_break::<PRETTY>(&mut mid, 1, depth + 2);
+            let mut close = String::new();
+            item_break::<PRETTY>(&mut close, 0, depth + 1);
+            close.push(']');
+            out.push('[');
+            let mut lead = &open[1..];
+            for &(time, value) in pairs {
+                out.push_str(lead);
+                write_u64(out, time);
+                out.push_str(&mid);
+                write_num(out, value);
+                out.push_str(&close);
+                lead = &open;
+            }
+            item_break::<PRETTY>(out, 0, depth);
+            out.push(']');
         }
     }
 }
@@ -316,6 +357,16 @@ fn write_int(out: &mut String, i: i128) {
         write_u64(out, n.unsigned_abs());
     } else {
         let _ = fmt::Write::write_fmt(out, format_args!("{i}"));
+    }
+}
+
+/// A [`Json::Num`]: finite values through [`write_float`], the rest as
+/// `null`.
+fn write_num(out: &mut String, n: f64) {
+    if n.is_finite() {
+        write_float(out, n);
+    } else {
+        out.push_str("null");
     }
 }
 

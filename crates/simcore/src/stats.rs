@@ -73,20 +73,28 @@ impl TimeSeries {
         }
     }
 
-    /// Serialize as an array of `[time_ns, value]` pairs.
+    /// Serialize as an array of `[time_ns, value]` pairs, packed into
+    /// one [`Json::Pairs`] node.
     pub fn to_json(&self) -> Json {
-        Json::Arr(
+        Json::Pairs(
             self.samples
                 .iter()
-                .map(|s| Json::Arr(vec![Json::from(s.time.as_nanos()), Json::from(s.value)]))
+                .map(|s| (s.time.as_nanos(), s.value))
                 .collect(),
         )
     }
 
-    /// Rebuild from the [`TimeSeries::to_json`] encoding.
+    /// Rebuild from the [`TimeSeries::to_json`] encoding, packed as it
+    /// is written or as an `Arr` of pairs as it is parsed.
     pub fn from_json(json: &Json) -> Result<Self, String> {
-        let items = json.as_arr().ok_or("time series must be an array")?;
         let mut ts = TimeSeries::new();
+        if let Json::Pairs(pairs) = json {
+            for &(time, value) in pairs {
+                ts.push_checked(SimTime::from_nanos(time), value)?;
+            }
+            return Ok(ts);
+        }
+        let items = json.as_arr().ok_or("time series must be an array")?;
         for item in items {
             let pair = item.as_arr().ok_or("time series sample must be a pair")?;
             if pair.len() != 2 {
@@ -312,6 +320,36 @@ mod tests {
         assert_eq!(back.samples(), ts.samples());
         assert!(TimeSeries::from_json(&Json::parse("[[1]]").unwrap()).is_err());
         assert!(TimeSeries::from_json(&Json::parse("{}").unwrap()).is_err());
+    }
+
+    #[test]
+    fn packed_series_round_trip_bit_for_bit() {
+        let mut ts = TimeSeries::new();
+        for (ns, v) in [
+            (0, -0.0),
+            (0, f64::NAN),
+            (7, f64::NEG_INFINITY),
+            (1_500_000_000, 111.8251),
+            (u64::MAX, 1.0 / 3.0),
+        ] {
+            ts.push(SimTime::from_nanos(ns), v);
+        }
+        let packed = ts.to_json();
+        assert!(matches!(&packed, Json::Pairs(p) if p.len() == ts.len()));
+        let back = TimeSeries::from_json(&packed).unwrap();
+        let bits = |ts: &TimeSeries| -> Vec<(SimTime, u64)> {
+            ts.samples()
+                .iter()
+                .map(|s| (s.time, s.value.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&ts));
+        let empty = TimeSeries::from_json(&TimeSeries::new().to_json()).unwrap();
+        assert!(empty.is_empty());
+        // A backwards time is rejected packed as it is from parsed text.
+        let err = TimeSeries::from_json(&Json::Pairs(vec![(2, 0.0), (1, 0.0)])).unwrap_err();
+        let parsed = Json::parse("[[2,0],[1,0]]").unwrap();
+        assert_eq!(TimeSeries::from_json(&parsed).unwrap_err(), err);
     }
 
     /// A sampler reading: (amount accrued in the window, window seconds).

@@ -33,12 +33,24 @@ fn arbitrary_bytes(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// A float, non-finite one time in two.
+fn arbitrary_float(rng: &mut SplitMix64) -> f64 {
+    match rng.next_below(6) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => rng.next_f64() * 1e18,
+        4 => -rng.next_f64() / 1e18,
+        _ => rng.next_f64(),
+    }
+}
+
 /// A random `Json` tree of bounded depth, covering every variant.
 fn arbitrary_value(rng: &mut SplitMix64, depth: usize) -> Json {
     let pick = if depth == 0 {
         rng.next_below(5) // leaves only
     } else {
-        rng.next_below(7)
+        rng.next_below(8)
     };
     match pick {
         0 => Json::Null,
@@ -50,14 +62,7 @@ fn arbitrary_value(rng: &mut SplitMix64, depth: usize) -> Json {
             2 => i128::from(u64::MAX),
             _ => i128::from(i64::MIN),
         }),
-        3 => Json::Num(match rng.next_below(6) {
-            0 => f64::NAN,
-            1 => f64::INFINITY,
-            2 => f64::NEG_INFINITY,
-            3 => rng.next_f64() * 1e18,
-            4 => -rng.next_f64() / 1e18,
-            _ => rng.next_f64(),
-        }),
+        3 => Json::Num(arbitrary_float(rng)),
         4 => {
             let len = rng.next_below(12) as usize;
             Json::Str(
@@ -79,6 +84,17 @@ fn arbitrary_value(rng: &mut SplitMix64, depth: usize) -> Json {
         5 => {
             let len = rng.next_below(4) as usize;
             Json::Arr((0..len).map(|_| arbitrary_value(rng, depth - 1)).collect())
+        }
+        6 => {
+            let len = rng.next_below(4);
+            Json::Pairs(
+                (0..len)
+                    .map(|_| {
+                        let time = rng.next_u64() >> rng.next_below(64);
+                        (time, arbitrary_float(rng))
+                    })
+                    .collect(),
+            )
         }
         _ => {
             let len = rng.next_below(4) as usize;
@@ -171,6 +187,13 @@ fn normalize(v: &Json) -> Json {
             }
         }
         Json::Arr(items) => Json::Arr(items.iter().map(normalize).collect()),
+        // A packed series parses back as its `Arr` expansion.
+        Json::Pairs(pairs) => Json::Arr(
+            pairs
+                .iter()
+                .map(|&(t, v)| Json::Arr(vec![Json::from(t), normalize(&Json::Num(v))]))
+                .collect(),
+        ),
         Json::Obj(members) => Json::Obj(
             members
                 .iter()

@@ -141,12 +141,40 @@ fn edge_string(rng: &mut SplitMix64) -> String {
         .collect()
 }
 
+/// A packed series, empty or of one pair as often as longer: times at
+/// 0, `u64::MAX` and between, values from [`edge_float`] and +inf.
+fn pairs(rng: &mut SplitMix64) -> Json {
+    let len = match rng.next_below(3) {
+        0 => 0,
+        1 => 1,
+        _ => 2 + rng.next_below(6),
+    };
+    Json::Pairs(
+        (0..len)
+            .map(|_| {
+                let time = match rng.next_below(4) {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => rng.next_below(1000),
+                    _ => rng.next_u64(),
+                };
+                let value = match rng.next_below(20) {
+                    0 => f64::INFINITY,
+                    _ => edge_float(rng),
+                };
+                (time, value)
+            })
+            .collect(),
+    )
+}
+
 fn leaf(rng: &mut SplitMix64) -> Json {
-    match rng.next_below(5) {
+    match rng.next_below(6) {
         0 => Json::Null,
         1 => Json::Bool(rng.next_below(2) == 1),
         2 => Json::Int(edge_int(rng)),
         3 => Json::Num(edge_float(rng)),
+        4 => pairs(rng),
         _ => Json::Str(edge_string(rng)),
     }
 }
@@ -247,6 +275,54 @@ fn writers_and_parser_match_the_oracle_byte_for_byte() {
         parsed * 10 > cases * 8,
         "only {parsed}/{cases} outputs parsed"
     );
+}
+
+/// `inner` under `levels` alternating one-item arrays and objects.
+fn nest(inner: Json, levels: usize) -> Json {
+    (0..levels).fold(inner, |v, level| {
+        if level % 2 == 0 {
+            Json::Arr(vec![v])
+        } else {
+            Json::Obj(vec![("k".into(), v)])
+        }
+    })
+}
+
+/// Every class of time and value a packed series writes differently,
+/// in empty, one-pair and long nodes, at the top level, a few levels
+/// down and past 32 levels, where the indent takes two chunks.
+#[test]
+fn packed_pairs_write_as_their_arr_expansion() {
+    const EXACT: f64 = 9_007_199_254_740_992.0;
+    let values = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        0.1,
+        -2.5,
+        EXACT - 1.0,
+        -(EXACT - 1.0),
+        EXACT,
+        EXACT + 2.0,
+        1e300,
+    ];
+    let times = [0, 1, 1_000_000_000, u64::MAX];
+    let all: Vec<(u64, f64)> = times
+        .iter()
+        .flat_map(|&t| values.iter().map(move |&v| (t, v)))
+        .collect();
+    let mut nodes = vec![Json::Pairs(Vec::new()), Json::Pairs(all.clone())];
+    nodes.extend(all.iter().map(|&pair| Json::Pairs(vec![pair])));
+    for node in nodes {
+        for levels in [0, 1, 3, 31, 32, 33, 40] {
+            let value = nest(node.clone(), levels);
+            let ctx = format!("{node:?} under {levels} levels");
+            assert_eq!(value.to_pretty(), reference::to_pretty(&value), "{ctx}");
+            assert_eq!(value.to_compact(), reference::to_compact(&value), "{ctx}");
+        }
+    }
 }
 
 /// Whitespace the writers never emit: runs of spaces of every length

@@ -4,6 +4,9 @@
 //! parser. Only the entry points changed shape, from methods on `Json`
 //! to the free functions [`to_compact`], [`to_pretty`] and [`parse`].
 //!
+//! The one addition is [`Json::Pairs`], which it writes as the `Arr`
+//! of two-item `Arr`s the packed node stands for.
+//!
 //! The parser is the lenient one: it accepts `+1`, `.5`, `1.`, `01` and
 //! raw control bytes inside strings, which the library's strict parser
 //! rejects. The oracle property therefore compares the two only on the
@@ -58,6 +61,13 @@ fn write(v: &Json, out: &mut String, indent: Option<usize>, depth: usize) {
             }
             write(v, out, indent, depth + 1)
         }),
+        Json::Pairs(pairs) => {
+            let items = pairs
+                .iter()
+                .map(|&(t, v)| Json::Arr(vec![Json::Int(i128::from(t)), Json::Num(v)]))
+                .collect();
+            write(&Json::Arr(items), out, indent, depth)
+        }
     }
 }
 
