@@ -48,7 +48,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use simcore::jobj;
-use simcore::json::Reader;
+use simcore::json::Json;
 
 use crate::config::BenchConfig;
 use crate::error::Error;
@@ -86,14 +86,21 @@ pub fn atomic_write(path: &Path, contents: &str) -> Result<(), Error> {
         None => PathBuf::from(&tmp_name),
     };
     let mut f = std::fs::File::create(&tmp).map_err(|e| Error::io("create", &tmp, e))?;
-    f.write_all(contents.as_bytes())
-        .map_err(|e| Error::io("write", &tmp, e))?;
-    // Flush to the platters before publishing the name, so a crash after
-    // the rename cannot expose an empty or partial file.
-    f.sync_all().map_err(|e| Error::io("sync", &tmp, e))?;
-    drop(f);
-    std::fs::rename(&tmp, path).map_err(|e| Error::io("rename", &tmp, e))?;
-    Ok(())
+    let published = f
+        .write_all(contents.as_bytes())
+        .map_err(|e| Error::io("write", &tmp, e))
+        // Flush to the platters before publishing the name, so a crash
+        // after the rename cannot expose an empty or partial file.
+        .and_then(|()| f.sync_all().map_err(|e| Error::io("sync", &tmp, e)))
+        .and_then(|()| {
+            drop(f);
+            std::fs::rename(&tmp, path).map_err(|e| Error::io("rename", &tmp, e))
+        });
+    if published.is_err() {
+        // The name was never published; leave no temp file behind.
+        let _ = std::fs::remove_file(&tmp);
+    }
+    published
 }
 
 /// Digest of a config's canonical JSON: the cache key under which its
@@ -177,18 +184,11 @@ impl ResultStore {
         }
     }
 
-    /// Decodes a fragment, streaming the report's series
-    /// ([`BenchReport::read`]). It accepts exactly the fragments that
-    /// `Json::parse` and [`BenchReport::from_json`] would, compact or
-    /// pretty.
+    /// Decodes a fragment, compact or pretty: its schema and digest
+    /// must match, and its report is [`BenchReport::from_json`]. A
+    /// compact fragment's series parse packed ([`Json::Pairs`]).
     fn parse_fragment(text: &str, digest: &str) -> Result<BenchReport, String> {
-        let mut reader = Reader::new(text);
-        let mut report = None;
-        let json = reader.object_with(&["report"], |r, _| {
-            report = Some(BenchReport::read(r)?);
-            Ok(())
-        })?;
-        reader.finish()?;
+        let json = Json::parse(text)?;
         let schema = json.field_str("schema")?;
         if schema != FRAGMENT_SCHEMA {
             return Err(format!("unknown fragment schema '{schema}'"));
@@ -197,7 +197,7 @@ impl ResultStore {
         if stored != digest {
             return Err(format!("fragment digest '{stored}' does not match key"));
         }
-        report.ok_or_else(|| "missing JSON field 'report'".into())
+        BenchReport::from_json(json.req("report")?)
     }
 
     /// Persist `report` under `digest`, atomically, as compact JSON.
@@ -387,7 +387,8 @@ mod tests {
             "report": report.to_json(),
         }
         .to_pretty();
-        assert_eq!(Json::parse(&pretty), Json::parse(&compact), "same value");
+        let written = |text: &str| Json::parse(text).map(|v| v.to_compact());
+        assert_eq!(written(&pretty), written(&compact), "same value");
         std::fs::write(store.fragment_path(&digest), &pretty).unwrap();
         let back = store.get(&digest).expect("a pretty fragment is a hit");
         assert_eq!(
@@ -412,6 +413,24 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(names, ["out.json"], "no temp files linger");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_atomic_write_leaves_no_temp() {
+        let dir = tmp_dir("failed-rename");
+        let path = dir.join("taken");
+        std::fs::create_dir_all(path.join("inside")).unwrap();
+        // A file cannot be renamed onto a non-empty directory.
+        match atomic_write(&path, "body") {
+            Err(Error::Io { op, .. }) => assert_eq!(op, "rename"),
+            other => panic!("expected a rename error, got {other:?}"),
+        }
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["taken"], "no temp file lingers");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,16 +1,17 @@
-//! The result store's streamed decode against the tree it replaced.
+//! The result store's decode against the unpacked reading of the text.
 //!
-//! `ResultStore::get` reads a fragment's series straight from the text
-//! and everything else as `Json` subtrees. Its oracle is the tree path:
-//! `Json::parse`, the schema and digest checks, then
-//! `BenchReport::from_json`. For every text below, compact and pretty,
+//! `ResultStore::get` is `Json::parse`, the schema and digest checks,
+//! then `BenchReport::from_json`, and `Json::parse` reads a compact
+//! series as one packed `Json::Pairs` node. The oracle is the same path
+//! on the text with a space after each `[` outside strings, a layout
+//! that never parses packed. For every text below, compact and pretty,
 //! both must accept or both reject, and an accepted text must give the
 //! same report, byte for byte in its compact JSON. The texts are seeded
 //! fragments of DES and analytic runs that succeeded, failed or ran out
 //! of budget, series that are empty or hold edge-case literals, and
 //! their truncated, byte-flipped, duplicate-key, unknown-key and
-//! reordered variants. Another test counts which samples of a fragment
-//! `Reader::sample_pair`, the fast path of the series decode, takes.
+//! reordered variants. Another test checks which series of a fragment
+//! parse packed.
 
 use std::path::PathBuf;
 
@@ -19,7 +20,7 @@ use mrbench::{
     config_digest, BackendKind, BenchConfig, BenchReport, Interconnect, MicroBenchmark, ResultStore,
 };
 use simcore::jobj;
-use simcore::json::{Json, Reader};
+use simcore::json::Json;
 use simcore::rng::SplitMix64;
 use simcore::stats::TimeSeries;
 use simcore::time::SimTime;
@@ -56,40 +57,42 @@ const REJECTED: [(&str, &str); 5] = [
     ("4242.75", "4242.75,1"),
 ];
 
-/// The edge-case series: each sample's time, value and the value it
-/// reads back as once [`REWRITES`] are applied. Times run from 0 past
+/// The edge-case samples: each one's time, value, the value it reads
+/// back as once [`REWRITES`] are applied, and whether its literal,
+/// rewritten or not, is one `Json::parse` packs. Times run from 0 past
 /// 19 and 20 digits to `u64::MAX`; values cover `-0` (written by the
 /// writer, read as +0.0), `-0.0`, negative integral values, a 17-digit
 /// mantissa past 2^53, 22 and 23 fraction digits, and an integer literal
 /// past 19 digits.
-const EDGE_SAMPLES: [(u64, f64, f64); 19] = [
-    (0, 1.0, 1.0),
-    (1, 0.25, 0.25),
-    (2, -0.0, 0.0),
-    (3, 4321.125, 4321.125),
-    (4, 987_654_321.0, 987_654_321.0),
-    (5, 31337.0, 9_007_199_254_740_992.0),
-    (6, 2718.5, -0.0),
-    (7, 0.300_000_000_000_000_04, 0.300_000_000_000_000_04),
-    (8, 3e-22, 3e-22),
-    (9, 1e-23, 1e-23),
-    (10, -123.0, -123.0),
-    (11, 1e21, 1e21),
-    (12, 1618.25, 1618.25),
-    (13, 4242.75, 4242.75),
-    ((1 << 53) + 1, 1e-7, 1e-7),
-    (9_999_999_999_999_999_999, 0.5, 0.5),
-    (10_000_000_000_000_000_000, -6.25, -6.25),
+const EDGE_SAMPLES: [(u64, f64, f64, bool); 19] = [
+    (0, 1.0, 1.0, true),
+    (1, 0.25, 0.25, true),
+    (2, -0.0, 0.0, true),
+    (3, 4321.125, 4321.125, false),
+    (4, 987_654_321.0, 987_654_321.0, false),
+    (5, 31337.0, 9_007_199_254_740_992.0, false),
+    (6, 2718.5, -0.0, true),
+    (7, 0.300_000_000_000_000_04, 0.300_000_000_000_000_04, true),
+    (8, 3e-22, 3e-22, true),
+    (9, 1e-23, 1e-23, true),
+    (10, -123.0, -123.0, true),
+    (11, 1e21, 1e21, false),
+    (12, 1618.25, 1618.25, false),
+    (13, 4242.75, 4242.75, true),
+    ((1 << 53) + 1, 1e-7, 1e-7, true),
+    (9_999_999_999_999_999_999, 0.5, 0.5, true),
+    (10_000_000_000_000_000_000, -6.25, -6.25, false),
     (
         10_000_000_000_000_000_000,
         12.500_000_000_000_005,
         12.500_000_000_000_005,
+        false,
     ),
-    (u64::MAX, -2.5, -2.5),
+    (u64::MAX, -2.5, -2.5, false),
 ];
 
 /// The seeded reports: every outcome, both backends, empty series, and
-/// one series of edge-case samples.
+/// two series of edge-case samples, those that pack and the rest.
 fn reports() -> Vec<(&'static str, BenchReport)> {
     let run = |c: &BenchConfig| mrbench::run(c).expect("valid config");
     let des = run(&small(MicroBenchmark::Avg, 11));
@@ -106,11 +109,13 @@ fn reports() -> Vec<(&'static str, BenchReport)> {
     empty.result.net_rx_series = Vec::new();
 
     let mut edges = des.clone();
-    let mut series = TimeSeries::new();
-    for (time, value, _) in EDGE_SAMPLES {
-        series.push(SimTime::from_nanos(time), value);
+    for (i, packs) in [true, false].into_iter().enumerate() {
+        let mut series = TimeSeries::new();
+        for (time, value, ..) in EDGE_SAMPLES.into_iter().filter(|s| s.3 == packs) {
+            series.push(SimTime::from_nanos(time), value);
+        }
+        edges.result.cpu_series[i] = series;
     }
-    edges.result.cpu_series[0] = series;
 
     let all = vec![
         ("des", des),
@@ -139,9 +144,27 @@ fn fragment(report: &BenchReport) -> Json {
     }
 }
 
-/// The tree path: what `ResultStore::get` did before it streamed.
-fn tree_decode(bytes: &[u8], digest: &str) -> Option<String> {
-    let json = Json::parse(std::str::from_utf8(bytes).ok()?).ok()?;
+/// `text` with a space after each `[` outside strings: the same
+/// document, which `Json::parse` never reads packed.
+fn unpacked(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() * 2);
+    let (mut in_string, mut escaped) = (false, false);
+    for c in text.chars() {
+        out.push(c);
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if in_string => escaped = true,
+            '"' => in_string = !in_string,
+            '[' if !in_string => out.push(' '),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The store's decode on the unpacked text.
+fn unpacked_decode(bytes: &[u8], digest: &str) -> Option<String> {
+    let json = Json::parse(&unpacked(std::str::from_utf8(bytes).ok()?)).ok()?;
     if json.field_str("schema").ok()? != FRAGMENT_SCHEMA || json.field_str("digest").ok()? != digest
     {
         return None;
@@ -151,19 +174,19 @@ fn tree_decode(bytes: &[u8], digest: &str) -> Option<String> {
 }
 
 /// Serves `bytes` as the fragment of `digest` through the store and
-/// checks the answer against [`tree_decode`].
+/// checks the answer against [`unpacked_decode`].
 fn served(store: &ResultStore, digest: &str, bytes: &[u8], what: &str) -> Option<String> {
     std::fs::write(store.fragment_path(digest), bytes).expect("fragment is writable");
-    let streamed = store.get(digest).map(|r| r.to_json().to_compact());
-    let tree = tree_decode(bytes, digest);
+    let got = store.get(digest).map(|r| r.to_json().to_compact());
+    let oracle = unpacked_decode(bytes, digest);
     assert!(
-        streamed == tree,
-        "{what}: streamed {} but the tree {}\n{}",
-        verdict(&streamed),
-        verdict(&tree),
+        got == oracle,
+        "{what}: the store {} but the unpacked reading {}\n{}",
+        verdict(&got),
+        verdict(&oracle),
         String::from_utf8_lossy(bytes)
     );
-    streamed
+    got
 }
 
 fn verdict(decoded: &Option<String>) -> &'static str {
@@ -248,7 +271,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn streamed_decode_matches_the_tree_on_every_variant() {
+fn store_decode_matches_the_unpacked_reading_on_every_variant() {
     let dir = scratch("variants");
     let store = ResultStore::open(&dir).unwrap();
     let mut rng = SplitMix64::new(0xF4A6_2014);
@@ -272,14 +295,18 @@ fn streamed_decode_matches_the_tree_on_every_variant() {
                 .unwrap_or_else(|| panic!("{what}: the fragment must be a hit"));
             if name == "edge-samples" {
                 let back = store.get(&digest).unwrap();
-                let got: Vec<(u64, u64)> = back.result.cpu_series[0]
-                    .samples()
+                let got: Vec<(u64, u64)> = back.result.cpu_series[..2]
                     .iter()
+                    .flat_map(TimeSeries::samples)
                     .map(|s| (s.time.as_nanos(), s.value.to_bits()))
                     .collect();
-                let want: Vec<(u64, u64)> = EDGE_SAMPLES
+                // The first series holds the samples that pack.
+                let (packs, rest): (Vec<&(u64, f64, f64, bool)>, Vec<_>) =
+                    EDGE_SAMPLES.iter().partition(|s| s.3);
+                let want: Vec<(u64, u64)> = packs
                     .iter()
-                    .map(|&(time, _, value)| (time, value.to_bits()))
+                    .chain(&rest)
+                    .map(|s| (s.0, s.2.to_bits()))
                     .collect();
                 assert_eq!(got, want, "{what}: -0 reads as +0.0, as `Int(0)` does");
                 for (marker, literal) in REJECTED {
@@ -342,73 +369,46 @@ fn streamed_decode_matches_the_tree_on_every_variant() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// How many samples of a fragment's series `Reader::sample_pair` takes
-/// and how many it leaves to the general read, walking the fragment as
-/// `ResultStore::get` does.
-fn sample_paths(text: &str) -> (usize, usize) {
-    let (mut fast, mut general) = (0, 0);
-    let mut reader = Reader::new(text);
-    reader
-        .object_with(&["report"], |r, _| {
-            r.object_with(&["result"], |r, _| {
-                r.object_with(&["cpu_series", "net_rx_series"], |r, _| {
-                    r.array(|r| {
-                        r.array(|r| {
-                            if r.sample_pair().is_some() {
-                                fast += 1;
-                            } else {
-                                general += 1;
-                                r.value()?;
-                            }
-                            Ok(())
-                        })
-                    })
-                })
-                .map(drop)
-            })
-            .map(drop)
-        })
-        .expect("the fragment parses");
-    reader.finish().expect("the fragment ends");
-    (fast, general)
+/// For each series of a fragment's `cpu_series` then `net_rx_series`,
+/// whether it parses as one packed node.
+fn packed_series(text: &str) -> Vec<bool> {
+    let doc = Json::parse(text).expect("the fragment parses");
+    let result = doc.req("report").and_then(|r| r.req("result")).unwrap();
+    ["cpu_series", "net_rx_series"]
+        .iter()
+        .flat_map(|key| result.field_arr(key).unwrap())
+        .map(|series| matches!(series, Json::Pairs(_)))
+        .collect()
 }
 
-/// Every sample of a compact fragment as `ResultStore::put` writes it
-/// takes the fast path, except those the fast path leaves by design: a
-/// time past 19 digits or an integral value written with more. Every
-/// sample of the same fragment written pretty, as earlier builds did,
-/// takes the general read.
+/// Every series of a compact fragment as `ResultStore::put` writes it
+/// parses as one packed node, except those the packed path leaves by
+/// design: an empty one, and one holding a time past 19 digits or an
+/// integral value past 2^53. No series of the same fragment written
+/// pretty, as earlier builds did, parses packed.
 #[test]
-fn put_fragments_take_the_sample_fast_path() {
-    let dir = scratch("fast-path");
+fn put_fragments_parse_their_series_packed() {
+    let dir = scratch("packed");
     let store = ResultStore::open(&dir).unwrap();
     for (name, report) in reports() {
         let result = &report.result;
-        let samples: Vec<_> = result
+        let series: Vec<&TimeSeries> = result
             .cpu_series
             .iter()
             .chain(&result.net_rx_series)
-            .flat_map(TimeSeries::samples)
             .collect();
-        let general = samples
-            .iter()
-            .filter(|s| s.time.as_nanos() >= 10_000_000_000_000_000_000 || s.value.abs() >= 1e19)
-            .count();
         let digest = config_digest(&report.config);
         store.put(&digest, &report).unwrap();
         let compact = std::fs::read_to_string(store.fragment_path(&digest)).unwrap();
-        assert_eq!(
-            sample_paths(&compact),
-            (samples.len() - general, general),
-            "{name} compact"
-        );
-        let pretty = fragment(&report).to_pretty();
-        assert_eq!(sample_paths(&pretty), (0, samples.len()), "{name} pretty");
-        if name == "edge-samples" {
-            assert_eq!(general, 4, "three times past 19 digits and 1e21");
-        } else {
-            assert!(samples.len() > 10 || name == "empty-series", "{name}");
+        let packed = packed_series(&compact);
+        let pretty = packed_series(&fragment(&report).to_pretty());
+        assert_eq!(pretty, vec![false; series.len()], "{name} pretty");
+        for (i, (ts, packed)) in series.iter().zip(packed).enumerate() {
+            let unpackable = ts.is_empty() || (name == "edge-samples" && i == 1);
+            assert_eq!(packed, !unpackable, "{name} compact, series {i}");
         }
+        let samples: usize = series.iter().map(|ts| ts.len()).sum();
+        assert!(samples > 10 || name == "empty-series", "{name}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -142,6 +142,12 @@ struct Model<'a> {
     speed: f64,
     /// Serialization cost factor of the data type.
     type_factor: f64,
+    /// Shuffle bytes a reducer holds in memory before it spills.
+    reduce_buffer_bytes: u64,
+    /// Sort-buffer spills per map task; past one, the map merges them.
+    spill_chunks: u64,
+    /// Collect and sort CPU of one map task at baseline speed, seconds.
+    map_collect_cpu_s: f64,
 }
 
 /// Everything `solve` derives, grouped so the artifact assembly reads
@@ -163,10 +169,19 @@ impl<'a> Model<'a> {
         let conf = &spec.conf;
         let map_out_bytes = spec.record_ifile_len() * spec.pairs_per_map;
         let (disk_read_bps, disk_write_bps) = disk_bw_bps(job.node);
+        let costs = CostModel::calibrated();
+        let shuffle = ShuffleModel::for_kind(conf.shuffle_engine);
+        let type_factor = spec.data_type.cpu_factor();
+        let chunk_cap = conf.spill_threshold().as_bytes().max(1);
         Model {
             job,
-            costs: CostModel::calibrated(),
-            shuffle: ShuffleModel::for_kind(conf.shuffle_engine),
+            reduce_buffer_bytes: (conf.shuffle_buffer.as_bytes() as f64 * shuffle.buffer_boost)
+                as u64,
+            spill_chunks: map_out_bytes.div_ceil(chunk_cap).max(1),
+            map_collect_cpu_s: costs.map_collect(spec.pairs_per_map, map_out_bytes, type_factor)
+                + costs.sort(spec.pairs_per_map),
+            costs,
+            shuffle,
             frac: job.reduce_fractions.iter().map(|f| f / frac_sum).collect(),
             n_slaves: job.topology.n_nodes(),
             n_maps: u64::from(conf.num_maps),
@@ -177,7 +192,7 @@ impl<'a> Model<'a> {
             disk_read_bps,
             disk_write_bps,
             speed: job.node.speed.max(1e-6),
-            type_factor: spec.data_type.cpu_factor(),
+            type_factor,
         }
     }
 
@@ -200,17 +215,8 @@ impl<'a> Model<'a> {
     /// Map-side cost: JVM start-up plus collect/sort CPU plus (when the
     /// output exceeds one sort-buffer spill) the multi-spill merge round.
     fn map_task_s(&self) -> f64 {
-        let spec = self.job.spec;
-        let conf = &spec.conf;
-        let pairs = spec.pairs_per_map;
-        let collect_s = self
-            .costs
-            .map_collect(pairs, self.map_out_bytes, self.type_factor)
-            + self.costs.sort(pairs);
-        let chunk_cap = conf.spill_threshold().as_bytes().max(1);
-        let chunks = self.map_out_bytes.div_ceil(chunk_cap).max(1);
-        let mut task_s = self.costs.jvm_startup_s + collect_s / self.speed;
-        if chunks > 1 {
+        let mut task_s = self.costs.jvm_startup_s + self.map_collect_cpu_s / self.speed;
+        if self.spill_chunks > 1 {
             // Final merge: read every spill back, merge-CPU it, write the
             // merged output. Spill writes themselves land in the page
             // cache and overlap the next chunk's sort.
@@ -250,15 +256,13 @@ impl<'a> Model<'a> {
 
         // Receiver side: reducers on one node share its NIC; past the
         // in-memory shuffle buffer they also share its disks for spills.
-        let buffer_bytes =
-            (conf.shuffle_buffer.as_bytes() as f64 * self.shuffle.buffer_boost) as u64;
         let mut ingest_bytes = vec![0u64; self.n_slaves];
         let mut spill_bytes = vec![0u64; self.n_slaves];
         for r in 0..self.n_reduces as usize {
             let b = self.reduce_bytes(r);
             let node = self.reduce_node(r);
             ingest_bytes[node] += b;
-            spill_bytes[node] += b.saturating_sub(buffer_bytes);
+            spill_bytes[node] += b.saturating_sub(self.reduce_buffer_bytes);
         }
         let mut bottleneck_s = 0.0f64;
         for node in 0..self.n_slaves {
@@ -322,12 +326,9 @@ impl<'a> Model<'a> {
     /// function (minus its overlap credit), and any output write.
     fn reduce_tail_s(&self, r: usize) -> f64 {
         let spec = self.job.spec;
-        let conf = &spec.conf;
         let bytes = self.reduce_bytes(r);
         let records = self.reduce_records(r);
-        let buffer_bytes =
-            (conf.shuffle_buffer.as_bytes() as f64 * self.shuffle.buffer_boost) as u64;
-        let spilled = bytes.saturating_sub(buffer_bytes);
+        let spilled = bytes.saturating_sub(self.reduce_buffer_bytes);
         let merge_s = (self.costs.merge(bytes) / self.speed + spilled as f64 / self.disk_read_bps)
             * (1.0 - self.shuffle.merge_overlap);
         let reduce_s = self.costs.reduce(records, bytes, self.type_factor) / self.speed
@@ -399,15 +400,10 @@ impl<'a> Model<'a> {
 
     fn counters(&self) -> Counters {
         let spec = self.job.spec;
-        let conf = &spec.conf;
         let pairs = spec.pairs_per_map;
         let records = self.n_maps * pairs;
         let payload = (spec.key_wire_len() + spec.value_wire_len()) as u64;
         let materialized = self.n_maps * spec.map_output_bytes();
-        let chunk_cap = conf.spill_threshold().as_bytes().max(1);
-        let chunks = self.map_out_bytes.div_ceil(chunk_cap).max(1);
-        let buffer_bytes =
-            (conf.shuffle_buffer.as_bytes() as f64 * self.shuffle.buffer_boost) as u64;
 
         let mut c = Counters {
             map_input_records: self.n_maps,
@@ -426,25 +422,21 @@ impl<'a> Model<'a> {
         c.local_shuffle_bytes = local.min(self.total_shuffle_bytes);
         c.remote_shuffle_bytes = self.total_shuffle_bytes - c.local_shuffle_bytes;
 
-        if chunks > 1 {
+        if self.spill_chunks > 1 {
             c.spilled_records_map = records;
             // Spills written, then read back and rewritten by the merge.
             c.disk_write_bytes += 2 * self.n_maps * self.map_out_bytes;
             c.disk_read_bytes += self.n_maps * self.map_out_bytes;
         }
         let mut cpu_s = 0.0;
-        cpu_s += self.n_maps as f64
-            * (self
-                .costs
-                .map_collect(pairs, self.map_out_bytes, self.type_factor)
-                + self.costs.sort(pairs));
-        if chunks > 1 {
+        cpu_s += self.n_maps as f64 * self.map_collect_cpu_s;
+        if self.spill_chunks > 1 {
             cpu_s += self.n_maps as f64 * self.costs.merge(self.map_out_bytes);
         }
         for r in 0..self.n_reduces as usize {
             let bytes = self.reduce_bytes(r);
             let recs = self.reduce_records(r);
-            let spilled = bytes.saturating_sub(buffer_bytes);
+            let spilled = bytes.saturating_sub(self.reduce_buffer_bytes);
             if spilled > 0 {
                 c.spilled_records_reduce += recs;
                 c.disk_write_bytes += spilled;
@@ -482,12 +474,7 @@ impl<'a> Model<'a> {
             ingest_bytes[self.reduce_node(r)] += self.reduce_bytes(r);
         }
         let c = self.counters();
-        let map_cpu_s = self.n_maps as f64
-            * (self.costs.map_collect(
-                self.job.spec.pairs_per_map,
-                self.map_out_bytes,
-                self.type_factor,
-            ) + self.costs.sort(self.job.spec.pairs_per_map));
+        let map_cpu_s = self.n_maps as f64 * self.map_collect_cpu_s;
         let tail_cpu_s = (c.cpu_core_seconds - map_cpu_s).max(0.0);
         let per_node = self.n_slaves as f64;
         let map_cpu_pct =
@@ -599,14 +586,12 @@ impl<'a> Model<'a> {
     /// construction (the lane schedule is).
     fn record_spans(&self, trace: &mut Trace, tl: &Timeline, maps: &[(f64, f64)]) {
         let conf = &self.job.spec.conf;
-        let chunk_cap = conf.spill_threshold().as_bytes().max(1);
-        let chunks = self.map_out_bytes.div_ceil(chunk_cap).max(1);
         let map_lanes = u64::from(lanes_per_node(conf, self.job.node).0) * self.n_slaves as u64;
         for (m, (start_s, finish_s)) in maps.iter().enumerate() {
             let lane = (m as u64 % map_lanes) as u32;
             let node = (m % self.n_slaves) as u32;
             let jvm_end_s = start_s + self.costs.jvm_startup_s;
-            let (map_end_s, merge_bytes) = if chunks > 1 {
+            let (map_end_s, merge_bytes) = if self.spill_chunks > 1 {
                 let merge_io_s = self.map_out_bytes as f64 / self.disk_read_bps
                     + self.map_out_bytes as f64 / self.disk_write_bps;
                 let merge_s = self.costs.merge(self.map_out_bytes) / self.speed + merge_io_s;
@@ -630,7 +615,7 @@ impl<'a> Model<'a> {
             };
             span(phase::JVM, *start_s, jvm_end_s, 0);
             span(phase::MAP, jvm_end_s, map_end_s, self.map_out_bytes);
-            if chunks > 1 {
+            if self.spill_chunks > 1 {
                 span(phase::MAP_MERGE, map_end_s, *finish_s, merge_bytes);
             }
         }

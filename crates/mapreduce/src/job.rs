@@ -1,7 +1,7 @@
 //! Job specification and results.
 
 use simcore::jobj;
-use simcore::json::{Json, Reader};
+use simcore::json::Json;
 use simcore::stats::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
 use simcore::trace::{PhaseBreakdown, Trace};
@@ -403,42 +403,6 @@ impl JobResult {
                 .map(TimeSeries::from_json)
                 .collect()
         };
-        Self::with_series(json, series("cpu_series")?, series("net_rx_series")?)
-    }
-
-    /// [`JobResult::from_json`] on the next value of `reader`: the two
-    /// utilization series, most of a stored result's bytes, go straight
-    /// into samples ([`TimeSeries::read`]); every other member is read
-    /// as a tree for the field code `from_json` shares.
-    pub fn read(reader: &mut Reader<'_>) -> Result<Self, String> {
-        let (mut cpu, mut rx) = (None, None);
-        let json = reader.object_with(&["cpu_series", "net_rx_series"], |r, key| {
-            let mut all = Vec::new();
-            r.array(|r| {
-                all.push(TimeSeries::read(r)?);
-                Ok(())
-            })
-            .map_err(|e| format!("field '{key}': {e}"))?;
-            match key {
-                "cpu_series" => cpu = Some(all),
-                _ => rx = Some(all),
-            }
-            Ok(())
-        })?;
-        let missing = |key: &str| format!("missing JSON field '{key}'");
-        Self::with_series(
-            &json,
-            cpu.ok_or_else(|| missing("cpu_series"))?,
-            rx.ok_or_else(|| missing("net_rx_series"))?,
-        )
-    }
-
-    /// The fields of `json` but the series, which the caller decoded.
-    fn with_series(
-        json: &Json,
-        cpu_series: Vec<TimeSeries>,
-        net_rx_series: Vec<TimeSeries>,
-    ) -> Result<Self, String> {
         Ok(JobResult {
             outcome: JobOutcome::from_str_token(json.field_str("outcome")?)?,
             failure: match json.req("failure")? {
@@ -459,8 +423,8 @@ impl JobResult {
                 .iter()
                 .map(TaskTiming::from_json)
                 .collect::<Result<_, String>>()?,
-            cpu_series,
-            net_rx_series,
+            cpu_series: series("cpu_series")?,
+            net_rx_series: series("net_rx_series")?,
             // Absent in artifacts written before phase tracing existed.
             phases: json
                 .opt_field("phases", Some)?

@@ -8,8 +8,9 @@
 //! * a [`Json`] tree with order-preserving objects and a packed node
 //!   for long `[time_ns, value]` series ([`Json::Pairs`]),
 //! * a compact and a pretty writer,
-//! * a strict recursive-descent parser ([`Json::parse`]) over a pull
-//!   [`Reader`] that decoders of long arrays use to skip the tree,
+//! * a strict recursive-descent parser ([`Json::parse`]), which reads a
+//!   compact series straight into a packed node, so one decoder per type
+//!   (`from_json` on the tree) serves every reader,
 //! * typed accessors that make `from_json` implementations short.
 //!
 //! Integers are kept distinct from floats ([`Json::Int`] vs
@@ -44,8 +45,13 @@ pub enum Json {
     ///   and a [`Json::Num`]: a time as that integer, a finite value as
     ///   that float, a non-finite value as `null`, and an empty node as
     ///   `[]`.
-    /// * Only serializers (`to_json`) build it: [`Json::parse`] and
-    ///   [`Reader`] read such a text back as `Arr`s.
+    /// * Serializers (`to_json`) build it, and so does [`Json::parse`]
+    ///   for a non-empty array whose every item is a pair written the
+    ///   way the compact writer writes one: no whitespace, a time of at
+    ///   most 19 digits without a sign, and a value without an exponent
+    ///   that, if it is an integer, is below 2^53 in magnitude. Any other
+    ///   array, pretty text included, parses as an `Arr`. A parsed node
+    ///   writes the bytes its `Arr` reading would.
     /// * [`Json::as_arr`] does not look inside it, and the derived
     ///   equality is structural, so a `Pairs` node never equals an `Arr`.
     Pairs(Vec<(u64, f64)>),
@@ -223,7 +229,8 @@ impl Json {
     /// number without fraction or exponent is an [`Json::Int`] and must
     /// fit `i128`. Nesting deeper than [`MAX_PARSE_DEPTH`] is rejected
     /// with an error rather than risking a stack overflow on hostile or
-    /// corrupt input.
+    /// corrupt input. A compact series of pairs reads as one
+    /// [`Json::Pairs`] node (see there).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut reader = Reader::new(text);
         let value = reader.value()?;
@@ -426,30 +433,20 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Maximum container nesting depth [`Json::parse`] and [`Reader`]
-/// accept. Real artifacts nest a handful of levels; anything deeper is
-/// corrupt or adversarial, and the recursive-descent parser must refuse
-/// it before the call stack does.
+/// Maximum container nesting depth [`Json::parse`] accepts. Real
+/// artifacts nest a handful of levels; anything deeper is corrupt or
+/// adversarial, and the recursive-descent parser must refuse it before
+/// the call stack does.
 pub const MAX_PARSE_DEPTH: usize = 512;
 
-/// A pull reader over one JSON document: the scanner behind
-/// [`Json::parse`], open to decoders that know the document's shape.
-/// Such a decoder walks the containers it wants with
-/// [`Reader::object_with`] and [`Reader::array`] and reads everything
-/// else as a tree with [`Reader::value`], so a long array of samples
-/// goes straight into its own type without a `Json` node per element.
-///
-/// Both ways run the same grammar, the same number lexer and string
-/// routine and the same depth count, so a document passes the reader's
-/// grammar exactly when `Json::parse` accepts it, and every literal
-/// reads as the same value. [`Reader::sample_pair`] decodes a compact
-/// `[time_ns, value]` pair straight from its bytes under the same rules.
-/// After an error the reader is spent.
+/// The scanner behind [`Json::parse`]: one pass over the text, with
+/// one number lexer and one string routine, and one depth count against
+/// [`MAX_PARSE_DEPTH`]. After an error the reader is spent.
 ///
 /// `pos` is a byte offset; the reader only ever slices `text` at ASCII
 /// bytes, so every slice is on a char boundary.
 #[derive(Debug)]
-pub struct Reader<'a> {
+struct Reader<'a> {
     text: &'a str,
     pos: usize,
     /// Nesting depth of the next value: 0 for the document itself.
@@ -458,7 +455,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `text`.
-    pub fn new(text: &'a str) -> Self {
+    fn new(text: &'a str) -> Self {
         Reader {
             text,
             pos: 0,
@@ -467,7 +464,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads the next value as a tree.
-    pub fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, String> {
         self.check_depth()?;
         self.skip_ws();
         match self.peek() {
@@ -477,6 +474,9 @@ impl<'a> Reader<'a> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
             Some(b'[') => {
+                if let Some(pairs) = self.packed_pairs() {
+                    return Ok(Json::Pairs(pairs));
+                }
                 let mut items = Vec::new();
                 self.items(b']', |r| {
                     items.push(r.value()?);
@@ -496,46 +496,8 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads the next value, which must be an array, calling `item` once
-    /// per element with the reader before it; `item` must read exactly
-    /// that element.
-    pub fn array(
-        &mut self,
-        item: impl FnMut(&mut Self) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.open(b'[', "array")?;
-        self.items(b']', item)
-    }
-
-    /// Reads the next value, which must be an object, as a tree of its
-    /// members, except that the first member under each key of
-    /// `streamed` goes to `read` (with its key) instead. Later members
-    /// under such a key stay in the tree, so, as with [`Json::get`] on a
-    /// parsed object, the first of duplicate keys is the one that
-    /// counts.
-    pub fn object_with(
-        &mut self,
-        streamed: &[&str],
-        mut read: impl FnMut(&mut Self, &str) -> Result<(), String>,
-    ) -> Result<Json, String> {
-        self.open(b'{', "object")?;
-        let mut seen = vec![false; streamed.len()];
-        let mut rest = Vec::new();
-        self.members(|r, key| match streamed.iter().position(|k| *k == key) {
-            Some(i) if !seen[i] => {
-                seen[i] = true;
-                read(r, &key)
-            }
-            _ => {
-                rest.push((key, r.value()?));
-                Ok(())
-            }
-        })?;
-        Ok(Json::Obj(rest))
-    }
-
     /// Ends the document: only whitespace may follow the value read.
-    pub fn finish(mut self) -> Result<(), String> {
+    fn finish(mut self) -> Result<(), String> {
         self.skip_ws();
         if self.pos != self.text.len() {
             return Err(format!("trailing characters at byte {}", self.pos));
@@ -551,18 +513,6 @@ impl<'a> Reader<'a> {
             ));
         }
         Ok(())
-    }
-
-    /// What [`Reader::value`] does before it reads a container whose
-    /// opening byte is `open`.
-    fn open(&mut self, open: u8, kind: &str) -> Result<(), String> {
-        self.check_depth()?;
-        self.skip_ws();
-        match self.peek() {
-            Some(b) if b == open => Ok(()),
-            None => Err("unexpected end of input".into()),
-            Some(_) => Err(format!("expected {kind} at byte {}", self.pos)),
-        }
     }
 
     /// The items of the container whose opening bracket is at `pos`, up
@@ -746,21 +696,48 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// The fast path of [`TimeSeries::read`](crate::stats::TimeSeries::read):
-    /// the `[time_ns, value]` pair at the reader's position, if it is
-    /// written the way the compact writer writes a sample, with no
-    /// whitespace, a time of at most 19 digits without a sign, and a
-    /// value without an exponent. The pair reads as the same `u64` and
-    /// bits as through [`Reader::array`] and [`Reader::value`], the
-    /// way that defines the grammar.
+    /// The array whose `[` is at `pos` as a packed node, if it is not
+    /// empty and every item is a pair [`Reader::sample_pair`] takes, with
+    /// no whitespace between them; `pos` is then past its `]`. Otherwise
+    /// `None` with `pos` untouched, for [`Reader::value`] to read the
+    /// array as an `Arr`, which is also how too deep a pair is rejected.
+    fn packed_pairs(&mut self) -> Option<Vec<(u64, f64)>> {
+        // The pairs' scalars sit two levels below the array.
+        if self.depth + 2 > MAX_PARSE_DEPTH {
+            return None;
+        }
+        let start = self.pos;
+        self.pos += 1;
+        let mut pairs = Vec::new();
+        while let Some(pair) = self.sample_pair() {
+            pairs.push(pair);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Some(pairs);
+                }
+                _ => break,
+            }
+        }
+        self.pos = start;
+        None
+    }
+
+    /// The `[time_ns, value]` pair at `pos`, if it is written the way
+    /// the compact writer writes a sample: no whitespace, a time of at
+    /// most 19 digits without a sign, and a value without an exponent
+    /// that, as an integer literal, is below 2^53 in magnitude. The pair
+    /// reads as the same `u64` and bits as its `Arr` reading does through
+    /// [`Json::as_u64`] and [`Json::as_f64`], and the packed node writes
+    /// what that `Arr` writes.
     ///
     /// Anything else, including every malformed pair, returns `None`
-    /// with the position untouched, for the caller to read the general
-    /// way; that includes a pair too deep for the depth limit.
+    /// with the position untouched.
     #[inline]
-    pub fn sample_pair(&mut self) -> Option<(u64, f64)> {
+    fn sample_pair(&mut self) -> Option<(u64, f64)> {
         let bytes = self.text.as_bytes();
-        if self.depth >= MAX_PARSE_DEPTH || bytes.get(self.pos) != Some(&b'[') {
+        if bytes.get(self.pos) != Some(&b'[') {
             return None;
         }
         let time = lex_number(bytes, self.pos + 1).ok()?;
@@ -778,8 +755,10 @@ impl<'a> Reader<'a> {
             Some(v) => v,
             None if lexeme.fraction > 0 => self.text[time.end + 1..lexeme.end].parse().ok()?,
             // An integer converts as `Json::Int` does, so `-0` is +0.0;
-            // one too long for the accumulator is read the general way.
-            None => lexeme.int()? as f64,
+            // one that `f64` does not hold exactly is left to the `Arr`,
+            // whose `Int` writes all of its digits.
+            None if lexeme.mantissa < 1 << 53 => lexeme.int()? as f64,
+            None => return None,
         };
         self.pos = lexeme.end + 1;
         Some((time.mantissa, value))
@@ -1270,9 +1249,116 @@ mod tests {
             "[]",
             "1",
             "[1,1234567890123456789012345678901234567890]",
+            "[1,9007199254740992]",
+            "[1,-12345678901234567]",
         ] {
             assert_eq!(pair(text), (None, 0), "{text}");
         }
+        // Integer values take the pair only while `f64` holds them.
+        let below = (1u64 << 53) - 1;
+        assert_eq!(
+            pair("[1,-9007199254740991]"),
+            (Some((1, bits(-(below as f64)))), 21)
+        );
+    }
+
+    #[test]
+    fn parse_packs_compact_pair_arrays_and_nothing_else() {
+        assert_eq!(Json::parse("[]"), Ok(Json::Arr(Vec::new())));
+        assert_eq!(Json::parse("[[1,2]]"), Ok(Json::Pairs(vec![(1, 2.0)])));
+        assert_eq!(
+            Json::parse("[[0,0.5],[7,-3]]"),
+            Ok(Json::Pairs(vec![(0, 0.5), (7, -3.0)]))
+        );
+        for text in [
+            "[[1,2],[3,\"x\"]]",
+            "[[1,2],3]",
+            "[[1,2], [3,4]]",
+            "[ [1,2]]",
+            "[[1,2] ]",
+            "[[1,2],[3,4,5]]",
+            "[[1,2],[12345678901234567890,4]]",
+            "[[1,2],[3,9007199254740993]]",
+        ] {
+            let parsed = Json::parse(text).unwrap();
+            assert!(matches!(parsed, Json::Arr(_)), "{text}: {parsed:?}");
+            // Rewound to the `[`, the array reads as the tree of its
+            // items and writes them back unchanged.
+            assert_eq!(parsed.to_compact(), text.replace(' ', ""), "{text}");
+        }
+        for text in [
+            "[[1,2],[3,1e2]]",
+            "[[1,2],]",
+            "[[1,2],[3,4]",
+            "[[1,2][3,4]]",
+            "[[1,2],[-1,4]]",
+        ] {
+            let packed = Json::parse(text);
+            assert!(
+                packed
+                    .as_ref()
+                    .map_or(true, |v| !matches!(v, Json::Pairs(_))),
+                "{text}: {packed:?}"
+            );
+        }
+        // The pairs' scalars count against the depth limit as the
+        // `Arr`'s do: a series two levels above it parses, one deeper
+        // is rejected as before.
+        let at = |levels: usize| format!("{}[[1,2]]{}", "[".repeat(levels), "]".repeat(levels));
+        let mut inner = Json::parse(&at(MAX_PARSE_DEPTH - 2)).unwrap();
+        while let Json::Arr(items) = inner {
+            inner = items.into_iter().next().unwrap();
+        }
+        assert_eq!(inner, Json::Pairs(vec![(1, 2.0)]));
+        for levels in [MAX_PARSE_DEPTH - 1, MAX_PARSE_DEPTH] {
+            let err = Json::parse(&at(levels)).unwrap_err();
+            assert!(err.contains("nesting deeper"), "{levels}: {err}");
+        }
+    }
+
+    #[test]
+    fn parsed_compact_series_write_their_text_back() {
+        let series = |samples: &[(u64, f64)]| {
+            let mut ts = crate::stats::TimeSeries::new();
+            for &(ns, v) in samples {
+                ts.push(crate::time::SimTime::from_nanos(ns), v);
+            }
+            ts.to_json()
+        };
+        // A fragment-like document as the compact writer writes it: one
+        // series packs; one holds an integral value past 2^53 and one a
+        // time past 19 digits, and both stay `Arr`s.
+        let doc = jobj! {
+            "schema": "x",
+            "cpu_series": Json::Arr(vec![
+                series(&[(1_000_000_000, 12.5), (2_000_000_000, 100.0), (2_500_000_000, 0.3)]),
+                series(&[(u64::MAX / 2, 0.1), (9_999_999_999_999_999_999, 7.0)]),
+                series(&[]),
+            ]),
+            "net_rx_series": Json::Arr(vec![
+                series(&[(1, 1e17), (2, 0.5)]),
+                series(&[(10_000_000_000_000_000_000, 0.5)]),
+            ]),
+        };
+        let text = doc.to_compact();
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.to_compact(), text);
+        let kinds = |key: &str| -> Vec<bool> {
+            parsed
+                .field_arr(key)
+                .unwrap()
+                .iter()
+                .map(|s| matches!(s, Json::Pairs(_)))
+                .collect()
+        };
+        assert_eq!(kinds("cpu_series"), [true, true, false]);
+        assert_eq!(kinds("net_rx_series"), [false, false]);
+        // Pretty text never packs, and writes the same bytes compact.
+        let pretty = Json::parse(&doc.to_pretty()).unwrap();
+        assert!(pretty.field_arr("cpu_series").unwrap()[0]
+            .as_arr()
+            .is_some());
+        assert_eq!(pretty.to_compact(), text);
     }
 
     #[test]

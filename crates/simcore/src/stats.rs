@@ -5,7 +5,7 @@
 //! deliberately allocation-light so they can be updated from hot simulator
 //! paths.
 
-use crate::json::{Json, Reader};
+use crate::json::Json;
 use crate::time::{SimDuration, SimTime};
 
 /// One `(time, value)` sample.
@@ -84,8 +84,9 @@ impl TimeSeries {
         )
     }
 
-    /// Rebuild from the [`TimeSeries::to_json`] encoding, packed as it
-    /// is written or as an `Arr` of pairs as it is parsed.
+    /// Rebuild from the [`TimeSeries::to_json`] encoding: packed, as it
+    /// is written and as [`Json::parse`] reads compact text, or as an
+    /// `Arr` of pairs, as pretty text and any other layout parse.
     pub fn from_json(json: &Json) -> Result<Self, String> {
         let mut ts = TimeSeries::new();
         if let Json::Pairs(pairs) = json {
@@ -102,34 +103,6 @@ impl TimeSeries {
             }
             ts.push_decoded(&pair[0], &pair[1])?;
         }
-        Ok(ts)
-    }
-
-    /// [`TimeSeries::from_json`] straight from the text: reads the next
-    /// value of `reader` into samples without a `Json` node per sample,
-    /// accepting and rejecting what `from_json` on its tree would. A
-    /// pair as the compact writer writes it is decoded straight from
-    /// its bytes ([`Reader::sample_pair`]); any other is read as two
-    /// scalars.
-    pub fn read(reader: &mut Reader<'_>) -> Result<Self, String> {
-        let mut ts = TimeSeries::new();
-        reader.array(|r| {
-            if let Some((time, value)) = r.sample_pair() {
-                return ts.push_checked(SimTime::from_nanos(time), value);
-            }
-            let mut pair = [Json::Null, Json::Null];
-            let mut len = 0;
-            r.array(|r| {
-                let v = r.value()?;
-                *pair.get_mut(len).ok_or(NOT_A_PAIR)? = v;
-                len += 1;
-                Ok(())
-            })?;
-            if len != 2 {
-                return Err(NOT_A_PAIR.into());
-            }
-            ts.push_decoded(&pair[0], &pair[1])
-        })?;
         Ok(ts)
     }
 
@@ -346,9 +319,11 @@ mod tests {
         assert_eq!(bits(&back), bits(&ts));
         let empty = TimeSeries::from_json(&TimeSeries::new().to_json()).unwrap();
         assert!(empty.is_empty());
-        // A backwards time is rejected packed as it is from parsed text.
+        // A backwards time is rejected packed as it is from an `Arr`
+        // (the space keeps the parser from packing the text).
         let err = TimeSeries::from_json(&Json::Pairs(vec![(2, 0.0), (1, 0.0)])).unwrap_err();
-        let parsed = Json::parse("[[2,0],[1,0]]").unwrap();
+        let parsed = Json::parse("[ [2,0],[1,0]]").unwrap();
+        assert!(matches!(parsed, Json::Arr(_)));
         assert_eq!(TimeSeries::from_json(&parsed).unwrap_err(), err);
     }
 

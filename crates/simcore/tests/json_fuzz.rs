@@ -7,13 +7,16 @@
 //! round-trip every value the suite can produce, including non-finite
 //! floats (written as `null` by design).
 //!
-//! The streamed [`Reader`] walk and [`TimeSeries::read`] are held to
-//! the same rules, and to `Json::parse`'s verdict on every input.
+//! `Json::parse` reads a compact series of pairs as one packed
+//! [`Json::Pairs`] node. That reading is held to the unpacked one of
+//! the same text (a space after each `[`, a layout the packed path never
+//! takes): the same verdict on every input, and the same times, value
+//! bits and written bytes.
 //!
 //! Everything is driven by `SplitMix64` from fixed seeds: a failure
 //! reproduces exactly, per the workspace's determinism rules.
 
-use simcore::json::{Json, Reader, MAX_PARSE_DEPTH};
+use simcore::json::{Json, MAX_PARSE_DEPTH};
 use simcore::rng::SplitMix64;
 use simcore::stats::TimeSeries;
 
@@ -219,8 +222,9 @@ fn value_to_pretty_to_parse_round_trips() {
         assert_eq!(back, normalize(&value), "{text}");
         // Fixpoint: writing the reparsed tree reproduces the text.
         assert_eq!(back.to_pretty(), text);
-        // The compact writer agrees with the pretty writer.
-        assert_eq!(Json::parse(&value.to_compact()).unwrap(), back);
+        // The compact writer agrees with the pretty writer, whether or
+        // not the compact text parses packed.
+        assert_eq!(Json::parse(&value.to_compact()).unwrap().to_pretty(), text);
     }
 }
 
@@ -243,37 +247,84 @@ fn non_finite_floats_round_trip_as_null_then_nan() {
     assert_eq!(back.field_f64_or_nan("fin").unwrap(), 1.5);
 }
 
-/// [`Json::parse`] the way a streamed decoder reads: a top-level array
-/// or object walked with [`Reader::array`] / [`Reader::object_with`],
-/// each item read as a tree.
-fn streamed(text: &str) -> Result<Json, String> {
-    let mut r = Reader::new(text);
-    let value = match text
-        .trim_start_matches([' ', '\t', '\n', '\r'])
-        .as_bytes()
-        .first()
-    {
-        Some(b'[') => {
-            let mut items = Vec::new();
-            r.array(|r| {
-                items.push(r.value()?);
-                Ok(())
-            })?;
-            Json::Arr(items)
+/// `text` with a space after each `[` outside strings: the same
+/// document, which `Json::parse` never reads packed.
+fn unpacked(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() * 2);
+    let (mut in_string, mut escaped) = (false, false);
+    for c in text.chars() {
+        out.push(c);
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if in_string => escaped = true,
+            '"' => in_string = !in_string,
+            '[' if !in_string => out.push(' '),
+            _ => {}
         }
-        Some(b'{') => r.object_with(&[], |_, key| unreachable!("{key} is not streamed"))?,
-        _ => r.value()?,
-    };
-    r.finish()?;
-    Ok(value)
+    }
+    out
 }
 
-/// [`TimeSeries::read`] over the whole text.
-fn series_read(text: &str) -> Result<Vec<(u64, u64)>, String> {
-    let mut r = Reader::new(text);
-    let ts = TimeSeries::read(&mut r)?;
-    r.finish()?;
-    Ok(pairs(&ts))
+/// Tree equality with floats compared by bits, where a packed node
+/// equals the `Arr` of `[time, value]` pairs that reads as the same
+/// times and value bits.
+fn same(a: &Json, b: &Json) -> bool {
+    match (a, b) {
+        (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+        (Json::Pairs(pairs), Json::Arr(items)) | (Json::Arr(items), Json::Pairs(pairs)) => {
+            pairs.len() == items.len()
+                && pairs.iter().zip(items).all(|(&(time, value), item)| {
+                    matches!(item.as_arr(), Some([t, v])
+                        if t.as_u64() == Some(time)
+                            && v.as_f64().map(f64::to_bits) == Some(value.to_bits()))
+                })
+        }
+        (Json::Arr(x), Json::Arr(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| same(a, b))
+        }
+        (Json::Obj(x), Json::Obj(y)) => {
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|((ka, va), (kb, vb))| ka == kb && same(va, vb))
+        }
+        _ => a == b,
+    }
+}
+
+/// Whether `v` holds a packed node.
+fn has_pairs(v: &Json) -> bool {
+    match v {
+        Json::Pairs(_) => true,
+        Json::Arr(items) => items.iter().any(has_pairs),
+        Json::Obj(members) => members.iter().any(|(_, m)| has_pairs(m)),
+        _ => false,
+    }
+}
+
+/// Parses `text` as it stands and [`unpacked`], requires the same
+/// verdict, and when both accept, the same values bit for bit and the
+/// same written bytes. Returns the packed reading.
+fn parses_like_unpacked(text: &str) -> Result<Json, String> {
+    let packed = Json::parse(text);
+    let plain = Json::parse(&unpacked(text));
+    assert!(!plain.as_ref().is_ok_and(has_pairs), "{text:?}");
+    match (&packed, &plain) {
+        (Ok(a), Ok(b)) => {
+            assert!(same(a, b), "{text:?}: {a:?} vs {b:?}");
+            assert_eq!(a.to_compact(), b.to_compact(), "{text:?}");
+        }
+        (Err(_), Err(_)) => {}
+        _ => panic!("{text:?}: {packed:?} vs unpacked {plain:?}"),
+    }
+    packed
+}
+
+/// [`TimeSeries::from_json`] on a parsed text, as its samples' times
+/// and value bits; `None` when either step rejects it.
+fn series(parsed: &Result<Json, String>) -> Option<Vec<(u64, u64)>> {
+    let ts = TimeSeries::from_json(parsed.as_ref().ok()?).ok()?;
+    Some(pairs(&ts))
 }
 
 fn pairs(ts: &TimeSeries) -> Vec<(u64, u64)> {
@@ -283,13 +334,14 @@ fn pairs(ts: &TimeSeries) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// `[t,v]` pairs at the edges of `Reader::sample_pair`, the fast path
-/// of `TimeSeries::read`: times of 19 and 20 digits and past `u64`,
+/// `[t,v]` pairs at the edges of what parses packed: times of 19 and
+/// 20 digits and past `u64`,
 /// signed and zero-led ones; `-0`, `-0.0`, zero-led and dotless values;
 /// fraction mantissas at and past 2^53 and 22 and 23 fraction digits;
-/// integer values past 19 digits and past `i128`; exponents; whitespace
-/// inside a pair; and pairs of the wrong length or kind.
-const EDGE_PAIRS: [&str; 40] = [
+/// integer values at and past 2^53, past 19 digits and past `i128`;
+/// exponents; whitespace inside a pair; and pairs of the wrong length or
+/// kind.
+const EDGE_PAIRS: [&str; 43] = [
     "[1,2]",
     "[0,-0]",
     "[3,0.5]",
@@ -316,6 +368,9 @@ const EDGE_PAIRS: [&str; 40] = [
     "[3,0.0000000000000000000003]",
     "[3,0.00000000000000000000003]",
     "[3,1.2345678901234567890123]",
+    "[4,9007199254740991]",
+    "[4,-9007199254740992]",
+    "[4,1234567890123456789]",
     "[4,12345678901234567890]",
     "[4,-170141183460469231731687303715884105728]",
     "[4,1234567890123456789012345678901234567890]",
@@ -405,12 +460,12 @@ fn random_digits(rng: &mut SplitMix64, max: u64, out: &mut Vec<u8>) {
     }
 }
 
-/// The streamed reads never panic, and they accept exactly what the
-/// tree path accepts, with the same values.
+/// The packed reading never panics, and it accepts exactly what the
+/// unpacked one accepts, with the same values, and the same series.
 #[test]
-fn streamed_reads_match_the_tree_on_arbitrary_bytes() {
+fn packed_parse_matches_the_unpacked_on_arbitrary_bytes() {
     let mut rng = SplitMix64::new(0x5724_EA4D);
-    let (mut trees, mut series) = (0u32, 0u32);
+    let (mut trees, mut packed, mut accepted) = (0u32, 0u32, 0u32);
     for round in 0..6000 {
         let bytes = if round % 2 == 0 {
             let len = 1 + rng.next_below(64) as usize;
@@ -419,40 +474,27 @@ fn streamed_reads_match_the_tree_on_arbitrary_bytes() {
             arbitrary_series(&mut rng)
         };
         let text = String::from_utf8_lossy(&bytes);
-        let tree = Json::parse(&text);
-        let walked = streamed(&text);
-        assert_eq!(
-            walked.is_ok(),
-            tree.is_ok(),
-            "{text:?}: {walked:?} vs {tree:?}"
-        );
-        if let (Ok(a), Ok(b)) = (&walked, &tree) {
-            assert_eq!(a, b, "{text:?}");
+        let parsed = parses_like_unpacked(&text);
+        if let Ok(tree) = &parsed {
             trees += 1;
+            packed += u32::from(has_pairs(tree));
         }
-        let from_tree = tree
-            .and_then(|t| TimeSeries::from_json(&t))
-            .map(|ts| pairs(&ts));
-        let read = series_read(&text);
-        assert_eq!(
-            read.is_ok(),
-            from_tree.is_ok(),
-            "{text:?}: {read:?} vs {from_tree:?}"
-        );
-        if read.is_ok() {
-            assert_eq!(read, from_tree, "{text:?}");
-            series += 1;
-        }
+        let read = series(&parsed);
+        let plain = series(&Json::parse(&unpacked(&text)));
+        assert_eq!(read, plain, "{text:?}");
+        accepted += u32::from(read.is_some());
     }
-    assert!(trees > 0 && series > 0, "{trees} trees, {series} series");
+    assert!(
+        packed > 0 && trees > packed && accepted > 0,
+        "{trees} trees, {packed} packed, {accepted} series"
+    );
 }
 
 /// Every single-sample series built from an edge part or a random pair
-/// reads as the tree path reads it: the same verdict and, when
-/// accepted, the same time and value bits. Many of them take the fast
-/// path, and all that it takes it reads the same way.
+/// parses packed or not as the unpacked text reads: the same verdict
+/// and, when accepted, the same time and value bits. Many of them pack.
 #[test]
-fn single_samples_read_like_the_tree() {
+fn single_samples_parse_packed_like_unpacked() {
     let mut rng = SplitMix64::new(0x5A3D_1E00);
     let mut texts: Vec<String> = EDGE_PAIRS.iter().map(|p| format!("[{p}]")).collect();
     for _ in 0..20_000 {
@@ -460,73 +502,49 @@ fn single_samples_read_like_the_tree() {
         random_pair(&mut rng, &mut pair);
         texts.push(format!("[{}]", String::from_utf8(pair).expect("ASCII")));
     }
-    let (mut fast, mut accepted) = (0, 0);
+    let (mut packed, mut accepted) = (0, 0);
     for text in &texts {
-        let from_tree = Json::parse(text)
-            .and_then(|t| TimeSeries::from_json(&t))
-            .map(|ts| pairs(&ts));
-        let read = series_read(text);
-        assert_eq!(
-            read.is_ok(),
-            from_tree.is_ok(),
-            "{text}: {read:?} vs {from_tree:?}"
-        );
-        if read.is_ok() {
-            assert_eq!(read, from_tree, "{text}");
-            accepted += 1;
-        }
-        let mut r = Reader::new(&text[1..]);
-        if let Some((time, value)) = r.sample_pair() {
-            assert_eq!(Ok(vec![(time, value.to_bits())]), from_tree, "{text}");
-            fast += 1;
+        let parsed = parses_like_unpacked(text);
+        let read = series(&parsed);
+        assert_eq!(read, series(&Json::parse(&unpacked(text))), "{text}");
+        accepted += usize::from(read.is_some());
+        if let Ok(Json::Pairs(p)) = &parsed {
+            assert_eq!(p.len(), 1, "{text}");
+            packed += 1;
         }
     }
     assert!(
-        fast > 5_000 && accepted > fast,
-        "{fast} fast of {accepted} accepted"
+        packed > 5_000 && accepted > packed,
+        "{packed} packed of {accepted} accepted"
     );
 }
 
-/// The streamed reads reject nesting past `MAX_PARSE_DEPTH` like
-/// `Json::parse`, and accept it just inside.
+/// The packed reading rejects nesting past `MAX_PARSE_DEPTH` like the
+/// unpacked one, and accepts it just inside.
 #[test]
-fn streamed_reads_reject_deep_nesting() {
+fn packed_parse_rejects_deep_nesting() {
     let deep_arr = format!("{}1{}", "[".repeat(100_000), "]".repeat(100_000));
     let deep_obj = format!("{}1{}", "{\"k\":".repeat(100_000), "}".repeat(100_000));
-    for text in [&deep_arr, &deep_obj] {
-        let err = streamed(text).unwrap_err();
+    let deep_pairs = format!("{}[[1,2]]{}", "[".repeat(100_000), "]".repeat(100_000));
+    for text in [
+        deep_arr,
+        format!("[[0,{deep_obj}]]"),
+        format!("[[0,1],[2,{deep_obj}]]"),
+        deep_pairs,
+    ] {
+        let err = parses_like_unpacked(&text).unwrap_err();
         assert!(err.contains("nesting deeper than"), "{err}");
     }
-    let err = series_read(&deep_arr).unwrap_err();
-    assert!(err.contains("nesting deeper than"), "{err}");
-    let err = series_read(&format!("[[0,{deep_obj}]]")).unwrap_err();
-    assert!(err.contains("nesting deeper than"), "{err}");
 
-    // Each level counts once, so the limit falls where the tree's does.
-    let at = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
-    assert!(streamed(&at(MAX_PARSE_DEPTH)).is_ok());
-    assert!(Json::parse(&at(MAX_PARSE_DEPTH)).is_ok());
-    assert!(streamed(&at(MAX_PARSE_DEPTH + 1)).is_err());
-    assert!(Json::parse(&at(MAX_PARSE_DEPTH + 1)).is_err());
-
-    // A compact series read that deep: its pair's scalars sit at the
-    // limit or one past it, and the fast path leaves the verdict to the
-    // general read.
-    fn descend(r: &mut Reader<'_>, levels: usize) -> Result<(), String> {
-        if levels == 0 {
-            return TimeSeries::read(r).map(drop);
-        }
-        r.array(|r| descend(r, levels - 1))
-    }
+    // A compact series that deep: its pairs' scalars sit at the limit or
+    // one past it, and the packed reading gives the unpacked verdict.
     for levels in MAX_PARSE_DEPTH - 3..=MAX_PARSE_DEPTH {
         let text = format!("{}[[1,2]]{}", "[".repeat(levels), "]".repeat(levels));
-        let mut r = Reader::new(&text);
-        let read = descend(&mut r, levels).and_then(|()| r.finish());
+        let parsed = parses_like_unpacked(&text);
+        assert_eq!(parsed.is_ok(), levels + 2 <= MAX_PARSE_DEPTH, "{levels}");
         assert_eq!(
-            read.is_ok(),
-            Json::parse(&text).is_ok(),
-            "{levels}: {read:?}"
+            parsed.is_ok_and(|v| has_pairs(&v)),
+            levels + 2 <= MAX_PARSE_DEPTH
         );
-        assert_eq!(read.is_ok(), levels + 2 <= MAX_PARSE_DEPTH, "{levels}");
     }
 }

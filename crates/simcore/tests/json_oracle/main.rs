@@ -211,10 +211,20 @@ fn deep(rng: &mut SplitMix64, inner: Json) -> Json {
 }
 
 /// Tree equality with floats compared by bits, so `-0.0` vs `0.0` or a
-/// one-ulp difference counts.
+/// one-ulp difference counts. A packed node `Json::parse` built equals
+/// the oracle's `Arr` of `[time, value]` pairs when each pair reads as
+/// the same time and value bits.
 fn same(a: &Json, b: &Json) -> bool {
     match (a, b) {
         (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+        (Json::Pairs(pairs), Json::Arr(items)) => {
+            pairs.len() == items.len()
+                && pairs.iter().zip(items).all(|(&(time, value), item)| {
+                    matches!(item.as_arr(), Some([t, v])
+                        if t.as_u64() == Some(time)
+                            && v.as_f64().map(f64::to_bits) == Some(value.to_bits()))
+                })
+        }
         (Json::Arr(x), Json::Arr(y)) => {
             x.len() == y.len() && x.iter().zip(y).all(|(a, b)| same(a, b))
         }

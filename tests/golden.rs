@@ -159,16 +159,25 @@ fn multijob_stream() -> String {
 }
 
 /// The bytes `ResultStore::put` writes for the first config of
-/// `baseline_digest`'s grid.
+/// `baseline_digest`'s grid, which must be the bytes `put` writes again
+/// for the report `ResultStore::get` serves from them: the line pins
+/// what `--resume` serves too.
 fn store_fragment() -> String {
     let config = &baseline_configs()[0];
     let report = run(config).expect("valid config");
     let dir = std::env::temp_dir().join(format!("mrbench-golden-store-{}", std::process::id()));
-    let store = ResultStore::open(&dir).expect("store opens");
     let digest = config_digest(config);
-    store.put(&digest, &report).expect("fragment is written");
-    let text = std::fs::read_to_string(store.fragment_path(&digest)).expect("fragment reads");
+    let put = |store: &ResultStore, report| {
+        store.put(&digest, report).expect("fragment is written");
+        std::fs::read_to_string(store.fragment_path(&digest)).expect("fragment reads")
+    };
+    let first = ResultStore::open(dir.join("first")).expect("store opens");
+    let text = put(&first, &report);
+    let served = first.get(&digest).expect("the fragment is served");
+    let second = ResultStore::open(dir.join("second")).expect("store opens");
+    let again = put(&second, &served);
     let _ = std::fs::remove_dir_all(&dir);
+    assert!(text == again, "a served report is put back byte for byte");
     text
 }
 
