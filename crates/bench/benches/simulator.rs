@@ -5,8 +5,8 @@
 //! These benches guard the wall-clock cost of the pieces every figure
 //! reproduction exercises thousands of times: the max-min fair-share
 //! solver, the processor-sharing CPU model, the deterministic RNGs, the
-//! partitioners' bulk assignment, the JSON layer that writes artifacts
-//! and serves store fragments, and a full end-to-end job. Run with
+//! partitioners' bulk assignment, the JSON layer that writes artifacts,
+//! the result store's fragment codec, and a full end-to-end job. Run with
 //! `cargo bench -p mrbench-bench`.
 
 // The one place wall-clock time is legitimate: this harness measures
@@ -20,8 +20,10 @@ use cluster::CpuSim;
 use mapreduce::engine::synthetic_key;
 use mapreduce::partition::Partitioner;
 use mrbench::partitioners::{AvgPartitioner, RandPartitioner, SkewPartitioner};
-use mrbench::store::FRAGMENT_SCHEMA;
-use mrbench::{config_digest, run, Artifacts, BenchConfig, MicroBenchmark, ResultStore, Sweep};
+use mrbench::store::LEGACY_FRAGMENT_SCHEMA;
+use mrbench::{
+    config_digest, run, Artifacts, BenchConfig, BenchReport, MicroBenchmark, ResultStore, Sweep,
+};
 use mrbench_bench::figures::FIG2;
 use simcore::event::EventQueue;
 use simcore::jobj;
@@ -223,24 +225,13 @@ fn bench_partitioners() {
 }
 
 fn bench_json() {
-    // One paper-scale Fig. 2 cell (MR-AVG, 32 GB over IPoIB QDR) as the
-    // store fragment `ResultStore::put` writes and `get` serves.
+    // One paper-scale Fig. 2 cell (MR-AVG, 32 GB over IPoIB QDR), its
+    // report as the JSON tree every writer starts from.
     let config = (FIG2.panels[0].config)(ByteSize::from_gib(32), Interconnect::IpoibQdr);
-    let digest = config_digest(&config);
     let report = run(&config).unwrap();
-    let fragment = jobj! {
-        "schema": FRAGMENT_SCHEMA,
-        "digest": digest.as_str(),
-        "report": report.to_json(),
-    };
-    let text = fragment.to_compact();
-    println!("json/fragment_bytes_compact {:>25}", text.len());
-    println!(
-        "json/fragment_bytes_pretty {:>26}",
-        fragment.to_pretty().len()
-    );
+    let tree = report.to_json();
     bench("json/to_pretty_report", 500, || {
-        black_box(black_box(&fragment).to_pretty());
+        black_box(black_box(&tree).to_pretty());
     });
     // The artifact write's tree and text over six paper-scale Fig. 2(a)
     // cells, series included: build the tree, render it, drop both.
@@ -256,17 +247,40 @@ fn bench_json() {
     bench("json/artifact_to_pretty", 50, || {
         black_box(black_box(&artifacts).to_json().to_pretty());
     });
-    bench("json/parse_fragment", 500, || {
-        black_box(Json::parse(black_box(&text)).unwrap());
-    });
+    bench_store(&config, &report);
+}
+
+/// The result store's own tier: the same cell as the fragment `put`
+/// writes (series as raw sample bits) and as the text-series fragment
+/// earlier builds wrote, which `get` still serves.
+fn bench_store(config: &BenchConfig, report: &BenchReport) {
+    let digest = config_digest(config);
     let dir = std::env::temp_dir().join(format!("mrbench-bench-store-{}", std::process::id()));
     let store = ResultStore::open(&dir).unwrap();
-    store.put(&digest, &report).unwrap();
-    assert_eq!(
-        std::fs::read_to_string(store.fragment_path(&digest)).unwrap(),
-        text
-    );
+    store.put(&digest, report).unwrap();
+    let v2 = std::fs::read_to_string(store.fragment_path(&digest)).unwrap();
+    let v1 = jobj! {
+        "schema": LEGACY_FRAGMENT_SCHEMA,
+        "digest": digest.as_str(),
+        "report": report.to_json(),
+    }
+    .to_compact();
+    println!("store/fragment_bytes_v1 {:>30}", v1.len());
+    println!("store/fragment_bytes_v2 {:>30}", v2.len());
+    bench("store/put_fragment", 200, || {
+        store.put(black_box(&digest), black_box(report)).unwrap();
+    });
+    bench("json/parse_fragment", 500, || {
+        black_box(Json::parse(black_box(&v2)).unwrap());
+    });
+    bench("json/parse_fragment_v1", 500, || {
+        black_box(Json::parse(black_box(&v1)).unwrap());
+    });
     bench("json/get_fragment", 500, || {
+        black_box(store.get(black_box(&digest)).unwrap());
+    });
+    std::fs::write(store.fragment_path(&digest), &v1).unwrap();
+    bench("json/get_fragment_v1", 500, || {
         black_box(store.get(black_box(&digest)).unwrap());
     });
     let _ = std::fs::remove_dir_all(&dir);

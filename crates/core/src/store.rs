@@ -4,8 +4,10 @@
 //! makes every benchmark result a pure function of its [`BenchConfig`],
 //! so results are infinitely cacheable: the store keys each completed
 //! sweep cell by a digest of the config's canonical JSON and persists it
-//! as a compact `mrbench-cell-v1` fragment (pretty fragments written by
-//! earlier builds read the same). A killed sweep restarted with
+//! as a compact `mrbench-cell-v2` fragment, whose utilization series are
+//! strings of raw sample bits (`mrbench-cell-v1` fragments from earlier
+//! builds, compact or pretty, hold them as text and read the same). A
+//! killed sweep restarted with
 //! `--resume` reloads finished cells from the store and re-runs only the
 //! rest, producing a byte-identical final artifact.
 //!
@@ -49,13 +51,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use simcore::jobj;
 use simcore::json::Json;
+use simcore::stats::encode_bits;
 
 use crate::config::BenchConfig;
 use crate::error::Error;
 use crate::report::BenchReport;
 
-/// Schema tag of one persisted cell fragment.
-pub const FRAGMENT_SCHEMA: &str = "mrbench-cell-v1";
+/// Schema tag of the cell fragments [`ResultStore::put`] writes: the
+/// report's JSON with each non-empty series as the string of its raw
+/// sample bits ([`encode_bits`]).
+pub const FRAGMENT_SCHEMA: &str = "mrbench-cell-v2";
+
+/// Schema tag of the fragments earlier builds wrote, whose series are
+/// text pairs; the store still serves them.
+pub const LEGACY_FRAGMENT_SCHEMA: &str = "mrbench-cell-v1";
 
 /// Write `contents` to `path` crash-safely: the bytes land in a temp
 /// file in the destination directory, are fsynced, and are renamed over
@@ -184,13 +193,13 @@ impl ResultStore {
         }
     }
 
-    /// Decodes a fragment, compact or pretty: its schema and digest
-    /// must match, and its report is [`BenchReport::from_json`]. A
-    /// compact fragment's series parse packed ([`Json::Pairs`]).
+    /// Decodes a fragment of either schema, compact or pretty: its
+    /// digest must match, and its report is [`BenchReport::from_json`],
+    /// which reads a series from its bits or its text alike.
     fn parse_fragment(text: &str, digest: &str) -> Result<BenchReport, String> {
         let json = Json::parse(text)?;
         let schema = json.field_str("schema")?;
-        if schema != FRAGMENT_SCHEMA {
+        if schema != FRAGMENT_SCHEMA && schema != LEGACY_FRAGMENT_SCHEMA {
             return Err(format!("unknown fragment schema '{schema}'"));
         }
         let stored = json.field_str("digest")?;
@@ -200,12 +209,15 @@ impl ResultStore {
         BenchReport::from_json(json.req("report")?)
     }
 
-    /// Persist `report` under `digest`, atomically, as compact JSON.
+    /// Persist `report` under `digest`, atomically, as a compact
+    /// [`FRAGMENT_SCHEMA`] fragment.
     pub fn put(&self, digest: &str, report: &BenchReport) -> Result<(), Error> {
+        let mut report = report.to_json();
+        series_as_bits(&mut report);
         let fragment = jobj! {
             "schema": FRAGMENT_SCHEMA,
             "digest": digest,
-            "report": report.to_json(),
+            "report": report,
         };
         atomic_write(&self.fragment_path(digest), &fragment.to_compact())
     }
@@ -230,6 +242,17 @@ impl ResultStore {
     /// counts only the cells the store was asked about.
     pub fn bypassed(&self) -> u64 {
         self.bypassed.load(Ordering::Relaxed)
+    }
+}
+
+/// Replaces each non-empty series ([`Json::Pairs`]) in `json` with the
+/// string of its raw sample bits; an empty one stays `[]`.
+fn series_as_bits(json: &mut Json) {
+    match json {
+        Json::Pairs(samples) if !samples.is_empty() => *json = Json::Str(encode_bits(samples)),
+        Json::Arr(items) => items.iter_mut().for_each(series_as_bits),
+        Json::Obj(members) => members.iter_mut().for_each(|(_, v)| series_as_bits(v)),
+        _ => {}
     }
 }
 
@@ -370,6 +393,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The fragment earlier builds wrote for `report`: the v1 schema
+    /// and the report's JSON as it stands, its series as text pairs.
+    fn v1_fragment(digest: &str, report: &BenchReport) -> Json {
+        jobj! {
+            "schema": LEGACY_FRAGMENT_SCHEMA,
+            "digest": digest,
+            "report": report.to_json(),
+        }
+    }
+
     #[test]
     fn pretty_fragments_from_earlier_builds_still_serve() {
         let dir = tmp_dir("pretty");
@@ -380,23 +413,47 @@ mod tests {
         store.put(&digest, &report).unwrap();
         let compact = std::fs::read_to_string(store.fragment_path(&digest)).unwrap();
         assert!(!compact.contains('\n'), "put writes one compact line");
-        // What `put` wrote before fragments were compact.
-        let pretty = jobj! {
-            "schema": FRAGMENT_SCHEMA,
-            "digest": digest.as_str(),
-            "report": report.to_json(),
+        // What `put` wrote before fragments were compact, and the pretty
+        // form of what it writes now.
+        let pretty_v1 = v1_fragment(&digest, &report).to_pretty();
+        let pretty_v2 = Json::parse(&compact).unwrap().to_pretty();
+        assert!(pretty_v2.contains(FRAGMENT_SCHEMA));
+        for pretty in [pretty_v1, pretty_v2] {
+            std::fs::write(store.fragment_path(&digest), &pretty).unwrap();
+            let back = store.get(&digest).expect("a pretty fragment is a hit");
+            assert_eq!(
+                back.to_json().to_compact(),
+                report.to_json().to_compact(),
+                "served report is identical"
+            );
         }
-        .to_pretty();
-        let written = |text: &str| Json::parse(text).map(|v| v.to_compact());
-        assert_eq!(written(&pretty), written(&compact), "same value");
-        std::fs::write(store.fragment_path(&digest), &pretty).unwrap();
-        let back = store.get(&digest).expect("a pretty fragment is a hit");
-        assert_eq!(
-            back.to_json().to_compact(),
-            report.to_json().to_compact(),
-            "served report is identical"
+        assert_eq!(store.stats(), (2, 0, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compact_v1_fragments_from_earlier_builds_still_serve() {
+        let dir = tmp_dir("v1");
+        let store = ResultStore::open(&dir).unwrap();
+        let config = small_config();
+        let digest = config_digest(&config);
+        let report = crate::runner::run(&config).unwrap();
+        let v1 = v1_fragment(&digest, &report);
+        let compact = v1.to_compact();
+        assert!(
+            compact.contains(r#""cpu_series":[[[1000000000,"#),
+            "{compact}"
         );
-        assert_eq!(store.stats(), (1, 0, 0));
+        for text in [compact, v1.to_pretty()] {
+            std::fs::write(store.fragment_path(&digest), &text).unwrap();
+            let back = store.get(&digest).expect("a v1 fragment is a hit");
+            assert_eq!(
+                back.to_json().to_compact(),
+                report.to_json().to_compact(),
+                "served report is identical"
+            );
+        }
+        assert_eq!(store.stats(), (2, 0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,9 +8,7 @@
 //! * a [`Json`] tree with order-preserving objects and a packed node
 //!   for long `[time_ns, value]` series ([`Json::Pairs`]),
 //! * a compact and a pretty writer,
-//! * a strict recursive-descent parser ([`Json::parse`]), which reads a
-//!   compact series straight into a packed node, so one decoder per type
-//!   (`from_json` on the tree) serves every reader,
+//! * a strict recursive-descent parser ([`Json::parse`]),
 //! * typed accessors that make `from_json` implementations short.
 //!
 //! Integers are kept distinct from floats ([`Json::Int`] vs
@@ -18,6 +16,9 @@
 //! counts, seeds) round-trip exactly.
 
 use std::fmt;
+use std::sync::Arc;
+
+use crate::stats::Sample;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,24 +38,19 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; insertion order is preserved.
     Obj(Vec<(String, Json)>),
-    /// An array of `[integer, number]` pairs held in one allocation:
-    /// the packed form of a long series of `[time_ns, value]` samples.
+    /// An array of `[time_ns, value]` pairs held in one shared
+    /// allocation: the packed form of a series of samples, which
+    /// `TimeSeries::to_json` builds without copying them.
     ///
     /// * The compact and pretty writers write it byte for byte as the
     ///   equivalent [`Json::Arr`] of two-item `Arr`s of a [`Json::Int`]
     ///   and a [`Json::Num`]: a time as that integer, a finite value as
     ///   that float, a non-finite value as `null`, and an empty node as
     ///   `[]`.
-    /// * Serializers (`to_json`) build it, and so does [`Json::parse`]
-    ///   for a non-empty array whose every item is a pair written the
-    ///   way the compact writer writes one: no whitespace, a time of at
-    ///   most 19 digits without a sign, and a value without an exponent
-    ///   that, if it is an integer, is below 2^53 in magnitude. Any other
-    ///   array, pretty text included, parses as an `Arr`. A parsed node
-    ///   writes the bytes its `Arr` reading would.
+    /// * [`Json::parse`] never builds it: the text reads as that `Arr`.
     /// * [`Json::as_arr`] does not look inside it, and the derived
     ///   equality is structural, so a `Pairs` node never equals an `Arr`.
-    Pairs(Vec<(u64, f64)>),
+    Pairs(Arc<Vec<Sample>>),
 }
 
 impl Json {
@@ -229,8 +225,7 @@ impl Json {
     /// number without fraction or exponent is an [`Json::Int`] and must
     /// fit `i128`. Nesting deeper than [`MAX_PARSE_DEPTH`] is rejected
     /// with an error rather than risking a stack overflow on hostile or
-    /// corrupt input. A compact series of pairs reads as one
-    /// [`Json::Pairs`] node (see there).
+    /// corrupt input.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut reader = Reader::new(text);
         let value = reader.value()?;
@@ -317,11 +312,11 @@ fn emit<const PRETTY: bool>(value: &Json, out: &mut String, depth: usize) {
             close.push(']');
             out.push('[');
             let mut lead = &open[1..];
-            for &(time, value) in pairs {
+            for sample in pairs.iter() {
                 out.push_str(lead);
-                write_u64(out, time);
+                write_u64(out, sample.time.as_nanos());
                 out.push_str(&mid);
-                write_num(out, value);
+                write_num(out, sample.value);
                 out.push_str(&close);
                 lead = &open;
             }
@@ -440,7 +435,7 @@ fn write_escaped(out: &mut String, s: &str) {
 pub const MAX_PARSE_DEPTH: usize = 512;
 
 /// The scanner behind [`Json::parse`]: one pass over the text, with
-/// one number lexer and one string routine, and one depth count against
+/// one number routine and one string routine, and one depth count against
 /// [`MAX_PARSE_DEPTH`]. After an error the reader is spent.
 ///
 /// `pos` is a byte offset; the reader only ever slices `text` at ASCII
@@ -474,9 +469,6 @@ impl<'a> Reader<'a> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
             Some(b'[') => {
-                if let Some(pairs) = self.packed_pairs() {
-                    return Ok(Json::Pairs(pairs));
-                }
                 let mut items = Vec::new();
                 self.items(b']', |r| {
                     items.push(r.value()?);
@@ -604,7 +596,8 @@ impl<'a> Reader<'a> {
     }
 
     /// A string without escapes is one slice copy; otherwise the runs
-    /// between escapes are.
+    /// between escapes are. Runs of plain bytes are scanned eight at a
+    /// time.
     fn string(&mut self) -> Result<String, String> {
         if self.peek() != Some(b'"') {
             return Err(format!("expected string at byte {}", self.pos));
@@ -614,6 +607,14 @@ impl<'a> Reader<'a> {
         let mut run = self.pos;
         let mut out = String::new();
         loop {
+            if let Some(chunk) = bytes.get(self.pos..).and_then(<[u8]>::first_chunk::<8>) {
+                let stops = string_stops(u64::from_le_bytes(*chunk));
+                if stops == 0 {
+                    self.pos += 8;
+                    continue;
+                }
+                self.pos += (stops.trailing_zeros() / 8) as usize;
+            }
             match bytes.get(self.pos) {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
@@ -675,243 +676,82 @@ impl<'a> Reader<'a> {
         Ok(c)
     }
 
+    /// The number literal at `pos`, in the grammar
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. An integer of
+    /// at most 19 digits is taken from their running value (10^19 <
+    /// 2^64); every other literal is parsed from its text, a fraction or
+    /// exponent correctly rounded as `f64`.
     fn number(&mut self) -> Result<Json, String> {
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        let lexeme = lex_number(self.text.as_bytes(), start)
-            .map_err(|what| format!("expected {what} at byte {start}"))?;
-        self.pos = lexeme.end;
-        let text = &self.text[start..lexeme.end];
-        if lexeme.fraction > 0 || lexeme.exponent {
+        let expected = |what| format!("expected {what} at byte {start}");
+        let negative = bytes.get(start) == Some(&b'-');
+        let first = start + usize::from(negative);
+        let mut magnitude = 0;
+        let mut at = match bytes.get(first) {
+            Some(b'0') => first + 1,
+            Some(b'1'..=b'9') => digit_run(bytes, first, &mut magnitude),
+            _ => return Err(expected("number")),
+        };
+        let digits = at - first;
+        let mut float = false;
+        if bytes.get(at) == Some(&b'.') {
+            let end = digit_run(bytes, at + 1, &mut 0);
+            if end == at + 1 {
+                return Err(expected("digit in number"));
+            }
+            (at, float) = (end, true);
+        }
+        if matches!(bytes.get(at), Some(b'e' | b'E')) {
+            at += 1;
+            if matches!(bytes.get(at), Some(b'+' | b'-')) {
+                at += 1;
+            }
+            let end = digit_run(bytes, at, &mut 0);
+            if end == at {
+                return Err(expected("digit in number"));
+            }
+            (at, float) = (end, true);
+        }
+        self.pos = at;
+        let text = &self.text[start..at];
+        if float {
             return text
                 .parse::<f64>()
                 .map(Json::Num)
                 .map_err(|e| format!("bad number '{text}': {e}"));
         }
-        match lexeme.int() {
-            Some(i) => Ok(Json::Int(i)),
-            None => text
-                .parse::<i128>()
-                .map(Json::Int)
-                .map_err(|e| format!("bad integer '{text}': {e}")),
+        if digits <= 19 {
+            let magnitude = i128::from(magnitude);
+            return Ok(Json::Int(if negative { -magnitude } else { magnitude }));
         }
+        text.parse::<i128>()
+            .map(Json::Int)
+            .map_err(|e| format!("bad integer '{text}': {e}"))
     }
-
-    /// The array whose `[` is at `pos` as a packed node, if it is not
-    /// empty and every item is a pair [`Reader::sample_pair`] takes, with
-    /// no whitespace between them; `pos` is then past its `]`. Otherwise
-    /// `None` with `pos` untouched, for [`Reader::value`] to read the
-    /// array as an `Arr`, which is also how too deep a pair is rejected.
-    fn packed_pairs(&mut self) -> Option<Vec<(u64, f64)>> {
-        // The pairs' scalars sit two levels below the array.
-        if self.depth + 2 > MAX_PARSE_DEPTH {
-            return None;
-        }
-        let start = self.pos;
-        self.pos += 1;
-        let mut pairs = Vec::new();
-        while let Some(pair) = self.sample_pair() {
-            pairs.push(pair);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Some(pairs);
-                }
-                _ => break,
-            }
-        }
-        self.pos = start;
-        None
-    }
-
-    /// The `[time_ns, value]` pair at `pos`, if it is written the way
-    /// the compact writer writes a sample: no whitespace, a time of at
-    /// most 19 digits without a sign, and a value without an exponent
-    /// that, as an integer literal, is below 2^53 in magnitude. The pair
-    /// reads as the same `u64` and bits as its `Arr` reading does through
-    /// [`Json::as_u64`] and [`Json::as_f64`], and the packed node writes
-    /// what that `Arr` writes.
-    ///
-    /// Anything else, including every malformed pair, returns `None`
-    /// with the position untouched.
-    #[inline]
-    fn sample_pair(&mut self) -> Option<(u64, f64)> {
-        let bytes = self.text.as_bytes();
-        if bytes.get(self.pos) != Some(&b'[') {
-            return None;
-        }
-        let time = lex_number(bytes, self.pos + 1).ok()?;
-        if time.negative || time.fraction > 0 || time.exponent || time.digits > 19 {
-            return None;
-        }
-        if bytes.get(time.end) != Some(&b',') {
-            return None;
-        }
-        let lexeme = lex_number(bytes, time.end + 1).ok()?;
-        if lexeme.exponent || bytes.get(lexeme.end) != Some(&b']') {
-            return None;
-        }
-        let value = match lexeme.exact_fraction() {
-            Some(v) => v,
-            None if lexeme.fraction > 0 => self.text[time.end + 1..lexeme.end].parse().ok()?,
-            // An integer converts as `Json::Int` does, so `-0` is +0.0;
-            // one that `f64` does not hold exactly is left to the `Arr`,
-            // whose `Int` writes all of its digits.
-            None if lexeme.mantissa < 1 << 53 => lexeme.int()? as f64,
-            None => return None,
-        };
-        self.pos = lexeme.end + 1;
-        Some((time.mantissa, value))
-    }
-}
-
-/// A number literal as [`lex_number`] scanned it.
-struct Lexeme {
-    negative: bool,
-    /// The integer and fraction digits read as one decimal, wrapped
-    /// modulo 2^64, so exact while `digits <= 19` (10^19 < 2^64).
-    mantissa: u64,
-    /// How many significant digits `mantissa` read: those from the
-    /// first non-zero one on.
-    digits: usize,
-    /// How many digits follow the decimal point; 0 without one.
-    fraction: usize,
-    /// Whether an exponent follows.
-    exponent: bool,
-    /// Byte offset just past the literal.
-    end: usize,
-}
-
-impl Lexeme {
-    /// An integer literal's value, if its digits fit the accumulator;
-    /// a longer one must be parsed from its text.
-    fn int(&self) -> Option<i128> {
-        if self.fraction > 0 || self.exponent || self.digits > 19 {
-            return None;
-        }
-        let magnitude = i128::from(self.mantissa);
-        Some(if self.negative { -magnitude } else { magnitude })
-    }
-
-    /// A fraction literal's value as `mantissa / 10^fraction`, when both
-    /// are exact in `f64` so the one rounded division is the correctly
-    /// rounded value `str::parse::<f64>` gives.
-    fn exact_fraction(&self) -> Option<f64> {
-        /// 10^k for every k that `f64` holds exactly.
-        const POW10: [f64; 23] = [
-            1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
-            1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-        ];
-        if self.fraction == 0 || self.exponent || self.digits > 19 || self.mantissa >= 1 << 53 {
-            return None;
-        }
-        let magnitude = self.mantissa as f64 / POW10.get(self.fraction)?;
-        Some(if self.negative { -magnitude } else { magnitude })
-    }
-}
-
-/// Scans the number literal at `start` in the grammar
-/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, the one lexer
-/// behind [`Reader::number`] and [`Reader::sample_pair`]. It stops at
-/// the first byte the grammar cannot extend the literal with; on a
-/// literal the grammar rejects it names what it expected.
-#[inline(always)]
-fn lex_number(bytes: &[u8], start: usize) -> Result<Lexeme, &'static str> {
-    let mut at = start;
-    let negative = bytes.get(at) == Some(&b'-');
-    if negative {
-        at += 1;
-    }
-    let mut mantissa = 0u64;
-    let mut digits = match bytes.get(at) {
-        Some(b'0') => {
-            at += 1;
-            0
-        }
-        Some(b'1'..=b'9') => {
-            let first = at;
-            at = digit_run(bytes, at, &mut mantissa);
-            at - first
-        }
-        _ => return Err("number"),
-    };
-    let mut fraction = 0;
-    if bytes.get(at) == Some(&b'.') {
-        let first = at + 1;
-        // Zeros before the first significant digit leave `mantissa` 0.
-        let mut lead = first;
-        if mantissa == 0 {
-            while bytes.get(lead) == Some(&b'0') {
-                lead += 1;
-            }
-        }
-        at = digit_run(bytes, lead, &mut mantissa);
-        fraction = at - first;
-        if fraction == 0 {
-            return Err("digit in number");
-        }
-        digits += at - lead;
-    }
-    let exponent = matches!(bytes.get(at), Some(b'e' | b'E'));
-    if exponent {
-        at += 1;
-        if matches!(bytes.get(at), Some(b'+' | b'-')) {
-            at += 1;
-        }
-        let end = digit_run(bytes, at, &mut 0);
-        if end == at {
-            return Err("digit in number");
-        }
-        at = end;
-    }
-    Ok(Lexeme {
-        negative,
-        mantissa,
-        digits,
-        fraction,
-        exponent,
-        end: at,
-    })
-}
-
-/// The value of eight ASCII digits read as a little-endian word: pairs,
-/// then quads, then the whole are combined with one multiply each.
-#[inline]
-fn eight_digits(word: u64) -> u64 {
-    let word = word - 0x3030_3030_3030_3030;
-    // Each 16-bit lane: its first digit times 10 plus its second.
-    let pairs = (word * 10 + (word >> 8)) & 0x00ff_00ff_00ff_00ff;
-    // Each 32-bit lane: its first pair times 100 plus its second.
-    let quads = (pairs.wrapping_mul(1 + (100 << 16)) >> 16) & 0x0000_ffff_0000_ffff;
-    // The first quad times 10^4 plus the second.
-    quads.wrapping_mul(1 + (10_000 << 32)) >> 32
 }
 
 /// Accumulates the digits from `at` into `value`, wrapping modulo 2^64,
-/// and returns the offset of the first byte that is not one. Runs of
-/// eight digits are taken a word at a time.
-#[inline(always)]
+/// and returns the offset of the first byte that is not one.
 fn digit_run(bytes: &[u8], mut at: usize, value: &mut u64) -> usize {
-    let mut v = *value;
-    while let Some(eight) = bytes.get(at..).and_then(<[u8]>::first_chunk::<8>) {
-        let word = u64::from_le_bytes(*eight);
-        // A byte is a digit when its high nibble is 3 and adding 6 to
-        // it keeps it so. Once every high nibble is 3, no byte carries
-        // into the next.
-        let high = word & 0xf0f0_f0f0_f0f0_f0f0;
-        let bumped = (word.wrapping_add(0x0606_0606_0606_0606) & 0xf0f0_f0f0_f0f0_f0f0) >> 4;
-        if high | bumped != 0x3333_3333_3333_3333 {
-            break;
-        }
-        v = v.wrapping_mul(100_000_000).wrapping_add(eight_digits(word));
-        at += 8;
-    }
     while let Some(&digit @ b'0'..=b'9') = bytes.get(at) {
-        v = v.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
+        *value = value.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
         at += 1;
     }
-    *value = v;
     at
+}
+
+/// The bytes of a little-endian word that end a plain run in a string
+/// (`"`, `\` and control bytes), each marked by its high bit. Only the
+/// lowest mark is exact: a borrow out of a marked byte may mark the one
+/// above it, which the caller never reads past.
+fn string_stops(word: u64) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & HIGH;
+    zero_bytes(word ^ (ONES * u64::from(b'"')))
+        | zero_bytes(word ^ (ONES * u64::from(b'\\')))
+        | word.wrapping_sub(ONES * 0x20) & !word & HIGH
 }
 
 impl From<bool> for Json {
@@ -1174,191 +1014,6 @@ mod tests {
         assert!(err.contains("nesting deeper"), "{err}");
         let deep_obj = "{\"k\":".repeat(MAX_PARSE_DEPTH + 10);
         assert!(Json::parse(&deep_obj).is_err());
-    }
-
-    #[test]
-    fn digit_runs_match_the_byte_loop() {
-        let mut rng = crate::rng::SplitMix64::new(0xD161_7500);
-        for _ in 0..4000 {
-            let len = rng.next_below(40) as usize;
-            let mut text: Vec<u8> = (0..len).map(|_| b'0' + rng.next_below(10) as u8).collect();
-            // A non-digit somewhere, often inside an eight-byte word,
-            // including the neighbours of '0'..='9' and high bytes.
-            if len > 0 && rng.next_below(2) == 0 {
-                const STOPS: [u8; 8] = [b'/', b':', b'.', b',', b']', b'e', 0x80, 0xff];
-                text[rng.next_below(len as u64) as usize] =
-                    STOPS[rng.next_below(STOPS.len() as u64) as usize];
-            }
-            let start = rng.next_below(len as u64 + 1) as usize;
-            let seed = rng.next_u64();
-            let mut want = seed;
-            let mut end = start;
-            while let Some(&d @ b'0'..=b'9') = text.get(end) {
-                want = want.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
-                end += 1;
-            }
-            let mut got = seed;
-            assert_eq!(
-                digit_run(&text, start, &mut got),
-                end,
-                "{text:?} at {start}"
-            );
-            assert_eq!(got, want, "{text:?} at {start}");
-        }
-    }
-
-    #[test]
-    fn sample_pairs_read_compact_pairs_and_leave_the_rest() {
-        let pair = |text: &str| {
-            let mut r = Reader::new(text);
-            let got = r.sample_pair();
-            (got.map(|(t, v)| (t, v.to_bits())), r.pos)
-        };
-        let bits = |v: f64| v.to_bits();
-        assert_eq!(pair("[5,0.25]"), (Some((5, bits(0.25))), 8));
-        assert_eq!(pair("[0,-0]"), (Some((0, bits(0.0))), 6));
-        assert_eq!(pair("[0,-0.0]"), (Some((0, bits(-0.0))), 8));
-        assert_eq!(
-            pair("[1,0.0000000000000000000003]"),
-            (Some((1, bits(3e-22))), 28)
-        );
-        // A mantissa past 2^53, whose one division would round twice.
-        let parsed: f64 = "6.2588265378287862".parse().unwrap();
-        assert_eq!(
-            pair("[7,6.2588265378287862]"),
-            (Some((7, bits(parsed))), 22)
-        );
-        assert_ne!(bits(parsed), bits(62_588_265_378_287_862_u64 as f64 / 1e16));
-        for text in [
-            "[1, 2]",
-            "[ 1,2]",
-            "[1,2 ]",
-            "[-1,2]",
-            "[-0,2]",
-            "[01,2]",
-            "[1.0,2]",
-            "[1e2,2]",
-            "[12345678901234567890,2]",
-            "[1,1e5]",
-            "[1,01]",
-            "[1,1.]",
-            "[1,.5]",
-            "[1,null]",
-            "[1]",
-            "[1,2,3]",
-            "[]",
-            "1",
-            "[1,1234567890123456789012345678901234567890]",
-            "[1,9007199254740992]",
-            "[1,-12345678901234567]",
-        ] {
-            assert_eq!(pair(text), (None, 0), "{text}");
-        }
-        // Integer values take the pair only while `f64` holds them.
-        let below = (1u64 << 53) - 1;
-        assert_eq!(
-            pair("[1,-9007199254740991]"),
-            (Some((1, bits(-(below as f64)))), 21)
-        );
-    }
-
-    #[test]
-    fn parse_packs_compact_pair_arrays_and_nothing_else() {
-        assert_eq!(Json::parse("[]"), Ok(Json::Arr(Vec::new())));
-        assert_eq!(Json::parse("[[1,2]]"), Ok(Json::Pairs(vec![(1, 2.0)])));
-        assert_eq!(
-            Json::parse("[[0,0.5],[7,-3]]"),
-            Ok(Json::Pairs(vec![(0, 0.5), (7, -3.0)]))
-        );
-        for text in [
-            "[[1,2],[3,\"x\"]]",
-            "[[1,2],3]",
-            "[[1,2], [3,4]]",
-            "[ [1,2]]",
-            "[[1,2] ]",
-            "[[1,2],[3,4,5]]",
-            "[[1,2],[12345678901234567890,4]]",
-            "[[1,2],[3,9007199254740993]]",
-        ] {
-            let parsed = Json::parse(text).unwrap();
-            assert!(matches!(parsed, Json::Arr(_)), "{text}: {parsed:?}");
-            // Rewound to the `[`, the array reads as the tree of its
-            // items and writes them back unchanged.
-            assert_eq!(parsed.to_compact(), text.replace(' ', ""), "{text}");
-        }
-        for text in [
-            "[[1,2],[3,1e2]]",
-            "[[1,2],]",
-            "[[1,2],[3,4]",
-            "[[1,2][3,4]]",
-            "[[1,2],[-1,4]]",
-        ] {
-            let packed = Json::parse(text);
-            assert!(
-                packed
-                    .as_ref()
-                    .map_or(true, |v| !matches!(v, Json::Pairs(_))),
-                "{text}: {packed:?}"
-            );
-        }
-        // The pairs' scalars count against the depth limit as the
-        // `Arr`'s do: a series two levels above it parses, one deeper
-        // is rejected as before.
-        let at = |levels: usize| format!("{}[[1,2]]{}", "[".repeat(levels), "]".repeat(levels));
-        let mut inner = Json::parse(&at(MAX_PARSE_DEPTH - 2)).unwrap();
-        while let Json::Arr(items) = inner {
-            inner = items.into_iter().next().unwrap();
-        }
-        assert_eq!(inner, Json::Pairs(vec![(1, 2.0)]));
-        for levels in [MAX_PARSE_DEPTH - 1, MAX_PARSE_DEPTH] {
-            let err = Json::parse(&at(levels)).unwrap_err();
-            assert!(err.contains("nesting deeper"), "{levels}: {err}");
-        }
-    }
-
-    #[test]
-    fn parsed_compact_series_write_their_text_back() {
-        let series = |samples: &[(u64, f64)]| {
-            let mut ts = crate::stats::TimeSeries::new();
-            for &(ns, v) in samples {
-                ts.push(crate::time::SimTime::from_nanos(ns), v);
-            }
-            ts.to_json()
-        };
-        // A fragment-like document as the compact writer writes it: one
-        // series packs; one holds an integral value past 2^53 and one a
-        // time past 19 digits, and both stay `Arr`s.
-        let doc = jobj! {
-            "schema": "x",
-            "cpu_series": Json::Arr(vec![
-                series(&[(1_000_000_000, 12.5), (2_000_000_000, 100.0), (2_500_000_000, 0.3)]),
-                series(&[(u64::MAX / 2, 0.1), (9_999_999_999_999_999_999, 7.0)]),
-                series(&[]),
-            ]),
-            "net_rx_series": Json::Arr(vec![
-                series(&[(1, 1e17), (2, 0.5)]),
-                series(&[(10_000_000_000_000_000_000, 0.5)]),
-            ]),
-        };
-        let text = doc.to_compact();
-        let parsed = Json::parse(&text).unwrap();
-        assert_eq!(parsed.to_compact(), text);
-        let kinds = |key: &str| -> Vec<bool> {
-            parsed
-                .field_arr(key)
-                .unwrap()
-                .iter()
-                .map(|s| matches!(s, Json::Pairs(_)))
-                .collect()
-        };
-        assert_eq!(kinds("cpu_series"), [true, true, false]);
-        assert_eq!(kinds("net_rx_series"), [false, false]);
-        // Pretty text never packs, and writes the same bytes compact.
-        let pretty = Json::parse(&doc.to_pretty()).unwrap();
-        assert!(pretty.field_arr("cpu_series").unwrap()[0]
-            .as_arr()
-            .is_some());
-        assert_eq!(pretty.to_compact(), text);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! deliberately allocation-light so they can be updated from hot simulator
 //! paths.
 
+use std::sync::Arc;
+
 use crate::json::Json;
 use crate::time::{SimDuration, SimTime};
 
@@ -20,17 +22,19 @@ pub struct Sample {
 const NOT_A_PAIR: &str = "time series sample must be a [time_ns, value] pair";
 
 /// An append-only time series, e.g. per-second CPU % on a node.
+///
+/// The samples sit in one shared allocation, which [`TimeSeries::to_json`]
+/// and [`TimeSeries::from_json`] hand to and take from a [`Json::Pairs`]
+/// node without copying; a push after sharing copies them once.
 #[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
-    samples: Vec<Sample>,
+    samples: Arc<Vec<Sample>>,
 }
 
 impl TimeSeries {
     /// Empty series.
     pub fn new() -> Self {
-        TimeSeries {
-            samples: Vec::new(),
-        }
+        TimeSeries::default()
     }
 
     /// Append a sample; time must be non-decreasing.
@@ -38,7 +42,7 @@ impl TimeSeries {
         if let Some(last) = self.samples.last() {
             debug_assert!(time >= last.time, "time series must be monotonic");
         }
-        self.samples.push(Sample { time, value });
+        Arc::make_mut(&mut self.samples).push(Sample { time, value });
     }
 
     /// All samples in order.
@@ -73,56 +77,174 @@ impl TimeSeries {
         }
     }
 
-    /// Serialize as an array of `[time_ns, value]` pairs, packed into
-    /// one [`Json::Pairs`] node.
+    /// Serialize as an array of `[time_ns, value]` pairs: one
+    /// [`Json::Pairs`] node sharing this series' samples.
     pub fn to_json(&self) -> Json {
-        Json::Pairs(
-            self.samples
-                .iter()
-                .map(|s| (s.time.as_nanos(), s.value))
-                .collect(),
-        )
+        Json::Pairs(Arc::clone(&self.samples))
     }
 
-    /// Rebuild from the [`TimeSeries::to_json`] encoding: packed, as it
-    /// is written and as [`Json::parse`] reads compact text, or as an
-    /// `Arr` of pairs, as pretty text and any other layout parse.
+    /// Rebuild from any of a series' three encodings, rejecting a time
+    /// before the one preceding it in each:
+    ///
+    /// * a [`Json::Pairs`] node, as [`TimeSeries::to_json`] builds it,
+    ///   whose samples are shared, not copied;
+    /// * a [`Json::Str`] of raw sample bits, as [`encode_bits`] writes
+    ///   it into result-store fragments;
+    /// * an `Arr` of `[time_ns, value]` pairs, as the text of the
+    ///   `Pairs` node, and every other layout of it, parses.
     pub fn from_json(json: &Json) -> Result<Self, String> {
-        let mut ts = TimeSeries::new();
-        if let Json::Pairs(pairs) = json {
-            for &(time, value) in pairs {
-                ts.push_checked(SimTime::from_nanos(time), value)?;
+        let samples = match json {
+            Json::Pairs(samples) => {
+                check_order(samples)?;
+                Arc::clone(samples)
             }
-            return Ok(ts);
-        }
-        let items = json.as_arr().ok_or("time series must be an array")?;
-        for item in items {
-            let pair = item.as_arr().ok_or("time series sample must be a pair")?;
-            if pair.len() != 2 {
-                return Err(NOT_A_PAIR.into());
+            Json::Str(bits) => Arc::new(decode_bits(bits)?),
+            _ => {
+                let items = json.as_arr().ok_or("time series must be an array")?;
+                let samples = items
+                    .iter()
+                    .map(|item| match item.as_arr() {
+                        Some([time, value]) => Ok(Sample {
+                            time: SimTime::from_nanos(
+                                time.as_u64().ok_or("sample time must be a u64")?,
+                            ),
+                            value: value.as_f64().ok_or("sample value must be a number")?,
+                        }),
+                        _ => Err(NOT_A_PAIR),
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                check_order(&samples)?;
+                Arc::new(samples)
             }
-            ts.push_decoded(&pair[0], &pair[1])?;
-        }
-        Ok(ts)
+        };
+        Ok(TimeSeries { samples })
     }
+}
 
-    /// Appends a decoded `[time_ns, value]` pair, rejecting what the
-    /// writer never emits: a time that is not a `u64`, a value that is
-    /// not a number, or a time before the last one.
-    fn push_decoded(&mut self, time: &Json, value: &Json) -> Result<(), String> {
-        let time = SimTime::from_nanos(time.as_u64().ok_or("sample time must be a u64")?);
-        let value = value.as_f64().ok_or("sample value must be a number")?;
-        self.push_checked(time, value)
+/// Rejects a sample whose time precedes the one before it, which no
+/// series records.
+fn check_order(samples: &[Sample]) -> Result<(), String> {
+    if samples.windows(2).any(|w| w[1].time < w[0].time) {
+        return Err("sample times must not decrease".into());
     }
+    Ok(())
+}
 
-    /// Appends a decoded sample unless its time is before the last one.
-    fn push_checked(&mut self, time: SimTime, value: f64) -> Result<(), String> {
-        if self.samples.last().is_some_and(|last| time < last.time) {
-            return Err("sample times must not decrease".into());
+/// Bytes of one sample in the raw-bits form.
+const RECORD: usize = 16;
+
+/// The standard base64 alphabet (RFC 4648 §4).
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// [`BASE64`] read back a group of four bytes at a time: `SEXTETS[i][b]`
+/// is byte `b`'s value in the alphabet shifted to the place of the
+/// group's byte `i` in a 24-bit word, or [`NOT_BASE64`] for a byte
+/// outside the alphabet, so that a group decodes as four loads ORed.
+const SEXTETS: [[u32; 256]; 4] = {
+    let mut table = [[NOT_BASE64; 256]; 4];
+    let mut i = 0;
+    while i < 4 {
+        let mut value = 0;
+        while value < 64 {
+            table[i][BASE64[value] as usize] = (value as u32) << (18 - 6 * i);
+            value += 1;
         }
-        self.samples.push(Sample { time, value });
-        Ok(())
+        i += 1;
     }
+    table
+};
+
+/// Marks a byte outside the alphabet: a bit above the 24 a group fills,
+/// which survives ORing the group's values.
+const NOT_BASE64: u32 = 1 << 24;
+
+/// The raw-bits form of a series: each sample as a 16-byte little-endian
+/// record, the time as its `u64` nanoseconds and the value as
+/// [`f64::to_bits`], and the records as one padded base64 string. It
+/// keeps every value bit for bit, NaN payloads and infinities included,
+/// which the text form cannot, and [`TimeSeries::from_json`] takes it
+/// back without a number to parse.
+pub fn encode_bits(samples: &[Sample]) -> String {
+    let mut raw = Vec::with_capacity(samples.len() * RECORD);
+    for s in samples {
+        raw.extend_from_slice(&s.time.as_nanos().to_le_bytes());
+        raw.extend_from_slice(&s.value.to_bits().to_le_bytes());
+    }
+    let sextet = |group: u32, shift: u32| BASE64[(group >> shift & 63) as usize];
+    let mut out = Vec::with_capacity(raw.len().div_ceil(3) * 4);
+    let mut groups = raw.chunks_exact(3);
+    for g in &mut groups {
+        let group = u32::from(g[0]) << 16 | u32::from(g[1]) << 8 | u32::from(g[2]);
+        out.extend([18, 12, 6, 0].map(|shift| sextet(group, shift)));
+    }
+    match *groups.remainder() {
+        [a] => {
+            let group = u32::from(a) << 16;
+            out.extend([sextet(group, 18), sextet(group, 12), b'=', b'=']);
+        }
+        [a, b] => {
+            let group = u32::from(a) << 16 | u32::from(b) << 8;
+            out.extend([sextet(group, 18), sextet(group, 12), sextet(group, 6), b'=']);
+        }
+        _ => {}
+    }
+    String::from_utf8(out).expect("base64 is ASCII")
+}
+
+/// Reads [`encode_bits`]'s form back, accepting only what it writes: a
+/// non-empty string of [`BASE64`] bytes in groups of four, with one or
+/// two `=` only where the last group needs them and the bits they pad
+/// zero, holding whole records whose times do not decrease.
+fn decode_bits(text: &str) -> Result<Vec<Sample>, String> {
+    let text = text.as_bytes();
+    if text.is_empty() || !text.len().is_multiple_of(4) {
+        return Err("sample bits must be whole groups of four base64 bytes".into());
+    }
+    let pad = match text {
+        [.., b'=', b'='] => 2,
+        [.., b'='] => 1,
+        _ => 0,
+    };
+    let len = text.len() / 4 * 3 - pad;
+    if !len.is_multiple_of(RECORD) {
+        return Err("sample bits must hold whole 16-byte records".into());
+    }
+    // The last group decodes like the rest with its padding read as
+    // zero sextets, which then must leave the padded bytes zero.
+    let (body, end) = text.split_at(text.len() - 4);
+    let mut last = [BASE64[0]; 4];
+    last[..4 - pad].copy_from_slice(&end[..4 - pad]);
+    let mut raw = vec![0u8; text.len() / 4 * 3];
+    let mut bad = 0;
+    let mut decode = |out: &mut [u8], group: &[u8]| {
+        let bits = (0..4).fold(0, |bits, i| bits | SEXTETS[i][usize::from(group[i])]);
+        bad |= bits;
+        out.copy_from_slice(&bits.to_be_bytes()[1..]);
+    };
+    let (raw_body, raw_last) = raw.split_at_mut(body.len() / 4 * 3);
+    for (out, group) in raw_body.chunks_exact_mut(3).zip(body.chunks_exact(4)) {
+        decode(out, group);
+    }
+    decode(raw_last, &last);
+    if bad & NOT_BASE64 != 0 {
+        return Err("sample bits hold a byte outside the base64 alphabet".into());
+    }
+    if raw[len..].iter().any(|&b| b != 0) {
+        return Err("sample bits are not padded with zero bits".into());
+    }
+    let samples: Vec<Sample> = raw[..len]
+        .chunks_exact(RECORD)
+        .map(|record| {
+            let (time, value) = record.split_at(8);
+            let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
+            Sample {
+                time: SimTime::from_nanos(word(time)),
+                value: f64::from_bits(word(value)),
+            }
+        })
+        .collect();
+    check_order(&samples)?;
+    Ok(samples)
 }
 
 /// Integrates a piecewise-constant rate over simulated time; used to turn
@@ -296,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_series_round_trip_bit_for_bit() {
+    fn every_form_round_trips_bit_for_bit() {
         let mut ts = TimeSeries::new();
         for (ns, v) in [
             (0, -0.0),
@@ -307,24 +429,36 @@ mod tests {
         ] {
             ts.push(SimTime::from_nanos(ns), v);
         }
-        let packed = ts.to_json();
-        assert!(matches!(&packed, Json::Pairs(p) if p.len() == ts.len()));
-        let back = TimeSeries::from_json(&packed).unwrap();
         let bits = |ts: &TimeSeries| -> Vec<(SimTime, u64)> {
             ts.samples()
                 .iter()
                 .map(|s| (s.time, s.value.to_bits()))
                 .collect()
         };
+        // The packed node shares the samples both ways.
+        let packed = ts.to_json();
+        assert!(matches!(&packed, Json::Pairs(p) if p.len() == ts.len()));
+        let back = TimeSeries::from_json(&packed).unwrap();
+        assert!(std::ptr::eq(back.samples(), ts.samples()));
+        // The raw-bits string keeps even the non-finite values.
+        let text = encode_bits(ts.samples());
+        assert_eq!(text.len(), (5 * RECORD).div_ceil(3) * 4);
+        let back = TimeSeries::from_json(&Json::Str(text)).unwrap();
         assert_eq!(bits(&back), bits(&ts));
         let empty = TimeSeries::from_json(&TimeSeries::new().to_json()).unwrap();
         assert!(empty.is_empty());
-        // A backwards time is rejected packed as it is from an `Arr`
-        // (the space keeps the parser from packing the text).
-        let err = TimeSeries::from_json(&Json::Pairs(vec![(2, 0.0), (1, 0.0)])).unwrap_err();
-        let parsed = Json::parse("[ [2,0],[1,0]]").unwrap();
-        assert!(matches!(parsed, Json::Arr(_)));
+        // A backwards time is rejected in every form alike.
+        let mut backwards = TimeSeries::new();
+        backwards.push(SimTime::from_nanos(2), 0.0);
+        Arc::make_mut(&mut backwards.samples).push(Sample {
+            time: SimTime::from_nanos(1),
+            value: 0.0,
+        });
+        let err = TimeSeries::from_json(&backwards.to_json()).unwrap_err();
+        let parsed = Json::parse("[[2,0],[1,0]]").unwrap();
         assert_eq!(TimeSeries::from_json(&parsed).unwrap_err(), err);
+        let text = encode_bits(backwards.samples());
+        assert_eq!(TimeSeries::from_json(&Json::Str(text)).unwrap_err(), err);
     }
 
     /// A sampler reading: (amount accrued in the window, window seconds).

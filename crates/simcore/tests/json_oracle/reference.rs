@@ -64,7 +64,10 @@ fn write(v: &Json, out: &mut String, indent: Option<usize>, depth: usize) {
         Json::Pairs(pairs) => {
             let items = pairs
                 .iter()
-                .map(|&(t, v)| Json::Arr(vec![Json::Int(i128::from(t)), Json::Num(v)]))
+                .map(|s| {
+                    let time = Json::Int(i128::from(s.time.as_nanos()));
+                    Json::Arr(vec![time, Json::Num(s.value)])
+                })
                 .collect();
             write(&Json::Arr(items), out, indent, depth)
         }
