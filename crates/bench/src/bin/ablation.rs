@@ -1,86 +1,5 @@
-//! Ablation study: how much does each modelling decision matter?
-//!
-//! DESIGN.md calls out the mechanisms that proved load-bearing for
-//! reproducing the paper (OS page cache, protocol CPU asymmetry, the
-//! RDMA pipeline factors, `io.sort.mb` tuning, slot counts). This binary
-//! re-runs the Fig. 2 anchor cell (MR-AVG, 16 GB, Cluster A) under each
-//! [`Ablation`] — the config field that removes one mechanism or resets
-//! one tuning — over 1 GigE and IPoIB QDR, and reports the job time and
-//! the network sensitivity each variant produces.
-
-use mrbench::{Ablation, BenchConfig, MicroBenchmark, ShuffleVolume};
-use mrbench_bench::{figure_header, Harness};
-use simcore::units::ByteSize;
-use simnet::Interconnect;
-
-fn label(a: Ablation) -> &'static str {
-    match a {
-        Ablation::Baseline => "baseline (as calibrated)",
-        Ablation::NoPageCache => "no OS page cache",
-        Ablation::NoProtocolCpu => "no protocol CPU charge",
-        Ablation::DefaultSortMb => "io.sort.mb = 100 (stock)",
-        Ablation::TwoMapSlots => "2 map slots (stock)",
-        Ablation::NoMergeOverlap => "no shuffle/merge overlap",
-    }
-}
-
-/// The anchor cell under `ablation`. The artifacts record its volume as
-/// pairs per map, the form the engine runs.
-fn config(ablation: Ablation, ic: Interconnect, shuffle: ByteSize) -> BenchConfig {
-    let mut c = BenchConfig::cluster_a_default(MicroBenchmark::Avg, ic, shuffle);
-    c.volume = ShuffleVolume::PairsPerMap(c.job_spec().pairs_per_map);
-    c.ablation = Some(ablation);
-    c
-}
+//! Ablation study: the Fig. 2 anchor cell under each model ablation.
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::figure_main("ablation", real_main)
-}
-
-fn real_main(mut harness: Harness) -> Result<(), mrbench::Error> {
-    figure_header(
-        "Ablation",
-        "Fig. 2 anchor cell (MR-AVG, 16 GB, 16M/8R on 4 slaves) under model ablations",
-    );
-    let shuffle = harness.shuffle(ByteSize::from_gib(16));
-    let networks = [Interconnect::GigE1, Interconnect::IpoibQdr];
-    let reports = harness.run(
-        Ablation::ALL
-            .into_iter()
-            .flat_map(|a| networks.map(|ic| config(a, ic, shuffle))),
-    )?;
-
-    println!(
-        "{:>28} {:>12} {:>14} {:>16}",
-        "variant", "1GigE (s)", "IPoIB (s)", "IPoIB gain (%)"
-    );
-    let mut baseline_gain = None;
-    for (variant, pair) in Ablation::ALL.into_iter().zip(reports.chunks(2)) {
-        let (slow_report, fast_report) = (&pair[0], &pair[1]);
-        harness.record_report(&format!("{} — 1GigE", label(variant)), slow_report);
-        harness.record_report(&format!("{} — IPoIB QDR", label(variant)), fast_report);
-        let slow = slow_report.job_time_secs();
-        let fast = fast_report.job_time_secs();
-        let gain = (slow - fast) / slow * 100.0;
-        if variant == Ablation::Baseline {
-            baseline_gain = Some(gain);
-        }
-        println!(
-            "{:>28} {:>12.1} {:>14.1} {:>15.1}%",
-            label(variant),
-            slow,
-            fast,
-            gain
-        );
-    }
-    println!();
-    println!(
-        "Reading: the paper's ~24% IPoIB gain (baseline here: {:.1}%) only emerges \
-         with the page cache in place — without it the job is disk-bound and the \
-         network barely matters. Protocol CPU and the merge-overlap model shift \
-         the gain by a few points each; stock io.sort.mb / slot settings change \
-         the phase mix but keep the ordering.",
-        baseline_gain.unwrap_or(f64::NAN)
-    );
-    harness.finish()
+    mrbench_bench::main("ablation")
 }

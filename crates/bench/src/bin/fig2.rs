@@ -2,5 +2,5 @@
 //! Cluster A (MRv1). Defined by [`mrbench_bench::figures::FIG2`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::figures::FIG2.main()
+    mrbench_bench::main("fig2")
 }

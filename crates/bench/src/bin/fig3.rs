@@ -2,5 +2,5 @@
 //! Defined by [`mrbench_bench::figures::FIG3`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::figures::FIG3.main()
+    mrbench_bench::main("fig3")
 }

@@ -2,5 +2,5 @@
 //! [`mrbench_bench::figures::FIG4`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::figures::FIG4.main()
+    mrbench_bench::main("fig4")
 }

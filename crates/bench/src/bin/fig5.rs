@@ -2,5 +2,5 @@
 //! [`mrbench_bench::figures::FIG5`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::figures::FIG5.main()
+    mrbench_bench::main("fig5")
 }

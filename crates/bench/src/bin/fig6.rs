@@ -2,5 +2,5 @@
 //! [`mrbench_bench::figures::FIG6`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::figures::FIG6.main()
+    mrbench_bench::main("fig6")
 }

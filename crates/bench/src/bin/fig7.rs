@@ -2,5 +2,5 @@
 //! by [`mrbench_bench::figures::FIG7`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::figures::FIG7.main()
+    mrbench_bench::main("fig7")
 }

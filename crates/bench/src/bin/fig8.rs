@@ -2,5 +2,5 @@
 //! by [`mrbench_bench::figures::FIG8`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::figures::FIG8.main()
+    mrbench_bench::main("fig8")
 }

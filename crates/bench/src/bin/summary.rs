@@ -1,7 +1,7 @@
 //! Paper-vs-measured summary over every headline claim of Sects. 5.2,
 //! 6 and 7: a Markdown table for `EXPERIMENTS.md`, built from every
-//! figure's claims by [`mrbench_bench::figures::summary`].
+//! figure's claims by [`mrbench_bench::figures`].
 
 fn main() -> std::process::ExitCode {
-    mrbench_bench::figures::summary()
+    mrbench_bench::main("summary")
 }

@@ -1,8 +1,8 @@
 //! Validate Chrome trace-event files emitted by `--trace`.
 //!
 //! Accepts one or more trace files — the combined document every binary
-//! writes through `Harness::finish`, one process per run — and checks
-//! the structural invariants CI relies on:
+//! writes on its exit path (`mrbench_bench::main`), one process per run —
+//! and checks the structural invariants CI relies on:
 //!
 //! * the file parses as a JSON object with a `"traceEvents"` array;
 //! * every event carries a `"ph"`, a `"pid"` and a finite `"ts" >= 0`;

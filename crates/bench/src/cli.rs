@@ -1,20 +1,24 @@
-//! The `mrbench` binary's own flags, and the value parsers every binary
-//! shares.
+//! The `mrbench` binary's own flags and driver, and the value parsers
+//! every binary shares.
 //!
 //! [`Harness::parse`] reads the run-wide flags; [`parse`] hands it the
 //! config flags below, which fill in one [`BenchConfig`]. Hand-rolled
 //! (the workspace keeps its dependency set to the approved list), but
 //! with real error messages and full coverage of the suite's knobs.
 
+use std::fmt::Write as _;
+use std::process::ExitCode;
+
 use mapreduce::{NodeCrash, NodeSlowdown};
 use mrbench::config::parse_network;
 use mrbench::{
-    BenchConfig, ClusterPreset, EngineKind, Error, MicroBenchmark, ShuffleEngineKind, ShuffleVolume,
+    BenchConfig, BenchReport, ClusterPreset, EngineKind, Error, MicroBenchmark, ShuffleEngineKind,
+    ShuffleVolume,
 };
 use simcore::units::ByteSize;
 use simnet::Interconnect;
 
-use crate::{run_wide_usage, value, Args, Harness};
+use crate::{run_grid, run_wide_usage, value, Args, Harness};
 
 /// What `mrbench` runs, beside the run-wide [`Harness`] switches.
 #[derive(Debug)]
@@ -180,6 +184,83 @@ impl Cli {
         }
         Ok(true)
     }
+}
+
+/// `mrbench`'s driver: one run, exit 1 if its job failed, or every
+/// interconnect under `--compare`.
+pub(crate) fn drive(harness: &mut Harness, cli: Cli) -> Result<ExitCode, Error> {
+    if cli.compare {
+        compare(harness, &cli.config)?;
+        return Ok(ExitCode::SUCCESS);
+    }
+    let report = harness.run([cli.config])?.swap_remove(0);
+    let _ = writeln!(harness.text, "{report}");
+    if cli.timeline {
+        timeline(&mut harness.text, &report);
+    }
+    let failed = u8::from(!report.result.succeeded());
+    let title = report.config.benchmark.to_string();
+    harness.artifacts.record_report(&title, report);
+    Ok(ExitCode::from(failed))
+}
+
+/// The per-task timeline, reconstructed from the phase-span stream (the
+/// --timeline flag forces tracing on), so retries, speculative
+/// attempts, and phase boundaries all show.
+fn timeline(text: &mut String, report: &BenchReport) {
+    let _ = writeln!(text, "\ntask timeline (per-attempt phase spans):");
+    let _ = writeln!(
+        text,
+        "{:>10} {:>6} {:>4} {:>6} {:>12} {:>10} {:>10} {:>10}",
+        "task", "index", "att", "node", "phase", "start (s)", "end (s)", "elapsed"
+    );
+    let spans = report.result.trace.as_ref().map(|t| t.spans());
+    let mut spans = spans.unwrap_or_default().to_vec();
+    spans.sort_by_key(|s| (s.start, s.node, s.lane, s.end));
+    for s in spans {
+        let _ = writeln!(
+            text,
+            "{:>10} {:>6} {:>4} {:>6} {:>12} {:>10.2} {:>10.2} {:>9.2}s{}",
+            s.kind,
+            s.index,
+            s.attempt,
+            s.node,
+            s.phase,
+            s.start.as_secs_f64(),
+            s.end.as_secs_f64(),
+            s.end.since(s.start).as_secs_f64(),
+            if s.aborted { "  (aborted)" } else { "" },
+        );
+    }
+}
+
+/// `--compare`: run every interconnect at the configured shuffle volume
+/// and tabulate.
+fn compare(harness: &mut Harness, config: &BenchConfig) -> Result<(), Error> {
+    let spec = config.job_spec();
+    let sweep = run_grid(
+        harness,
+        &[spec.total_shuffle_bytes()],
+        &Interconnect::ALL,
+        |_, ic| {
+            let mut c = config.clone();
+            c.interconnect = ic;
+            c.shuffle_engine = if ic == Interconnect::RdmaFdr {
+                ShuffleEngineKind::Rdma
+            } else {
+                ShuffleEngineKind::Tcp
+            };
+            c.volume = ShuffleVolume::PairsPerMap(spec.pairs_per_map);
+            c
+        },
+    )?;
+    let title = format!(
+        "{} — {} maps / {} reduces on {} slaves",
+        config.benchmark, config.num_maps, config.num_reduces, config.slaves
+    );
+    harness.text.push_str(&sweep.table(&title));
+    harness.artifacts.record_sweep(&title, sweep);
+    Ok(())
 }
 
 /// A non-negative integer; `_` separators are allowed (`1_000`).

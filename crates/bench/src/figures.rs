@@ -3,8 +3,9 @@
 //! A [`FigureSpec`] is one figure of Sects. 5.2 and 6: its shuffle-size
 //! axis, interconnects and panels (title, config builder), and the prose
 //! claims checked against them. The `fig2` … `fig8` binaries are shims
-//! over [`FigureSpec::main`], [`summary`] tabulates every spec's claims,
-//! and the integration tests take their configs from the same panels.
+//! over [`crate::main`], which drives the spec of that name; `summary`
+//! tabulates every spec's claims, and the integration tests take their
+//! configs from the same panels.
 //!
 //! Claims read (panel, size, interconnect) cells, found by the config
 //! that produced them: the same lookup serves a figure's own sweeps and
@@ -12,7 +13,7 @@
 //! cell).
 
 use std::collections::BTreeMap;
-use std::process::ExitCode;
+use std::fmt::Write as _;
 
 use mrbench::calib::{claims, ANCHOR_IPOIB_16GB_100B_SECS, ANCHOR_IPOIB_16GB_1KB_SECS};
 use mrbench::{
@@ -22,17 +23,14 @@ use simcore::stats::TimeSeries;
 use simcore::units::ByteSize;
 use simnet::Interconnect::{self, GigE1, GigE10, IpoibFdr, IpoibQdr, RdmaFdr};
 
-use crate::{
-    ensure_within_budget, figure_header, figure_main, print_improvements, quick_sizes, run_grid,
-    Harness, CLUSTER_A_NETWORKS, PAPER_GIB,
-};
+use crate::{quick_sizes, run_grid, Harness, CLUSTER_A_NETWORKS, PAPER_GIB};
 use Quantity::{Gain, Ratio, Read, Time};
 
 /// One figure of the paper.
 #[derive(Debug)]
 pub struct FigureSpec {
     /// Binary and artifact name.
-    name: &'static str,
+    pub(crate) name: &'static str,
     figure: &'static str,
     caption: &'static str,
     /// Paper-scale shuffle sizes, GiB.
@@ -46,7 +44,7 @@ pub struct FigureSpec {
     claims: &'static [Claim],
     checks: &'static [Check],
     /// Figure-specific output after the panels.
-    show: Option<fn(&[Sweep])>,
+    show: Option<fn(&mut String, &[Sweep])>,
     extra: Option<ExtraCheck>,
     /// The cells `summary` re-runs for the claims, at `summary_gib`:
     /// (panel, interconnects, title in `summary`'s artifact).
@@ -153,15 +151,17 @@ impl Verdict {
     pub(crate) fn info(text: String) -> Verdict {
         Verdict { ok: None, text }
     }
+}
 
-    /// Print as `  [ok      ] …`, `  [DEVIATES] …` or `  [info    ] …`.
-    pub fn print(&self) {
+/// As `  [ok      ] …`, `  [DEVIATES] …` or `  [info    ] …`.
+impl std::fmt::Display for Verdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let tag = match self.ok {
             Some(true) => "ok      ",
             Some(false) => "DEVIATES",
             None => "info    ",
         };
-        println!("  [{tag}] {}", self.text);
+        write!(f, "  [{tag}] {}", self.text)
     }
 }
 
@@ -176,11 +176,6 @@ pub(crate) fn within(paper: f64, measured: f64, tol: f64) -> bool {
 }
 
 impl FigureSpec {
-    /// The figure binary: run every panel, then check every claim.
-    pub fn main(&self) -> ExitCode {
-        figure_main(self.name, |harness| self.run(harness))
-    }
-
     /// The shuffle-size axis: the paper's, or its `--quick` stand-in.
     fn sizes(&self, harness: &Harness) -> Vec<ByteSize> {
         let full = self.sizes.iter().map(|&g| ByteSize::from_gib(g));
@@ -192,94 +187,115 @@ impl FigureSpec {
     }
 
     /// Record a finished panel: one sweep, or one report per cell.
-    fn record(&self, harness: &mut Harness, title: &str, sweep: &Sweep) -> Result<(), Error> {
+    fn record(&self, harness: &mut Harness, title: &str, sweep: &Sweep) {
         if let Layout::Reports = self.layout {
             for cell in &sweep.cells {
-                ensure_within_budget(&cell.report)?;
                 let title = format!("{title} — {}", cell.interconnect.label());
-                harness.record_report(&title, &cell.report);
+                harness.artifacts.record_report(&title, cell.report.clone());
             }
         } else {
-            harness.record_sweep(title, sweep);
+            harness.artifacts.record_sweep(title, sweep.clone());
         }
-        Ok(())
     }
 
-    fn run(&self, mut harness: Harness) -> Result<(), Error> {
-        figure_header(self.figure, self.caption);
-        let sizes = self.sizes(&harness);
+    /// The figure binary: run every panel, then check every claim.
+    pub(crate) fn run(&self, h: &mut Harness) -> Result<(), Error> {
+        h.header(self.figure, self.caption);
+        let sizes = self.sizes(h);
         let mut sweeps = Vec::new();
         for p in self.panels {
-            let sweep = run_grid(&harness, &sizes, self.networks, p.config)?;
+            let sweep = run_grid(h, &sizes, self.networks, p.config)?;
             if !matches!(self.layout, Layout::Reports) {
-                println!("{}", sweep.table(p.title));
+                let _ = writeln!(h.text, "{}", sweep.table(p.title));
             }
-            self.record(&mut harness, p.title, &sweep)?;
+            self.record(h, p.title, &sweep);
             if let Layout::TablesAndGains = self.layout {
-                print_improvements(&sweep);
+                improvements(&mut h.text, &sweep);
             }
             sweeps.push(sweep);
         }
         if let Some(show) = self.show {
-            show(&sweeps);
+            show(&mut h.text, &sweeps);
         }
-        if harness.quick {
-            harness.note_quick();
-            return harness.finish();
+        if h.quick {
+            h.note_quick();
+            return Ok(());
         }
-        println!("shape checks against the paper's prose:");
-        let cells = Cells::new(&harness, &sweeps);
+        let _ = writeln!(h.text, "shape checks against the paper's prose:");
+        let cells = Cells::new(&sweeps);
         for claim in self.claims {
             if let Some((label, tol)) = claim.check {
-                let (paper, measured) = (claim.paper, cells.measure(self, claim.measured)?);
+                let (paper, measured) = (claim.paper, cells.measure(h, self, claim.measured)?);
                 let text = format!("{label}: paper {paper:.1}, measured {measured:.1}");
-                Verdict::check(within(paper, measured, tol), text).print();
+                let verdict = Verdict::check(within(paper, measured, tol), text);
+                let _ = writeln!(h.text, "{verdict}");
             }
         }
         for check in self.checks {
-            let inputs = check.inputs.iter().map(|&q| cells.measure(self, q));
-            (check.verdict)(&inputs.collect::<Result<Vec<f64>, Error>>()?).print();
+            let inputs = check.inputs.iter().map(|&q| cells.measure(h, self, q));
+            let verdict = (check.verdict)(&inputs.collect::<Result<Vec<f64>, Error>>()?);
+            let _ = writeln!(h.text, "{verdict}");
         }
         if let Some(extra) = self.extra {
-            extra(&harness, &cells)?.print();
+            let verdict = extra(h, &cells)?;
+            let _ = writeln!(h.text, "{verdict}");
         }
-        harness.finish()
+        Ok(())
     }
+}
+
+/// The improvement rows the paper's prose quotes: percentage gain of
+/// each faster network over the slowest, per shuffle size.
+fn improvements(text: &mut String, sweep: &Sweep) {
+    let slowest = sweep.interconnects[0];
+    let _ = write!(text, "{:>12}", "improvement");
+    for ic in &sweep.interconnects[1..] {
+        let _ = write!(text, "{:>18}", format!("vs {}", ic.label()));
+    }
+    text.push('\n');
+    for &size in &sweep.sizes {
+        let _ = write!(text, "{:>12}", size.to_string());
+        for &ic in &sweep.interconnects[1..] {
+            let imp = sweep.improvement_pct(size, slowest, ic).unwrap_or(f64::NAN);
+            let _ = write!(text, "{:>17.1}%", imp);
+        }
+        text.push('\n');
+    }
+    text.push('\n');
 }
 
 /// Finished runs, by the digest of the config that produced them.
 #[derive(Debug)]
 struct Cells<'a> {
-    harness: &'a Harness,
     reports: BTreeMap<String, &'a BenchReport>,
 }
 
 impl<'a> Cells<'a> {
-    fn new(harness: &'a Harness, sweeps: &'a [Sweep]) -> Cells<'a> {
+    fn new(sweeps: &'a [Sweep]) -> Cells<'a> {
         let cells = sweeps.iter().flat_map(|s| &s.cells);
         let reports = cells
             .map(|c| (config_digest(&c.report.config), &c.report))
             .collect();
-        Cells { harness, reports }
+        Cells { reports }
     }
 
     /// The run of `spec`'s cell `a`: the one whose config is what the
-    /// panel builds for it, prepared as the harness prepares every run.
-    fn get(&self, spec: &FigureSpec, a: At) -> Result<&'a BenchReport, Error> {
+    /// panel builds for it, prepared as `harness` prepares every run.
+    fn get(&self, harness: &Harness, spec: &FigureSpec, a: At) -> Result<&'a BenchReport, Error> {
         let At(panel, gib, ic) = a;
-        let size = self.harness.shuffle(ByteSize::from_gib(gib));
-        let config = self.harness.prep((spec.panels[panel].config)(size, ic));
+        let size = harness.shuffle(ByteSize::from_gib(gib));
+        let config = harness.prep((spec.panels[panel].config)(size, ic));
         let report = self.reports.get(&config_digest(&config)).copied();
         // Only a resume-store fragment whose report is not the config
         // its key names can miss here.
         report.ok_or_else(|| Error::parse(spec.name, format!("no run matches {a:?}")))
     }
 
-    fn measure(&self, spec: &FigureSpec, q: Quantity) -> Result<f64, Error> {
+    fn measure(&self, harness: &Harness, spec: &FigureSpec, q: Quantity) -> Result<f64, Error> {
         // As `Sweep::time`: a succeeded run with a positive job time.
         // Figure configs inject no faults, so only a watchdog fails one.
         let time = |a: At| {
-            let r = self.get(spec, a)?;
+            let r = self.get(harness, spec, a)?;
             let t = r.job_time_secs();
             if r.result.succeeded() && t > 0.0 {
                 return Ok(t);
@@ -296,50 +312,49 @@ impl<'a> Cells<'a> {
                 (s - f) / s * 100.0
             }
             Ratio(a, b) => time(a)? / time(b)?,
-            Read(a, read) => read(self.get(spec, a)?),
+            Read(a, read) => read(self.get(harness, spec, a)?),
         })
     }
 }
 
 /// Every figure with claims, in the paper's order.
-static FIGURES: [&FigureSpec; 7] = [&FIG2, &FIG3, &FIG4, &FIG5, &FIG6, &FIG7, &FIG8];
+pub(crate) static FIGURES: [&FigureSpec; 7] = [&FIG2, &FIG3, &FIG4, &FIG5, &FIG6, &FIG7, &FIG8];
 
 /// The `summary` binary: re-run each figure's headline cells at one size
-/// and print every claim as a paper-vs-measured Markdown table.
-pub fn summary() -> ExitCode {
-    figure_main("summary", run_summary)
-}
-
-fn run_summary(mut harness: Harness) -> Result<(), Error> {
+/// and write every claim as a paper-vs-measured Markdown table.
+pub(crate) fn summary(harness: &mut Harness) -> Result<(), Error> {
     let mut sweeps = Vec::new();
     for spec in FIGURES {
         let size = [harness.shuffle(ByteSize::from_gib(spec.summary_gib))];
         for &(panel, networks, title) in spec.summary {
-            let sweep = run_grid(&harness, &size, networks, spec.panels[panel].config)?;
-            spec.record(&mut harness, title, &sweep)?;
+            let sweep = run_grid(harness, &size, networks, spec.panels[panel].config)?;
+            spec.record(harness, title, &sweep);
             sweeps.push(sweep);
         }
     }
-    let cells = Cells::new(&harness, &sweeps);
-    println!("| Experiment | Quantity | Paper | Measured | Δ |");
-    println!("|---|---|---:|---:|---:|");
+    let cells = Cells::new(&sweeps);
+    let head = "| Experiment | Quantity | Paper | Measured | Δ |\n|---|---|---:|---:|---:|\n";
+    harness.text.push_str(head);
     for spec in FIGURES {
         for claim in spec.claims {
             let ((exp, what, unit), paper) = (claim.row, claim.paper);
-            let measured = cells.measure(spec, claim.measured)?;
+            let measured = cells.measure(harness, spec, claim.measured)?;
             let delta = if paper != 0.0 {
                 format!("{:+.0}%", (measured - paper) / paper * 100.0)
             } else {
                 "-".into()
             };
-            println!("| {exp} | {what} | {paper:.1} {unit} | {measured:.1} {unit} | {delta} |");
+            let _ = writeln!(
+                harness.text,
+                "| {exp} | {what} | {paper:.1} {unit} | {measured:.1} {unit} | {delta} |"
+            );
         }
     }
     if harness.quick {
-        println!();
+        harness.text.push('\n');
         harness.note_quick();
     }
-    harness.finish()
+    Ok(())
 }
 
 /// Figure 2: job time for the three data distribution patterns on
@@ -477,8 +492,8 @@ fn doubling_the_cluster(harness: &Harness, fig3: &Cells<'_>) -> Result<Verdict, 
     let avg = Time(At(0, 16, IpoibQdr));
     let at = [ByteSize::from_gib(16)];
     let fig2 = [run_grid(harness, &at, &[IpoibQdr], FIG2.panels[0].config)?];
-    let t_fig2 = Cells::new(harness, &fig2).measure(&FIG2, avg)?;
-    let t_fig3 = fig3.measure(&FIG3, avg)?;
+    let t_fig2 = Cells::new(&fig2).measure(harness, &FIG2, avg)?;
+    let t_fig3 = fig3.measure(harness, &FIG3, avg)?;
     let text = format!(
         "doubling the cluster speeds up MR-AVG: {t_fig2:.1}s (4 slaves) -> {t_fig3:.1}s (8 slaves)"
     );
@@ -739,7 +754,7 @@ fn samples(r: &BenchReport, series: Series) -> impl Iterator<Item = f64> + '_ {
 
 /// Fig. 7's two plots as text: every 5th one-second sample of the
 /// plotted slave's series (full resolution is in the artifact).
-fn utilization_series(sweeps: &[Sweep]) {
+fn utilization_series(text: &mut String, sweeps: &[Sweep]) {
     let stride = 5;
     let plots: [(&str, Series); 2] = [
         ("Fig 7(a) CPU utilization (%)", BenchReport::cpu_series),
@@ -749,15 +764,15 @@ fn utilization_series(sweeps: &[Sweep]) {
         ),
     ];
     for (plot, series) in plots {
-        println!("{plot}, slave {NODE}, every {stride}th second:");
+        let _ = writeln!(text, "{plot}, slave {NODE}, every {stride}th second:");
         for cell in &sweeps[0].cells {
-            print!("{:>16}", cell.interconnect.label());
+            let _ = write!(text, "{:>16}", cell.interconnect.label());
             for v in samples(&cell.report, series).step_by(stride) {
-                print!(" {v:>5.0}");
+                let _ = write!(text, " {v:>5.0}");
             }
-            println!();
+            text.push('\n');
         }
-        println!();
+        text.push('\n');
     }
 }
 

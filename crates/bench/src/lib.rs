@@ -4,42 +4,32 @@
 //! each regenerating the corresponding series: same workloads, same
 //! parameter sweeps, same table rows. Each figure is one
 //! [`figures::FigureSpec`] — its size axis, its panels (title,
-//! interconnects, config builder) and its claims — and the binaries are
-//! shims over it; `summary` tabulates every spec's claims from the same
-//! panel builders. Shape claims from the paper's prose are self-checked
-//! and reported as `ok` / `DEVIATES` / `info` lines, never panics — the
-//! point is to *measure* the reproduction, not to hide it.
-//!
-//! Run e.g.:
-//!
-//! ```text
-//! cargo run --release -p mrbench-bench --bin fig2
-//! ```
+//! interconnects, config builder) and its claims — and `summary`
+//! tabulates every spec's claims from the same panel builders. Shape
+//! claims from the paper's prose are self-checked and reported as `ok` /
+//! `DEVIATES` / `info` lines, never panics — the point is to *measure*
+//! the reproduction, not to hide it. Run e.g.
+//! `cargo run --release -p mrbench-bench --bin fig2`.
 //!
 //! Every binary here but `multijob` and `tracecheck` runs on one
-//! [`Harness`]. It parses the run-wide flags (`--json`, `--csv`,
-//! `--trace`, `--resume`, `--max-events`, `--max-sim-secs`, `--backend`
-//! and `-h/--help`; see [`run_wide_usage`] and EXPERIMENTS.md). The
-//! figure binaries (fig2–fig8, `summary`, `faults`, `ablation`) add
-//! `--quick` and `--deadline`; `mrbench` adds its config flags ([`cli`]).
-//!
-//! Every simulated job a binary runs is a cell of [`Harness::run`]: a
-//! single `mrbench` run is a one-cell list, a figure panel or
-//! `mrbench --compare` a grid ([`run_grid`]), `faults` one list per
-//! panel, and `ablation` the anchor cell under each
-//! [`mrbench::Ablation`], a config field that the digest, the store and
-//! the backend check all see. So every binary honours `--resume` (cells
-//! served from the store), `--deadline` (exit 7 after flushing a valid
-//! partial artifact) and `--backend` alike, and reports errors through
-//! [`exit_code`].
-//!
-//! Exit codes follow `mrbench::error`: 0 success, 1 job failed,
-//! 2 usage, 3 config, 4 I/O, 5 parse, 6 budget exceeded, 7 deadline.
+//! [`Harness`], which parses the run-wide flags ([`run_wide_usage`]);
+//! the figure binaries (fig2–fig8, `summary`, `faults`, `ablation`) add
+//! `--quick` and `--deadline`, `mrbench` its config flags ([`cli`]).
+//! Every simulated job is a cell of [`Harness::run`], so `--resume`,
+//! `--deadline` and `--backend` behave alike in every binary. The
+//! drivers print nothing: they write their stdout text and record their
+//! panels into the harness, and [`run_binary`] returns both with the
+//! outcome. Each binary's `main` is [`main`]: one exit path that prints
+//! the text, writes the requested files and maps the outcome to an exit
+//! code of `mrbench::error`.
 
 pub mod cli;
+mod extensions;
 pub mod figures;
 
-use std::path::PathBuf;
+use std::fmt::Write as _;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -47,8 +37,8 @@ use simcore::units::ByteSize;
 use simnet::Interconnect;
 
 use mrbench::{
-    run_cells, Artifacts, BackendKind, BenchConfig, BenchReport, Error, ResultStore, Sweep,
-    SweepOptions,
+    atomic_write, run_cells, Artifacts, BackendKind, BenchConfig, BenchReport, Error, ResultStore,
+    Sweep, SweepOptions,
 };
 
 use crate::cli::{parse_f64, parse_num};
@@ -71,17 +61,20 @@ fn path_or(it: &mut Args<'_>, default: String) -> PathBuf {
 }
 
 /// The command-line harness every sweep binary shares: the run-wide
-/// flags, quick-mode size substitution, the result store, the deadline
-/// and artifact collection.
+/// flags, quick-mode size substitution, the result store, the deadline,
+/// and what the binary outputs: its stdout text and its artifacts.
 #[derive(Debug)]
 pub struct Harness {
-    artifacts: Artifacts,
+    /// The panels the driver recorded; the exit path writes them.
+    pub artifacts: Artifacts,
+    /// The stdout text the driver wrote; only the exit path prints it.
+    pub text: String,
     /// JSON artifact destination from `--json [PATH]`.
     json: Option<PathBuf>,
     /// CSV artifact destination from `--csv [PATH]`.
     csv: Option<PathBuf>,
     /// Chrome trace-event output requested via `--trace [PATH]`. When
-    /// set, every run executes with phase tracing on and [`Harness::finish`]
+    /// set, every run executes with phase tracing on and the exit path
     /// writes one combined trace file (one process per recorded run).
     pub trace: Option<PathBuf>,
     /// CI smoke mode: tiny shuffle sizes, paper-claim checks skipped.
@@ -130,8 +123,11 @@ pub fn run_wide_usage(name: &str) -> String {
     )
 }
 
-/// Usage text of a figure binary.
-fn figure_usage(name: &str) -> String {
+/// Usage text of a binary: `mrbench`'s, or a figure binary's.
+fn usage(name: &str) -> String {
+    if name == "mrbench" {
+        return cli::usage();
+    }
     format!(
         "\
 usage: {name} [OPTIONS]
@@ -152,9 +148,7 @@ fn figure_flag(h: &mut Harness, flag: &str, it: &mut Args<'_>) -> Result<bool, E
         "--quick" => h.quick = true,
         "--deadline" => {
             let v = value(it, flag)?;
-            let secs: f64 = v
-                .parse()
-                .map_err(|e| Error::usage(format!("bad --deadline value '{v}': {e}")))?;
+            let secs = parse_f64(flag, v)?;
             if !secs.is_finite() || secs <= 0.0 {
                 return Err(Error::usage(format!(
                     "--deadline must be a positive number of seconds, got '{v}'"
@@ -170,15 +164,115 @@ fn figure_flag(h: &mut Harness, flag: &str, it: &mut Args<'_>) -> Result<bool, E
     Ok(true)
 }
 
-/// A figure binary's `main`: parse the process arguments, arm the
-/// harness, run, and map the outcome to the exit code.
-pub fn figure_main(name: &str, run: impl FnOnce(Harness) -> Result<(), Error>) -> ExitCode {
-    let usage = figure_usage(name);
+/// A binary run in-process by [`run_binary`]. Watchdog truncation is
+/// left in the recorded reports, for the exit path to read.
+#[derive(Debug)]
+pub struct Ran {
+    /// The armed harness; `None` when parsing or arming failed.
+    pub harness: Option<Harness>,
+    /// The finished run's exit code, or the error the binary exits with.
+    pub outcome: Result<ExitCode, Error>,
+}
+
+/// Run the binary `name` (`mrbench`, `fig2` … `fig8`, `summary`,
+/// `faults` or `ablation`) on `args` (without the program name):
+/// parse, arm, and drive it. Nothing is printed and no file is written
+/// but `--resume` store fragments.
+pub fn run_binary(name: &str, args: &[String]) -> Ran {
+    let parsed = match name {
+        "mrbench" => cli::parse(args).map(|(h, cli)| (h, Some(cli))),
+        _ => Harness::parse(name, &usage(name), args, figure_flag).map(|h| (h, None)),
+    };
+    match parsed.and_then(|(h, cli)| Ok((h.arm()?, cli))) {
+        Ok((mut harness, cli)) => Ran {
+            outcome: drive(name, cli, &mut harness),
+            harness: Some(harness),
+        },
+        Err(e) => Ran {
+            harness: None,
+            outcome: Err(e),
+        },
+    }
+}
+
+/// Drive the armed binary `name`: `mrbench` with its config flags, or
+/// a figure binary.
+fn drive(name: &str, cli: Option<cli::Cli>, h: &mut Harness) -> Result<ExitCode, Error> {
+    let spec = figures::FIGURES.iter().find(|spec| spec.name == name);
+    match (name, cli, spec) {
+        (_, Some(cli), _) => return cli::drive(h, cli),
+        ("summary", ..) => figures::summary(h)?,
+        ("faults", ..) => extensions::faults(h)?,
+        ("ablation", ..) => extensions::ablation(h)?,
+        (.., Some(spec)) => spec.run(h)?,
+        _ => return Err(Error::usage(format!("no binary named '{name}'"))),
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The `main` of every binary on the harness: [`run_binary`] on the
+/// process arguments, then the one exit path. In order, it prints the
+/// stdout text, then `--help` usage; writes the `--json`, `--csv` and
+/// `--trace` files, each followed by a `wrote <path>` line; prints the
+/// store's `resume:` line on stderr; and maps the outcome to the exit
+/// code. A run that recorded a watchdog-truncated report ends as
+/// [`Error::Budget`], and a stdout that cannot be written as
+/// [`Error::Io`]. The first error stands; a later one is reported on
+/// stderr.
+pub fn main(name: &str) -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = Harness::parse(name, &usage, &args, figure_flag)
-        .and_then(Harness::arm)
-        .and_then(run);
-    exit_code(name, &usage, result.map(|()| ExitCode::SUCCESS))
+    let ran = run_binary(name, &args);
+    let (harness, mut outcome) = (ran.harness, ran.outcome);
+    let mut stdout = std::io::stdout().lock();
+    let mut print = |text: &str| {
+        let printed = write!(stdout, "{text}").and_then(|()| stdout.flush());
+        printed.map_err(|e| Error::io("write", "stdout", e))
+    };
+    // `--help` ends parsing, so a run prints its usage or its text, not both.
+    if let Err(Error::Help(usage)) = &outcome {
+        let printed = print(usage);
+        outcome = Ok(ExitCode::SUCCESS);
+        keep_first(&mut outcome, printed);
+    }
+    if let Some(h) = &harness {
+        keep_first(&mut outcome, print(&h.text));
+        if let Err(Error::Deadline { .. }) = outcome {
+            eprintln!("deadline expired: flushing partial artifact before exit");
+        }
+        for (path, text) in h.files() {
+            let wrote = atomic_write(path, &text)
+                .and_then(|()| print(&format!("wrote {}\n", path.display())));
+            keep_first(&mut outcome, wrote);
+        }
+        if let Some(store) = &h.store {
+            let (hits, misses, rejected) = store.stats();
+            let bypassed = match store.bypassed() {
+                0 => String::new(),
+                n => format!(", {n} traced cell(s) run without the store (it keeps no traces)"),
+            };
+            eprintln!(
+                "resume: {hits} cell(s) served from {}, {misses} run fresh, \
+                 {rejected} rejected fragment(s){bypassed}",
+                store.dir().display()
+            );
+        }
+        let mut reports = h.artifacts.reports();
+        let truncated = reports.find_map(|(_, r)| r.result.budget.as_ref());
+        if let (Ok(_), Some(diag)) = (&outcome, truncated) {
+            outcome = Err(Error::Budget(diag.summary()));
+        }
+    }
+    exit_code(name, &usage(name), outcome)
+}
+
+/// Keep a run's first error: a later step's error is reported on
+/// stderr instead.
+fn keep_first(outcome: &mut Result<ExitCode, Error>, step: Result<(), Error>) {
+    match step {
+        Err(e) if outcome.is_ok() => *outcome = Err(e),
+        Err(e) => eprintln!("error: {e}"),
+        Ok(()) => {}
+    }
 }
 
 impl Harness {
@@ -196,6 +290,7 @@ impl Harness {
     ) -> Result<Harness, Error> {
         let mut h = Harness {
             artifacts: Artifacts::new(name),
+            text: String::new(),
             json: None,
             csv: None,
             trace: None,
@@ -264,10 +359,9 @@ impl Harness {
     /// [`mrbench::run_cells`]: one report per config, in order, each
     /// config passed through [`Harness::prep`]. Finished cells are
     /// checkpointed in the `--resume` store the moment they complete. An
-    /// expired `--deadline` stops the run at a cell boundary, writes the
-    /// panels recorded so far as a valid partial artifact (a failed write
-    /// is reported but never masks the deadline) and surfaces
-    /// [`Error::Deadline`] (exit 7).
+    /// expired `--deadline` stops the run at a cell boundary with
+    /// [`Error::Deadline`] (exit 7); the exit path then writes the
+    /// panels recorded so far as a valid partial artifact.
     pub fn run(
         &self,
         configs: impl IntoIterator<Item = BenchConfig>,
@@ -279,15 +373,7 @@ impl Harness {
             cancel: Some(&cancel),
             ..SweepOptions::default()
         };
-        let reports = run_cells(&configs, &opts);
-        if let Err(Error::Deadline { .. }) = reports {
-            eprintln!("deadline expired: flushing partial artifact before exit");
-            let (json, csv) = (self.json.as_deref(), self.csv.as_deref());
-            if let Err(e) = self.artifacts.write(json, csv) {
-                eprintln!("error: {e}");
-            }
-        }
-        reports
+        run_cells(&configs, &opts)
     }
 
     /// `true` once the `--deadline` budget has expired.
@@ -305,43 +391,28 @@ impl Harness {
         }
     }
 
-    /// Print the standard notice when `--quick` suppresses the
+    /// Write the standard notice when `--quick` suppresses the
     /// paper-scale shape checks.
-    pub fn note_quick(&self) {
-        println!("(--quick: MiB-scale sizes; paper-scale shape checks skipped)");
+    fn note_quick(&mut self) {
+        self.text
+            .push_str("(--quick: MiB-scale sizes; paper-scale shape checks skipped)\n");
     }
 
-    /// Record a sweep panel into the artifact.
-    pub fn record_sweep(&mut self, title: &str, sweep: &Sweep) {
-        self.artifacts.record_sweep(title, sweep.clone());
+    /// Write the standard header of a figure binary.
+    fn header(&mut self, fig: &str, caption: &str) {
+        let rule = "=====================================================================";
+        let _ = write!(self.text, "{rule}\n{fig} — {caption}\n{rule}\n\n");
     }
 
-    /// Record a single-report panel into the artifact.
-    pub fn record_report(&mut self, title: &str, report: &BenchReport) {
-        self.artifacts.record_report(title, report.clone());
-    }
-
-    /// Write the requested artifact and trace files, if any, and report
-    /// the result store's hits. Call last in `main`.
-    pub fn finish(self) -> Result<(), Error> {
-        self.artifacts
-            .write(self.json.as_deref(), self.csv.as_deref())?;
-        if let Some(path) = &self.trace {
-            self.artifacts.write_chrome_trace(path)?;
-        }
-        if let Some(store) = &self.store {
-            let (hits, misses, rejected) = store.stats();
-            let bypassed = match store.bypassed() {
-                0 => String::new(),
-                n => format!(", {n} traced cell(s) run without the store (it keeps no traces)"),
-            };
-            eprintln!(
-                "resume: {hits} cell(s) served from {}, {misses} run fresh, \
-                 {rejected} rejected fragment(s){bypassed}",
-                store.dir().display()
-            );
-        }
-        Ok(())
+    /// The files `--json`, `--csv` and `--trace` ask for, in that order,
+    /// each with the bytes the exit path writes to it.
+    pub fn files(&self) -> Vec<(&Path, String)> {
+        let a = &self.artifacts;
+        let json = self.json.as_deref().map(|p| (p, a.to_json().to_pretty()));
+        let csv = self.csv.as_deref().map(|p| (p, a.to_csv()));
+        let trace = self.trace.as_deref();
+        let trace = trace.map(|p| (p, a.to_chrome_trace().to_pretty()));
+        [json, csv, trace].into_iter().flatten().collect()
     }
 }
 
@@ -368,20 +439,10 @@ pub fn exit_code(name: &str, usage: &str, result: Result<ExitCode, Error>) -> Ex
         Err(e) => {
             eprintln!("{name}: {e}");
             if matches!(e, Error::Usage(_)) {
-                eprintln!();
-                eprint!("{usage}");
+                eprint!("\n{usage}");
             }
             ExitCode::from(e.exit_code())
         }
-    }
-}
-
-/// Surface a watchdog-truncated run as [`Error::Budget`] (exit 6): use
-/// on a report that is about to be trusted.
-pub fn ensure_within_budget(report: &BenchReport) -> Result<(), Error> {
-    match &report.result.budget {
-        Some(diag) => Err(Error::Budget(diag.summary())),
-        None => Ok(()),
     }
 }
 
@@ -414,34 +475,6 @@ pub fn run_grid(
     make: impl Fn(ByteSize, Interconnect) -> BenchConfig,
 ) -> Result<Sweep, Error> {
     Sweep::run_grid_on(sizes, networks, make, |configs| harness.run(configs))
-}
-
-/// Print the improvement rows the paper's prose quotes: percentage gain
-/// of each faster network over the slowest, per shuffle size.
-pub fn print_improvements(sweep: &Sweep) {
-    let slowest = sweep.interconnects[0];
-    print!("{:>12}", "improvement");
-    for ic in &sweep.interconnects[1..] {
-        print!("{:>18}", format!("vs {}", ic.label()));
-    }
-    println!();
-    for &size in &sweep.sizes {
-        print!("{:>12}", size.to_string());
-        for &ic in &sweep.interconnects[1..] {
-            let imp = sweep.improvement_pct(size, slowest, ic).unwrap_or(f64::NAN);
-            print!("{:>17.1}%", imp);
-        }
-        println!();
-    }
-    println!();
-}
-
-/// Print the standard header for a figure binary.
-pub fn figure_header(fig: &str, caption: &str) {
-    println!("=====================================================================");
-    println!("{fig} — {caption}");
-    println!("=====================================================================");
-    println!();
 }
 
 #[cfg(test)]

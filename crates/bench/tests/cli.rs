@@ -271,15 +271,61 @@ fn deadline_stops_every_figure_binary_with_a_valid_artifact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The analytic backend cannot remove a mechanism it never models, so
-/// every `ablation` run is a config error under it.
+/// A watchdog breach ends every binary with exit 6, after the exit path
+/// has written the artifact of the truncated runs.
 #[test]
-fn ablation_refuses_the_analytic_backend() {
-    let out = run("ablation", &["--quick", "--backend", "analytic"]);
+fn budget_breach_exits_6_with_a_valid_artifact() {
+    let dir = scratch("budget");
+    let quick: &[&str] = &["--quick"];
+    let compare: &[&str] = &["--compare", "--shuffle-mb", "16"];
+    let runs = FIGURE_BINS.iter().map(|&name| (name, quick));
+    for (name, args) in runs.chain([("mrbench", compare)]) {
+        let json = dir.join(format!("{name}.json"));
+        let out = bin(name)
+            .args(args)
+            .args(["--max-events", "10", "--json"])
+            .arg(&json)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(6), "{name}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("{name}: budget exceeded")),
+            "{stderr}"
+        );
+        mrbench::Artifacts::load(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stdout closed before the binary writes is an I/O error (exit 4),
+/// not a panic.
+#[test]
+fn closed_stdout_exits_4_without_a_panic() {
+    let mut child = bin("fig3")
+        .arg("--quick")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(3), "{stderr}");
-    assert!(
-        stderr.starts_with("ablation: invalid config: the analytic backend cannot model ablations"),
-        "{stderr}"
-    );
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("fig3: cannot write stdout"), "{stderr}");
+}
+
+/// The analytic backend cannot remove a mechanism it never models, nor
+/// inject a fault, so every `ablation` and `faults` run is a config
+/// error under it.
+#[test]
+fn ablation_and_faults_refuse_the_analytic_backend() {
+    for (name, what) in [("ablation", "ablations"), ("faults", "fault injection")] {
+        let out = run(name, &["--quick", "--backend", "analytic"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{name}: {stderr}");
+        let refusal = format!("{name}: invalid config: the analytic backend cannot model {what}");
+        assert!(stderr.starts_with(&refusal), "{stderr}");
+    }
 }

@@ -3,8 +3,9 @@
 //! A binary run produces a sequence of *panels* — sweeps (the paper's
 //! figure grids) and single reports (e.g. the fault scenarios) — that
 //! were previously only pretty-printed. [`Artifacts`] collects them as
-//! they are produced and writes one JSON document and/or one CSV table
-//! at exit, so perf trajectories can be tracked across commits.
+//! they are produced and renders one JSON document, one CSV table and
+//! one Chrome trace, which a binary writes at exit, so perf
+//! trajectories can be tracked across commits.
 //!
 //! JSON schema (`mrbench-artifact-v1`):
 //!
@@ -29,7 +30,6 @@ use simcore::json::Json;
 
 use crate::error::Error;
 use crate::report::{BenchReport, CSV_HEADER};
-use crate::store::atomic_write;
 use crate::sweep::Sweep;
 
 /// Schema tag written into every artifact document.
@@ -184,14 +184,15 @@ impl Artifacts {
         })
     }
 
-    /// True when at least one recorded run carries a span stream (i.e.
-    /// it ran with tracing enabled).
-    pub fn has_traces(&self) -> bool {
-        self.panels.iter().any(|p| match p {
-            Panel::Sweep { sweep, .. } => {
-                sweep.cells.iter().any(|c| c.report.result.trace.is_some())
-            }
-            Panel::Report { report, .. } => report.result.trace.is_some(),
+    /// Every recorded run with its panel's title, in panel order.
+    pub fn reports(&self) -> impl Iterator<Item = (&str, &BenchReport)> {
+        self.panels.iter().flat_map(|p| {
+            let (cells, single) = match p {
+                Panel::Sweep { sweep, .. } => (&sweep.cells[..], None),
+                Panel::Report { report, .. } => (&[][..], Some(&**report)),
+            };
+            let reports = cells.iter().map(|c| &c.report).chain(single);
+            reports.map(|r| (p.title(), r))
         })
     }
 
@@ -229,50 +230,14 @@ impl Artifacts {
         }
     }
 
-    /// Write the combined Chrome trace of every traced run, reporting
-    /// the path on stdout.
-    pub fn write_chrome_trace(&self, path: &Path) -> Result<(), Error> {
-        atomic_write(path, &self.to_chrome_trace().to_pretty())?;
-        println!("wrote {}", path.display());
-        Ok(())
-    }
-
     /// The artifact as a CSV table: header plus one row per run.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(CSV_HEADER);
-        out.push('\n');
-        for panel in &self.panels {
-            match panel {
-                Panel::Sweep { title, sweep } => {
-                    for row in sweep.csv_rows(title) {
-                        out.push_str(&row);
-                        out.push('\n');
-                    }
-                }
-                Panel::Report { title, report } => {
-                    out.push_str(&report.csv_row(title));
-                    out.push('\n');
-                }
-            }
+        let mut out = format!("{CSV_HEADER}\n");
+        for (title, report) in self.reports() {
+            out += &report.csv_row(title);
+            out.push('\n');
         }
         out
-    }
-
-    /// Write the JSON and/or CSV files, reporting each path written on
-    /// stdout. Empty collectors still write (an artifact with zero
-    /// panels is a valid, parseable document). Both writes are atomic
-    /// (temp + fsync + rename), so a crash mid-write can never leave a
-    /// torn artifact where a previous good one stood.
-    pub fn write(&self, json_path: Option<&Path>, csv_path: Option<&Path>) -> Result<(), Error> {
-        if let Some(path) = json_path {
-            atomic_write(path, &self.to_json().to_pretty())?;
-            println!("wrote {}", path.display());
-        }
-        if let Some(path) = csv_path {
-            atomic_write(path, &self.to_csv())?;
-            println!("wrote {}", path.display());
-        }
-        Ok(())
     }
 }
 
@@ -343,7 +308,7 @@ mod tests {
         let mut art = Artifacts::new("unit");
         art.record_report("ok run", run(&ok).unwrap());
         art.record_report("failed run", run(&bad).unwrap());
-        assert!(art.has_traces());
+        assert!(art.reports().all(|(_, r)| r.result.trace.is_some()));
 
         // The artifact round-trips with phases intact; the raw span
         // stream is deliberately transient (it has its own file format).
@@ -438,7 +403,7 @@ mod tests {
             "one run",
             run(&tiny(ByteSize::from_mib(64), Interconnect::GigE1)).unwrap(),
         );
-        art.write(Some(&path), None).unwrap();
+        crate::atomic_write(&path, &art.to_json().to_pretty()).unwrap();
         let back = Artifacts::load(&path).unwrap();
         assert_eq!(back.to_json().to_pretty(), art.to_json().to_pretty());
         let _ = std::fs::remove_dir_all(&dir);

@@ -198,12 +198,6 @@ impl Sweep {
             cells,
         })
     }
-
-    /// CSV rows for every cell, in row-major order (no header; see
-    /// [`CSV_HEADER`]).
-    pub fn csv_rows(&self, panel: &str) -> Vec<String> {
-        self.cells.iter().map(|c| c.report.csv_row(panel)).collect()
-    }
 }
 
 fn series_peak(all: &[TimeSeries]) -> f64 {

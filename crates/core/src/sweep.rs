@@ -264,14 +264,10 @@ impl Sweep {
         for &size in &self.sizes {
             let _ = write!(out, "{:>12}", size.to_string());
             for &ic in &self.interconnects {
-                match self.time(size, ic) {
-                    Some(t) => {
-                        let _ = write!(out, "{:>16.1} s", t);
-                    }
-                    None => {
-                        let _ = write!(out, "{:>18}", "-");
-                    }
-                }
+                let _ = match self.time(size, ic) {
+                    Some(t) => write!(out, "{:>16.1} s", t),
+                    None => write!(out, "{:>18}", "-"),
+                };
             }
             let _ = writeln!(out);
         }

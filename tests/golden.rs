@@ -3,21 +3,32 @@
 //! drifts from the committed one fails here rather than waiting for a
 //! hand-run `cmp` against a parent build.
 //!
-//! A change that moves an output on purpose re-pins it with
+//! Beside the digests of the simulator's own outputs, the manifest pins
+//! what every figure binary writes — stdout, `--json` and `--csv` — run
+//! in-process through `mrbench_bench::run_binary`, which returns the
+//! bytes the binary's exit path would print and write: the lines
+//! `<bin>.quick.*`, `<bin>.quick-analytic.*` and, checked by an ignored
+//! test, the paper-scale `<bin>.*`.
+//!
+//! A change that moves an output on purpose re-pins the lines of the
+//! test that ran with
 //!
 //! ```text
 //! MRBENCH_BLESS=1 cargo test --test golden
+//! MRBENCH_BLESS=1 cargo test --release --test golden -- --ignored
 //! ```
 //!
-//! which rewrites the manifest and prints the lines that moved.
+//! which rewrite those lines of the manifest and print the ones that
+//! moved.
 
 use hadoop_mr_microbench::mapreduce::{Counters, FaultPlan, NodeCrash, NodeSlowdown};
 use hadoop_mr_microbench::mrbench::multijob::{self, ArrivalProcess, MultiJobSpec, TenantSpec};
+use std::collections::BTreeMap;
+use std::process::ExitCode;
+use std::sync::{Mutex, PoisonError};
+
 use hadoop_mr_microbench::mrbench::store::fnv1a_128;
-use hadoop_mr_microbench::mrbench::sweep::SweepCell;
-use hadoop_mr_microbench::mrbench::{
-    config_digest, run, Artifacts, BenchConfig, MicroBenchmark, ResultStore, Sweep,
-};
+use hadoop_mr_microbench::mrbench::{config_digest, run, BenchConfig, MicroBenchmark, ResultStore};
 use hadoop_mr_microbench::simcore::units::ByteSize;
 use hadoop_mr_microbench::simnet::Interconnect;
 use hadoop_mr_microbench::{baseline_configs, baseline_digest};
@@ -181,71 +192,112 @@ fn store_fragment() -> String {
     text
 }
 
-/// The bytes `Artifacts::write` writes for one sweep panel of
-/// `baseline_digest`'s reports, utilization series included: six rows,
-/// one per (benchmark, engine) and all at 512 MiB, by the three
-/// interconnects.
-fn artifact_pretty() -> String {
-    let configs = baseline_configs();
-    let reports: Vec<_> = configs
-        .iter()
-        .map(|c| run(c).expect("valid config"))
-        .collect();
-    // `baseline_configs` varies the engine fastest, then the
-    // interconnect; the grid's columns are the interconnects.
-    let (interconnects, engines) = (3, 2);
-    let mut cells = Vec::new();
-    for row in 0..reports.len() / interconnects {
-        let (bench, engine) = (row / engines, row % engines);
-        for ic in 0..interconnects {
-            let report = reports[(bench * interconnects + ic) * engines + engine].clone();
-            cells.push(SweepCell {
-                shuffle: report.config.shuffle_bytes(),
-                interconnect: report.config.interconnect,
-                report,
-            });
+/// The figure binaries; all but `faults` and `ablation` take
+/// `--backend analytic`.
+const FIGURE_BINS: [&str; 10] = [
+    "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "summary", "faults", "ablation",
+];
+
+/// The lines of one in-process binary run, `<bin><mode>.stdout`,
+/// `.json` and `.csv`: the stdout text and the bytes of the files
+/// `--json` and `--csv` ask for. Nothing is written.
+fn binary_lines(bin: &str, mode: &str, args: &[&str]) -> Vec<String> {
+    let outputs = ["--json", "unwritten.json", "--csv", "unwritten.csv"];
+    let args: Vec<String> = args.iter().chain(&outputs).map(|a| a.to_string()).collect();
+    let ran = mrbench_bench::run_binary(bin, &args);
+    assert!(
+        matches!(ran.outcome, Ok(code) if code == ExitCode::SUCCESS),
+        "{bin}{mode}: {:?}",
+        ran.outcome
+    );
+    let harness = ran.harness.expect("a finished run has a harness");
+    let mut lines = vec![line(&format!("{bin}{mode}.stdout"), &harness.text)];
+    for ((_, bytes), ext) in harness.files().iter().zip(["json", "csv"]) {
+        lines.push(line(&format!("{bin}{mode}.{ext}"), bytes));
+    }
+    lines
+}
+
+/// Check the lines a test produced against the manifest lines it owns,
+/// naming each moved, missing or extra line; under `MRBENCH_BLESS=1`,
+/// rewrite the owned lines instead and keep the others.
+fn check_manifest(fresh: &[String], owns: fn(&str) -> bool, bless: &str) {
+    // Tests run in parallel; one reads and rewrites the file at a time.
+    static MANIFEST_FILE: Mutex<()> = Mutex::new(());
+    let _file = MANIFEST_FILE.lock().unwrap_or_else(PoisonError::into_inner);
+    let keyed = |l: &str| {
+        (
+            l.rsplit(' ').next().unwrap_or_default().to_string(),
+            l.to_string(),
+        )
+    };
+    let text = std::fs::read_to_string(MANIFEST).unwrap_or_default();
+    let (pinned, others): (BTreeMap<_, _>, BTreeMap<_, _>) =
+        text.lines().map(keyed).partition(|(name, _)| owns(name));
+    let fresh: BTreeMap<String, String> = fresh.iter().map(|l| keyed(l)).collect();
+    if std::env::var("MRBENCH_BLESS").is_ok_and(|v| v == "1") {
+        for (n, l) in &fresh {
+            if pinned.get(n) != Some(l) {
+                println!("moved: {l}");
+            }
+        }
+        let mut all = others;
+        all.extend(fresh);
+        let text: String = all.values().map(|l| format!("{l}\n")).collect();
+        std::fs::write(MANIFEST, text).expect("manifest is writable");
+        return;
+    }
+    let mut drift = Vec::new();
+    for (n, l) in &fresh {
+        match pinned.get(n) {
+            Some(p) if p == l => {}
+            Some(p) => drift.push(format!("moved:   {p}\n   now:   {l}")),
+            None => drift.push(format!("missing: {l}")),
         }
     }
-    let sweep = Sweep {
-        sizes: cells
-            .iter()
-            .step_by(interconnects)
-            .map(|c| c.shuffle)
-            .collect(),
-        interconnects: cells[..interconnects]
-            .iter()
-            .map(|c| c.interconnect)
-            .collect(),
-        cells,
-    };
-    let mut artifacts = Artifacts::new("golden");
-    artifacts.record_sweep("baseline grid", sweep);
-    artifacts.to_json().to_pretty()
+    let extra = pinned.iter().filter(|(n, _)| !fresh.contains_key(*n));
+    drift.extend(extra.map(|(_, p)| format!("extra:   {p}")));
+    assert!(
+        drift.is_empty(),
+        "outputs drifted from {MANIFEST}:\n{}\n\
+         re-pin with `MRBENCH_BLESS=1 {bless}` if the change is deliberate",
+        drift.join("\n")
+    );
+}
+
+/// A paper-scale line, `<bin>.<ext>`; the other lines have no dot
+/// (`baseline_digest`) or two (`fig2.quick.json`).
+fn paper_scale(name: &str) -> bool {
+    name.matches('.').count() == 1
 }
 
 #[test]
 fn outputs_match_the_golden_manifest() {
-    let lines = [
+    let mut lines = vec![
         line("baseline_digest", &baseline_digest()),
         line("fault_digest", &fault_digest()),
         line("multijob_stream", &multijob_stream()),
         line("store_fragment", &store_fragment()),
-        line("artifact_pretty", &artifact_pretty()),
     ];
-    let fresh: String = lines.iter().map(|l| format!("{l}\n")).collect();
-    let pinned = std::fs::read_to_string(MANIFEST).unwrap_or_default();
-    if std::env::var("MRBENCH_BLESS").is_ok_and(|v| v == "1") {
-        for l in &lines {
-            if !pinned.lines().any(|p| p == l) {
-                println!("moved: {l}");
-            }
+    for bin in FIGURE_BINS {
+        lines.extend(binary_lines(bin, ".quick", &["--quick"]));
+        if !matches!(bin, "faults" | "ablation") {
+            let analytic = ["--quick", "--backend", "analytic"];
+            lines.extend(binary_lines(bin, ".quick-analytic", &analytic));
         }
-        std::fs::write(MANIFEST, &fresh).expect("manifest is writable");
-        return;
     }
-    assert!(
-        pinned == fresh,
-        "outputs drifted from {MANIFEST}\npinned:\n{pinned}now:\n{fresh}\
-         re-pin with `MRBENCH_BLESS=1 cargo test --test golden` if the change is deliberate"
-    );
+    let bless = "cargo test --test golden";
+    check_manifest(&lines, |name| !paper_scale(name), bless);
+}
+
+/// Every figure binary at paper scale: ~1 s in release, ~20 s in debug.
+#[test]
+#[ignore = "paper scale; run with --release -- --ignored"]
+fn paper_scale_outputs_match_the_golden_manifest() {
+    let lines: Vec<String> = FIGURE_BINS
+        .iter()
+        .flat_map(|bin| binary_lines(bin, "", &[]))
+        .collect();
+    let bless = "cargo test --release --test golden -- --ignored";
+    check_manifest(&lines, paper_scale, bless);
 }
